@@ -1,10 +1,12 @@
 """Matching features over a sentence-vector pair and the MLP classifier.
 
-The pair (premise vector, hypothesis vector) is expanded into matching
-features, pushed through two ReLU hidden layers, and read out by a softmax
-over the three relation classes. Hidden layers after the first see the
-original feature vector next to the previous hidden activations, echoing
-the encoder's shortcut wiring; a flag drops that.
+Every function here takes a whole batch: row b of each (B, ·) input
+belongs to pair b. The pair (premise vector, hypothesis vector) is
+expanded into matching features, pushed through two ReLU hidden layers,
+and read out by a softmax over the three relation classes; the training
+loss is the batch mean of the cross-entropy. Hidden layers after the
+first see the original feature vector next to the previous hidden
+activations, echoing the encoder's shortcut wiring; a flag drops that.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def matching_features(
 
 
 def mlp_forward(v_inp: Tensor, params: ClassifierParams) -> tuple[Tensor, Tensor]:
-    """Class probabilities and the pre-softmax logits, each (1, 3)."""
+    """Class probabilities and the pre-softmax logits, each (B, 3)."""
     h1 = T.relu(T.add(T.matmul(v_inp, params.w1), params.b1))
     in2 = T.concat([v_inp, h1], axis=1) if params.shortcut else h1
     h2 = T.relu(T.add(T.matmul(in2, params.w2), params.b2))
@@ -99,23 +101,25 @@ def mlp_forward(v_inp: Tensor, params: ClassifierParams) -> tuple[Tensor, Tensor
     return T.softmax(logits), logits
 
 
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """-log probs[label] as a (1,) tensor, probability floored at 1e-12.
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """Mean over the B rows of -log probs[row, label], as a (1,) tensor.
 
-    The floor is an elementwise max against a constant, so the gradient
-    routes to the probability whenever it is above the floor.
+    ``labels`` holds one class id per row (an int for a single row). Each
+    picked probability is floored at 1e-12 by an elementwise max against a
+    constant, so the gradient routes to the probability whenever it is
+    above the floor.
     """
-    if not 0 <= label < probs.shape[1]:
-        raise ValueError(f"label {label} outside [0, {probs.shape[1]})")
-    pick = T.slice_axis(probs, 1, label, label + 1)
-    floor = Tensor(np.full((1, 1), PROB_FLOOR))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    n, n_classes = probs.shape
+    if n == 0:
+        raise ValueError("cross_entropy: empty batch")
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy: {labels.shape} labels for {n} rows")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"label outside [0, {n_classes}) in {labels.tolist()}")
+    one_hot = Tensor(np.eye(n_classes)[labels])
+    pick = T.sum_axis(T.mul(probs, one_hot), axis=1, keepdims=True)
+    floor = Tensor(np.full((n, 1), PROB_FLOOR))
     clamped = T.max_axis(T.concat([pick, floor], axis=1), axis=1)
-    return T.mul(T.log(clamped), Tensor(np.asarray(-1.0)))
-
-
-def mean_loss(losses: list[Tensor]) -> Tensor:
-    """Average of per-example (1,) losses as a scalar tensor."""
-    if not losses:
-        raise ValueError("mean_loss: empty batch")
-    total = T.sum_axis(T.concat(losses, axis=0), axis=0)
-    return T.div(total, float(len(losses)))
+    losses = T.mul(T.log(clamped), Tensor(np.asarray(-1.0)))
+    return T.div(T.sum_axis(losses, axis=0, keepdims=True), float(n))

@@ -32,7 +32,6 @@ from .data import (
     LABELS,
     DataError,
     build_vocab,
-    encode_sentence_ids,
     load_corpus,
     load_word_vectors,
 )
@@ -274,7 +273,8 @@ def cmd_eval(args) -> int:
     banner_config = checkpoint.config.to_dict()
     for key in sorted(banner_config):
         print(f"# {key} = {banner_config[key]}", file=sys.stderr)
-    _print_eval(TR.evaluate(checkpoint, examples))
+    model = checkpoint.build_model()
+    _print_eval(TR.evaluate_model([model], examples, checkpoint.vocab))
     return EXIT_OK
 
 
@@ -283,17 +283,13 @@ def cmd_predict(args) -> int:
     examples, _ = load_corpus(args.data, require_label=False)
     if not examples:
         raise DataError(f"no usable examples in {args.data}")
-    model = checkpoint.build_model()
-    vocab = checkpoint.vocab
+    probs = TR.predict([checkpoint.build_model()], examples, checkpoint.vocab)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for ex in examples:
-            pw, pc = encode_sentence_ids(ex.premise_tokens, vocab)
-            hw, hc = encode_sentence_ids(ex.hypothesis_tokens, vocab)
-            probs = model.predict_probs(pw, pc, hw, hc)
+        for ex, p in zip(examples, probs):
             record = {
-                "label": LABELS[int(probs.argmax())],
-                "probs": [float(p) for p in probs],
+                "label": LABELS[int(p.argmax())],
+                "probs": [float(v) for v in p],
                 "premise_len": len(ex.premise_tokens),
                 "hypothesis_len": len(ex.hypothesis_tokens),
             }
@@ -307,7 +303,8 @@ def cmd_predict(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     checkpoints = [TR.Checkpoint.load(path) for path in args.checkpoints]
     examples, _ = load_corpus(args.data)
-    result = TR.ensemble_evaluate(checkpoints, examples)
+    models, vocab = TR.build_ensemble(checkpoints)
+    result = TR.evaluate_model(models, examples, vocab)
     print(f"ensemble of {len(checkpoints)} checkpoints")
     _print_eval(result)
     return EXIT_OK

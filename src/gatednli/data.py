@@ -215,7 +215,14 @@ def load_word_vectors(
                 raise DataError(
                     f"vectors {path}: line {lineno} has {len(values)} values, expected {dim}"
                 )
-            row = np.array([float(v) for v in values], dtype=np.float64)
+            try:
+                row = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as err:
+                raise DataError(f"vectors {path}: line {lineno}: {err}") from err
+            if not np.all(np.isfinite(row)):
+                raise DataError(
+                    f"vectors {path}: line {lineno} has a non-finite value"
+                )
             if token in wanted:
                 raw_rows.setdefault(token, row)
             if token in lower_map:

@@ -1,15 +1,18 @@
 """Full model assembly: configuration, parameter container, forward pass.
 
-A premise and a hypothesis are embedded, encoded by the shared stacked
-BiLSTM, pooled into sentence vectors, expanded into matching features, and
-classified. The configuration captures every architectural knob, including
-the ablation switches, so a checkpoint can rebuild the exact network.
+``Model.forward`` scores a padded ``data.Batch`` of premise/hypothesis
+pairs; it is the one forward path behind training, evaluation, prediction
+and ensembles. Each sentence is embedded, encoded by the shared stacked
+BiLSTM and pooled into a sentence vector on its valid prefix alone, as the
+model allows no cross-sentence attention; the batch's sentence vectors are
+then expanded into matching features and classified together. The
+configuration captures every architectural knob, including the ablation
+switches, so a checkpoint can rebuild the exact network.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from . import embed as EM
 from . import encoder as EN
 from . import tensor as T
 from .compose import GateKind
+from .data import Batch, SideBatch
 from .tensor import Tensor
 
 GATE_KINDS = tuple(k.value for k in GateKind)
@@ -166,50 +170,33 @@ class Model:
             params=ModelParams(embed=embed, encoder=encoder, classifier=classifier),
         )
 
-    def sentence_vector(
-        self, word_ids: np.ndarray, char_ids: np.ndarray
-    ) -> CP.SentenceVector:
-        """Embed, encode, pool one sentence. Ids must be the valid tokens
-        only; padding is stripped by the caller."""
-        e = EM.embed_sentence(
-            word_ids,
-            char_ids,
-            self.params.embed,
-            use_char=self.config.use_char,
-            use_word=self.config.use_word,
-        )
-        enc = EN.stacked_encode(e, np.ones(len(word_ids)), self.params.encoder)
-        return CP.compose(enc, self.config.gate, self.config.use_gated_att)
+    def _side_vectors(self, side: SideBatch) -> Tensor:
+        """(B, sentence_dim): each row's sentence embedded, encoded and
+        pooled on its valid prefix alone."""
+        rows = []
+        for b in range(len(side.word_ids)):
+            n = side.length(b)
+            e = EM.embed_sentence(
+                side.word_ids[b, :n],
+                side.char_ids[b, :n],
+                self.params.embed,
+                use_char=self.config.use_char,
+                use_word=self.config.use_word,
+            )
+            enc = EN.stacked_encode(e, np.ones(n), self.params.encoder)
+            pooled = CP.compose(enc, self.config.gate, self.config.use_gated_att)
+            rows.append(pooled.v)
+        return T.concat(rows, axis=0)
 
-    def forward(
-        self,
-        p_word: np.ndarray,
-        p_char: np.ndarray,
-        h_word: np.ndarray,
-        h_char: np.ndarray,
-    ) -> tuple[Tensor, Tensor]:
-        """(probs, logits) for one premise/hypothesis pair, each (1, 3)."""
-        v_p = self.sentence_vector(p_word, p_char)
-        v_h = self.sentence_vector(h_word, h_char)
+    def forward(self, batch: Batch) -> tuple[Tensor, Tensor]:
+        """(probs, logits), each (B, 3), for a padded batch of pairs.
+
+        Padded cells are never read. Sentences are encoded one at a time;
+        the classifier scores the whole batch at once.
+        """
         v_inp = CL.matching_features(
-            v_p.v, v_h.v, self.config.use_absdiff_product
+            self._side_vectors(batch.premise),
+            self._side_vectors(batch.hypothesis),
+            self.config.use_absdiff_product,
         )
         return CL.mlp_forward(v_inp, self.params.classifier)
-
-    def predict_probs(
-        self,
-        p_word: np.ndarray,
-        p_char: np.ndarray,
-        h_word: np.ndarray,
-        h_char: np.ndarray,
-    ) -> np.ndarray:
-        """Probability vector (3,), computed without recording a graph."""
-        probs, _ = self.forward(p_word, p_char, h_word, h_char)
-        return probs.data[0].copy()
-
-
-def strip_padding(
-    word_ids: np.ndarray, char_ids: np.ndarray, length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Valid-prefix views used when a batch row is fed to the model."""
-    return word_ids[:length], char_ids[:length]

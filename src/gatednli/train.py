@@ -1,27 +1,33 @@
 """Optimization, the training loop, evaluation, checkpoints, ensembling.
 
 Training runs seeded shuffled minibatches under Adam with global-norm
-gradient clipping, evaluates on the dev set once per epoch, and keeps the
-checkpoint with the best dev accuracy. Checkpoints are self-describing
-binary files that rebuild the exact model, bit for bit. Ensembles average
-class probability vectors across models sharing one architecture.
+gradient clipping, one ``Model.forward`` call per minibatch, evaluates on
+the dev set once per epoch, and keeps the checkpoint with the best dev
+accuracy. ``predict`` is the one inference loop: evaluation, early
+stopping, the ``eval``, ``ensemble-eval`` and ``predict`` commands all
+score examples through it. It averages class probabilities over a list of
+models sharing one architecture, so a single model is an ensemble of one.
+Checkpoints are self-describing binary files that rebuild the exact model,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import classify as CL
-from .data import DataError, NLIExample, Vocab, batchify, encode_sentence_ids
-from .model import Model, ModelConfig, ModelParams
+from .data import DataError, NLIExample, Vocab, batchify
+from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
+INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 0
@@ -191,14 +197,21 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
+        """Read a checkpoint; any malformed content raises DataError."""
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as err:
             raise DataError(f"cannot read checkpoint {path}: {err}") from err
-        view = memoryview(blob)
-        if bytes(view[:8]) != CHECKPOINT_MAGIC:
+        if blob[:8] != CHECKPOINT_MAGIC:
             raise DataError(f"{path} is not a checkpoint file (bad magic)")
+        try:
+            return cls._parse(memoryview(blob), path)
+        except (struct.error, ValueError, KeyError, TypeError) as err:
+            raise DataError(f"malformed checkpoint {path}: {err}") from err
+
+    @classmethod
+    def _parse(cls, view: memoryview, path: str) -> "Checkpoint":
         (version,) = struct.unpack_from("<I", view, 8)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
@@ -222,8 +235,17 @@ class Checkpoint:
                 raise DataError(f"unknown dtype code {dtype_code} in {path}")
             (n_bytes,) = struct.unpack_from("<Q", view, pos)
             pos += 8
+            if n_bytes != 8 * math.prod(shape) or pos + n_bytes > len(view):
+                raise DataError(
+                    f"checkpoint {path}: tensor {name} needs {n_bytes} bytes "
+                    f"for shape {shape}, {len(view) - pos} left"
+                )
             arr = np.frombuffer(view[pos : pos + n_bytes], dtype="<f8")
             pos += n_bytes
+            # The second copy is kept on purpose: freeing the first one
+            # raises glibc's mmap and trim thresholds, so the forward
+            # pass's large temporaries reuse heap memory instead of being
+            # mapped and unmapped on every sentence (8x the page faults).
             tensors[name] = arr.reshape(shape).astype(np.float64).copy()
         return cls(
             config=ModelConfig.from_dict(header["config"]),
@@ -240,31 +262,42 @@ class EvalResult:
     n: int
 
 
-def _encoded_pair(ex: NLIExample, vocab: Vocab):
-    pw, pc = encode_sentence_ids(ex.premise_tokens, vocab)
-    hw, hc = encode_sentence_ids(ex.hypothesis_tokens, vocab)
-    return pw, pc, hw, hc
+def predict(
+    models: Sequence[Model], examples: Sequence[NLIExample], vocab: Vocab
+) -> np.ndarray:
+    """(N, 3) class probabilities of the examples, in order, averaged over
+    the models; a single model is an ensemble of one.
+
+    The one inference loop: the examples go through ``Model.forward`` in
+    unshuffled batches of ``INFER_BATCH`` pairs, each padded only when its
+    turn comes, so memory does not grow with the number of examples.
+    """
+    if not examples:
+        raise DataError("empty dataset")
+    out = []
+    for start in range(0, len(examples), INFER_BATCH):
+        chunk = examples[start : start + INFER_BATCH]
+        (batch,) = batchify(chunk, INFER_BATCH, vocab, seed=0, shuffle=False)
+        total = np.zeros((batch.size, CL.N_CLASSES))
+        for model in models:
+            total += model.forward(batch)[0].data
+        out.append(total / len(models))
+    return np.concatenate(out)
 
 
 def evaluate_model(
-    model: Model, examples: Sequence[NLIExample], vocab: Vocab
+    models: Sequence[Model], examples: Sequence[NLIExample], vocab: Vocab
 ) -> EvalResult:
-    if not examples:
-        raise DataError("evaluate: empty dataset")
+    """Accuracy and confusion matrix of the models' mean probabilities."""
+    if any(ex.label is None for ex in examples):
+        raise DataError("evaluate: dataset contains unlabeled examples")
+    predicted = predict(models, examples, vocab).argmax(axis=1)
     confusion = np.zeros((CL.N_CLASSES, CL.N_CLASSES), dtype=np.int64)
-    for ex in examples:
-        if ex.label is None:
-            raise DataError("evaluate: dataset contains unlabeled examples")
-        probs = model.predict_probs(*_encoded_pair(ex, vocab))
-        confusion[ex.label, int(probs.argmax())] += 1
+    np.add.at(confusion, ([ex.label for ex in examples], predicted), 1)
     n = len(examples)
     return EvalResult(
         accuracy=float(np.trace(confusion)) / n, confusion=confusion, n=n
     )
-
-
-def evaluate(checkpoint: Checkpoint, examples: Sequence[NLIExample]) -> EvalResult:
-    return evaluate_model(checkpoint.build_model(), examples, checkpoint.vocab)
 
 
 @dataclass
@@ -335,27 +368,15 @@ def train(
         correct = 0
         for batch in batches:
             with Graph() as g:
-                losses = []
-                for b in range(batch.size):
-                    lp = batch.premise.length(b)
-                    lh = batch.hypothesis.length(b)
-                    probs, _ = model.forward(
-                        batch.premise.word_ids[b, :lp],
-                        batch.premise.char_ids[b, :lp],
-                        batch.hypothesis.word_ids[b, :lh],
-                        batch.hypothesis.char_ids[b, :lh],
-                    )
-                    label = int(batch.labels[b])
-                    losses.append(CL.cross_entropy(probs, label))
-                    if int(probs.data.argmax()) == label:
-                        correct += 1
-                loss = CL.mean_loss(losses)
-                loss_value = float(loss.data.reshape(()))
+                probs, _ = model.forward(batch)
+                loss = CL.cross_entropy(probs, batch.labels)
+                loss_value = float(loss.data[0])
                 if not np.isfinite(loss_value):
                     raise DivergenceError(
                         f"loss became {loss_value} in epoch {epoch}", last_good
                     )
                 g.backward(loss)
+            correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
             clip_global_norm(adam.named, settings.clip_norm)
             try:
                 adam.step()
@@ -367,7 +388,7 @@ def train(
             loss_sum += loss_value * batch.size
         train_loss = loss_sum / len(train_set)
         train_acc = correct / len(train_set)
-        dev = evaluate_model(model, dev_set, vocab)
+        dev = evaluate_model([model], dev_set, vocab)
         history.append(
             HistoryRow(epoch=epoch, train_loss=train_loss, dev_acc=dev.accuracy)
         )
@@ -384,12 +405,16 @@ def train(
         if dev.accuracy > best_acc:
             best_acc = dev.accuracy
             best = last_good
-        if (
-            settings.stop_train_acc is not None
-            and train_acc >= settings.stop_train_acc
-        ):
-            say(f"early stop: train accuracy {train_acc:.3f} reached target")
-            break
+        if settings.stop_train_acc is not None:
+            # Stop on the weights being returned, not on the running
+            # accuracy above, which mixes the epoch's successive updates.
+            fit = evaluate_model([model], train_set, vocab).accuracy
+            if fit >= settings.stop_train_acc:
+                say(
+                    f"early stop: end-of-epoch train accuracy {fit:.3f} "
+                    f"reached target"
+                )
+                break
     return TrainResult(best=best, history=history, model=model)
 
 
@@ -414,34 +439,10 @@ def _check_ensemble(models: Sequence[Model], vocabs: Sequence[Vocab]):
             raise ValueError("ensemble: checkpoint vocabularies differ")
 
 
-def ensemble_probs(
-    models: Sequence[Model], pw, pc, hw, hc
-) -> np.ndarray:
-    """Mean class-probability vector across the models."""
-    total = np.zeros(CL.N_CLASSES)
-    for m in models:
-        total += m.predict_probs(pw, pc, hw, hc)
-    return total / len(models)
-
-
-def ensemble_evaluate(
-    checkpoints: Sequence[Checkpoint], examples: Sequence[NLIExample]
-) -> EvalResult:
-    if not checkpoints:
-        raise ValueError("ensemble: need at least one checkpoint")
-    if not examples:
-        raise DataError("evaluate: empty dataset")
+def build_ensemble(
+    checkpoints: Sequence[Checkpoint],
+) -> tuple[list[Model], Vocab]:
+    """Models of checkpoints that share one architecture and vocabulary."""
     models = [c.build_model() for c in checkpoints]
-    vocabs = [c.vocab for c in checkpoints]
-    _check_ensemble(models, vocabs)
-    vocab = vocabs[0]
-    confusion = np.zeros((CL.N_CLASSES, CL.N_CLASSES), dtype=np.int64)
-    for ex in examples:
-        if ex.label is None:
-            raise DataError("evaluate: dataset contains unlabeled examples")
-        probs = ensemble_probs(models, *_encoded_pair(ex, vocab))
-        confusion[ex.label, int(probs.argmax())] += 1
-    n = len(examples)
-    return EvalResult(
-        accuracy=float(np.trace(confusion)) / n, confusion=confusion, n=n
-    )
+    _check_ensemble(models, [c.vocab for c in checkpoints])
+    return models, checkpoints[0].vocab

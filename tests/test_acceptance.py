@@ -18,14 +18,9 @@ from gatednli import compose as CP
 from gatednli import synthetic as S
 from gatednli import train as TR
 from gatednli.compose import GateKind
-from gatednli.data import (
-    batchify,
-    build_vocab,
-    encode_sentence_ids,
-    load_word_vectors,
-)
+from gatednli.data import batchify, build_vocab, load_word_vectors
 from gatednli.encoder import EncodedSentence
-from gatednli.model import Model, ModelConfig, strip_padding
+from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Tensor
 
 GRAD_TOL = 1e-4
@@ -104,12 +99,6 @@ def _run_training(corpus, seed: int):
 @pytest.fixture(scope="module")
 def trained(corpus):
     return _run_training(corpus, seed=0)
-
-
-def _pair(ex, vocab):
-    pw, pc = encode_sentence_ids(ex.premise_tokens, vocab)
-    hw, hc = encode_sentence_ids(ex.hypothesis_tokens, vocab)
-    return pw, pc, hw, hc
 
 
 def _pool_oracle(h: np.ndarray, gates: np.ndarray, complement: bool):
@@ -218,23 +207,10 @@ class TestAcceptance:
             corpus.dev_set[:24], 8, corpus.vocab, seed=0, shuffle=False
         )
 
-        def batch_logits(batch):
-            rows = []
-            for side_p, side_h in [(batch.premise, batch.hypothesis)]:
-                for b in range(batch.size):
-                    pw, pc = strip_padding(
-                        side_p.word_ids[b], side_p.char_ids[b], side_p.length(b)
-                    )
-                    hw, hc = strip_padding(
-                        side_h.word_ids[b], side_h.char_ids[b], side_h.length(b)
-                    )
-                    rows.append(model.forward(pw, pc, hw, hc)[1].data.copy())
-            return rows
-
         mutated_cells = 0
         ok = True
         for batch in batches:
-            before = batch_logits(batch)
+            before = model.forward(batch)[1].data.copy()
             for side in (batch.premise, batch.hypothesis):
                 for b in range(batch.size):
                     n = side.length(b)
@@ -245,10 +221,8 @@ class TestAcceptance:
                         side.char_ids[b, n:, :] + 5
                     ) % corpus.vocab.n_chars
                     mutated_cells += side.word_ids.shape[1] - n
-            after = batch_logits(batch)
-            ok = ok and all(
-                _same_bits(x, y) for x, y in zip(before, after)
-            )
+            after = model.forward(batch)[1].data
+            ok = ok and _same_bits(before, after)
         ok = ok and mutated_cells > 0
         _report(
             4,
@@ -261,9 +235,12 @@ class TestAcceptance:
 
     def test_5_overfit_sanity(self, corpus, trained):
         train_acc = TR.evaluate_model(
-            trained.model, corpus.train_set, corpus.vocab
+            [trained.model], corpus.train_set, corpus.vocab
         ).accuracy
-        dev_acc = TR.evaluate(trained.result.best, corpus.dev_set).accuracy
+        best = trained.result.best
+        dev_acc = TR.evaluate_model(
+            [best.build_model()], corpus.dev_set, best.vocab
+        ).accuracy
         epochs = len(trained.result.history)
         ok = (
             train_acc >= TRAIN_ACC_FLOOR
@@ -320,20 +297,16 @@ class TestAcceptance:
         twins = [ckpt.build_model(), ckpt.build_model()]
         five = [ckpt.build_model() for _ in range(5)]
         other = _fresh_model(corpus, seed=31)
-        pair_exact = True
-        labels_match = True
-        order_exact = True
-        for ex in corpus.dev_set:
-            pw, pc, hw, hc = _pair(ex, corpus.vocab)
-            p1 = single.predict_probs(pw, pc, hw, hc)
-            pair_exact = pair_exact and _same_bits(
-                TR.ensemble_probs(twins, pw, pc, hw, hc), p1
-            )
-            p5 = TR.ensemble_probs(five, pw, pc, hw, hc)
-            labels_match = labels_match and int(p5.argmax()) == int(p1.argmax())
-            ab = TR.ensemble_probs([single, other], pw, pc, hw, hc)
-            ba = TR.ensemble_probs([other, single], pw, pc, hw, hc)
-            order_exact = order_exact and _same_bits(ab, ba)
+
+        def probs(models):
+            return TR.predict(models, corpus.dev_set, corpus.vocab)
+
+        p1 = probs([single])
+        pair_exact = _same_bits(probs(twins), p1)
+        labels_match = bool(
+            (probs(five).argmax(axis=1) == p1.argmax(axis=1)).all()
+        )
+        order_exact = _same_bits(probs([single, other]), probs([other, single]))
         ok = pair_exact and labels_match and order_exact
         _report(
             7,

@@ -89,11 +89,11 @@ class TestMlpForward:
 
     def test_grad_check_full_classifier(self, rng):
         params = C.init_classifier_params(5, 4, rng)
-        x = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 
         def f(_t):
             probs, _ = C.mlp_forward(x, params)
-            return C.cross_entropy(probs, 1)
+            return C.cross_entropy(probs, [1, 0, 1])
 
         for name, t in [("x", x)] + list(params.named_tensors().items()):
             assert grad_check(f, t) < 1e-5, name
@@ -126,16 +126,20 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             C.cross_entropy(Tensor(np.full((1, 3), 1 / 3)), 3)
 
-    def test_mean_loss_averages(self, rng):
-        ps = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-        losses = [C.cross_entropy(Tensor(p[None, :]), 0) for p in ps]
-        mean = C.mean_loss(losses)
-        want = np.mean([-np.log(max(p[0], 1e-12)) for p in ps])
-        np.testing.assert_allclose(mean.data, want)
+    def test_batch_loss_is_row_mean(self, rng):
+        ps = rng.dirichlet(np.ones(3), size=4)
+        labels = np.array([0, 2, 1, 0])
+        mean = C.cross_entropy(Tensor(ps), labels)
+        want = np.mean([-np.log(p[y]) for p, y in zip(ps, labels)])
+        np.testing.assert_allclose(mean.data, [want])
 
-    def test_mean_loss_empty_errors(self):
+    def test_empty_batch_errors(self):
         with pytest.raises(ValueError, match="empty"):
-            C.mean_loss([])
+            C.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ShapeError):
+            C.cross_entropy(Tensor(np.full((2, 3), 1 / 3)), [0, 1, 2])
 
     def test_gradient_reaches_probs(self, rng):
         probs_raw = rng.dirichlet(np.ones(3))

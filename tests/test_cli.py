@@ -164,6 +164,37 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_truncated_checkpoints_are_data_errors(self, tmp_path, workdir):
+        blob = (workdir / "model.ckpt").read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in (10, 15, 100, 3000, len(blob) // 2, len(blob) - 1):
+            cut.write_bytes(blob[:n])
+            argv = ["eval", "--checkpoint", str(cut)]
+            assert C.main(argv + ["--data", str(workdir / "dev.jsonl")]) == 2, n
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    def test_bad_vector_value_is_data_error(
+        self, tmp_path, workdir, capsys, value
+    ):
+        lines = (workdir / "vectors.txt").read_text().splitlines()
+        token, *values = lines[0].split(" ")
+        values[1] = value
+        bad = tmp_path / "vectors.txt"
+        bad.write_text("\n".join([" ".join([token, *values])] + lines[1:]) + "\n")
+        rc = C.main(
+            [
+                "train",
+                "--config",
+                str(workdir / "run.cfg"),
+                "--vectors-path",
+                str(bad),
+                "--checkpoint-path",
+                str(tmp_path / "model.ckpt"),
+            ]
+        )
+        assert rc == 2
+        assert f"{bad}: line 1" in capsys.readouterr().err
+
 
 class TestTrainedArtifacts:
     def test_checkpoint_and_history_written(self, workdir):

@@ -5,6 +5,7 @@ import pytest
 
 from gatednli import classify as CL
 from gatednli import tensor as T
+from gatednli.data import Batch, _pack_side
 from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Graph, Tensor, grad_check
 
@@ -41,6 +42,24 @@ def toy_pair(rng, lp=3, lh=2):
         return words, chars
 
     return side(lp) + side(lh)
+
+
+def pack(pairs):
+    """A padded batch of (p_word, p_char, h_word, h_char) pairs, labeled 0."""
+    return Batch(
+        _pack_side([(pw, pc) for pw, pc, _, _ in pairs]),
+        _pack_side([(hw, hc) for _, _, hw, hc in pairs]),
+        np.zeros(len(pairs), dtype=np.int64),
+    )
+
+
+def toy_batch(rng, lengths=((3, 2),)):
+    """Random pairs with the given (premise, hypothesis) lengths."""
+    return pack([toy_pair(rng, lp, lh) for lp, lh in lengths])
+
+
+def probs_of(model, batch):
+    return model.forward(batch)[0].data
 
 
 class TestModelConfig:
@@ -85,28 +104,44 @@ class TestModelForward:
     def test_probs_shape_and_distribution(self):
         model = toy_model()
         rng = np.random.default_rng(1)
-        probs = model.predict_probs(*toy_pair(rng))
-        assert probs.shape == (3,)
-        assert abs(probs.sum() - 1.0) < 1e-12
+        probs = probs_of(model, toy_batch(rng, [(3, 2), (1, 4), (5, 5)]))
+        assert probs.shape == (3, 3)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_forward(self):
         model = toy_model()
         rng = np.random.default_rng(2)
-        pair = toy_pair(rng)
+        batch = toy_batch(rng)
         np.testing.assert_array_equal(
-            model.predict_probs(*pair), model.predict_probs(*pair)
+            probs_of(model, batch), probs_of(model, batch)
         )
 
     def test_same_seed_same_model(self):
         rng = np.random.default_rng(3)
-        pair = toy_pair(rng)
-        a = toy_model(seed=5).predict_probs(*pair)
-        b = toy_model(seed=5).predict_probs(*pair)
+        batch = toy_batch(rng)
+        a = probs_of(toy_model(seed=5), batch)
+        b = probs_of(toy_model(seed=5), batch)
         np.testing.assert_array_equal(a, b)
+
+    def test_pair_probs_do_not_depend_on_batch(self):
+        model = toy_model()
+        rng = np.random.default_rng(10)
+        pair = toy_pair(rng, 3, 2)
+        pw, pc, hw, hc = toy_pair(rng, 1, 7)
+        wide = (pw, np.pad(pc, ((0, 0), (0, 3))), hw, hc)  # pad-id char tails
+        first = pack([pair, toy_pair(rng, 6, 1)])
+        second = pack([wide, toy_pair(rng, 2, 2), pair])
+        assert first.premise.word_ids.shape != second.premise.word_ids.shape
+        assert first.premise.char_ids.shape[2] < second.premise.char_ids.shape[2]
+        alone = probs_of(model, pack([pair]))[0]
+        in_first = probs_of(model, first)[0]
+        in_second = probs_of(model, second)[2]
+        assert np.max(np.abs(in_first - in_second)) < 1e-10
+        assert np.max(np.abs(in_first - alone)) < 1e-10
 
     def test_ablated_models_run(self):
         rng = np.random.default_rng(4)
-        pair = toy_pair(rng)
+        batch = toy_batch(rng)
         for overrides in (
             {"use_char": False},
             {"use_word": False},
@@ -116,7 +151,7 @@ class TestModelForward:
             {"gate_kind": "forget"},
             {"gate_kind": "output"},
         ):
-            probs = toy_model(toy_config(**overrides)).predict_probs(*pair)
+            probs = probs_of(toy_model(toy_config(**overrides)), batch)
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_trainable_excludes_word_table(self):
@@ -138,11 +173,12 @@ class TestModelForward:
             for p in (fwd, bwd):
                 p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
                 p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
-        p_word, p_char, h_word, h_char = toy_pair(rng, lp=3, lh=2)
+        batch = toy_batch(rng, [(3, 2), (1, 3)])
+        labels = np.array([2, 0])
 
         def f(_t):
-            probs, _ = model.forward(p_word, p_char, h_word, h_char)
-            return CL.cross_entropy(probs, 2)
+            probs, _ = model.forward(batch)
+            return CL.cross_entropy(probs, labels)
 
         checks = {
             "embed.char_table": model.params.embed.char_table,
@@ -158,10 +194,10 @@ class TestModelForward:
     def test_backward_populates_all_active_parameters(self):
         model = toy_model()
         rng = np.random.default_rng(9)
-        p_word, p_char, h_word, h_char = toy_pair(rng)
+        batch = toy_batch(rng)
         with Graph() as g:
-            probs, _ = model.forward(p_word, p_char, h_word, h_char)
-            g.backward(CL.cross_entropy(probs, 0))
+            probs, _ = model.forward(batch)
+            g.backward(CL.cross_entropy(probs, batch.labels))
         for name, t in model.params.trainable().items():
             assert t.grad is not None, name
         assert model.params.embed.word_table.grad is None

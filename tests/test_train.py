@@ -1,11 +1,18 @@
 """Tests for Adam, clipping, checkpoints, the loop, and ensembling."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from gatednli import synthetic as S
 from gatednli import train as TR
-from gatednli.data import DataError, NLIExample, build_vocab
+from gatednli.data import (
+    DataError,
+    NLIExample,
+    build_vocab,
+    load_word_vectors,
+)
 from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Tensor
 
@@ -131,16 +138,53 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         ckpt.save(path)
         rebuilt = TR.Checkpoint.load(path).build_model()
-        for ex in train_set[:5]:
-            pair = TR._encoded_pair(ex, vocab)
-            np.testing.assert_array_equal(
-                model.predict_probs(*pair), rebuilt.predict_probs(*pair)
-            )
+        np.testing.assert_array_equal(
+            TR.predict([model], train_set[:5], vocab),
+            TR.predict([rebuilt], train_set[:5], vocab),
+        )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(DataError, match="magic"):
+            TR.Checkpoint.load(str(path))
+
+    def test_every_truncation_is_data_error(self, tmp_path):
+        vocab = build_vocab([NLIExample(["a", "b"], ["b"], 0)])
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(vocab.n_words, 5))
+        model = Model.initialize(tiny_config(), vocab.n_chars, table, rng)
+        path = tmp_path / "model.ckpt"
+        TR.Checkpoint.from_model(model, vocab).save(str(path))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                TR.Checkpoint.load(str(cut))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.replace(b'"config"', b'"c\xffnfig"'),  # not UTF-8
+            lambda h: h.replace(b'"seed"', b'"warp_factor": 9, "seed"'),
+            lambda h: h.replace(b'"vocab"', b'"vocabulary"'),
+            lambda h: h.replace(b'"n_tensors": ', b'"n_tensors": "'),
+        ],
+        ids=["bad-utf8", "unknown-config-key", "missing-key", "bad-count"],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        model, vocab, _, _ = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        TR.Checkpoint.from_model(model, vocab).save(str(path))
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 12)
+        header = edit(blob[16 : 16 + n])
+        assert header != blob[16 : 16 + n]
+        path.write_bytes(
+            blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + n :]
+        )
+        with pytest.raises(DataError, match="malformed"):
             TR.Checkpoint.load(str(path))
 
     def test_missing_tensor_rejected(self):
@@ -215,27 +259,57 @@ class TestTrainLoop:
         result = TR.train(model, vocab, train_set, dev_set, settings)
         assert len(result.history) == 1
 
+    def test_early_stop_returns_weights_at_target(self, tmp_path):
+        # With this seed, stopping on the accuracy counted during the
+        # epoch's updates once returned weights scoring 0.935 after epoch 4.
+        seed, target = 1276265019, 0.995
+        train_set, dev_set = S.make_split(200, 60, seed)
+        vectors = str(tmp_path / "vectors.txt")
+        S.write_vector_file(vectors, S.DEFAULT_WORLD, 12, seed)
+        vocab = build_vocab(train_set + dev_set)
+        table, _ = load_word_vectors(vectors, vocab, dim=12, seed=seed)
+        config = ModelConfig(
+            word_dim=12,
+            char_dim=6,
+            filter_widths=(1, 3),
+            filter_channels=8,
+            hidden_dim=8,
+            n_layers=1,
+            mlp_hidden=16,
+            seed=seed,
+        )
+        rng = np.random.default_rng(seed)
+        model = Model.initialize(config, vocab.n_chars, table, rng)
+        settings = TR.TrainSettings(
+            lr=1e-2, batch_size=16, epochs=30, stop_train_acc=target
+        )
+        log = []
+        result = TR.train(
+            model, vocab, train_set, dev_set, settings, log=log.append
+        )
+        assert len(result.history) < settings.epochs
+        fit = TR.evaluate_model([result.model], train_set, vocab).accuracy
+        assert fit >= target
+        assert log[-1] == (
+            f"early stop: end-of-epoch train accuracy {fit:.3f} reached target"
+        )
+
 
 class TestEvaluate:
     def test_accuracy_one_when_labels_match_predictions(self):
         model, vocab, train_set, _ = tiny_setup()
+        probs = TR.predict([model], train_set[:10], vocab)
         relabeled = [
-            NLIExample(
-                ex.premise_tokens,
-                ex.hypothesis_tokens,
-                int(
-                    model.predict_probs(*TR._encoded_pair(ex, vocab)).argmax()
-                ),
-            )
-            for ex in train_set[:10]
+            NLIExample(ex.premise_tokens, ex.hypothesis_tokens, int(p.argmax()))
+            for ex, p in zip(train_set[:10], probs)
         ]
-        result = TR.evaluate_model(model, relabeled, vocab)
+        result = TR.evaluate_model([model], relabeled, vocab)
         assert result.accuracy == 1.0
         assert np.trace(result.confusion) == 10
 
     def test_confusion_rows_sum_to_class_counts(self):
         model, vocab, train_set, _ = tiny_setup()
-        result = TR.evaluate_model(model, train_set, vocab)
+        result = TR.evaluate_model([model], train_set, vocab)
         counts = np.zeros(3, dtype=np.int64)
         for ex in train_set:
             counts[ex.label] += 1
@@ -245,32 +319,40 @@ class TestEvaluate:
     def test_empty_and_unlabeled_rejected(self):
         model, vocab, train_set, _ = tiny_setup()
         with pytest.raises(DataError, match="empty"):
-            TR.evaluate_model(model, [], vocab)
+            TR.evaluate_model([model], [], vocab)
         bad = [NLIExample(["a"], ["b"], None)]
         with pytest.raises(DataError, match="unlabeled"):
-            TR.evaluate_model(model, bad, vocab)
+            TR.evaluate_model([model], bad, vocab)
 
 
 class _StubModel:
+    """Gives every pair of a batch the same probabilities."""
+
     def __init__(self, probs):
         self._probs = np.asarray(probs)
 
-    def predict_probs(self, pw, pc, hw, hc):
-        return self._probs.copy()
+    def forward(self, batch):
+        return Tensor(np.tile(self._probs, (batch.size, 1))), None
 
 
 class TestEnsemble:
     def test_probability_averaging(self):
+        _, vocab, train_set, _ = tiny_setup()
         models = [_StubModel([0.6, 0.3, 0.1]), _StubModel([0.2, 0.7, 0.1])]
-        probs = TR.ensemble_probs(models, None, None, None, None)
-        np.testing.assert_allclose(probs, [0.4, 0.5, 0.1])
-        assert probs.argmax() == 1
+        # enough pairs for two forward batches
+        examples = [train_set[i % len(train_set)] for i in range(TR.INFER_BATCH + 3)]
+        probs = TR.predict(models, examples, vocab)
+        np.testing.assert_allclose(
+            probs, np.tile([0.4, 0.5, 0.1], (len(examples), 1))
+        )
+        assert (probs.argmax(axis=1) == 1).all()
 
     def test_identical_members_match_single_model(self):
         model, vocab, _, dev_set = tiny_setup()
         ckpt = TR.Checkpoint.from_model(model, vocab)
-        single = TR.evaluate_model(model, dev_set, vocab)
-        triple = TR.ensemble_evaluate([ckpt, ckpt, ckpt], dev_set)
+        single = TR.evaluate_model([model], dev_set, vocab)
+        models, _ = TR.build_ensemble([ckpt, ckpt, ckpt])
+        triple = TR.evaluate_model(models, dev_set, vocab)
         assert triple.accuracy == single.accuracy
         np.testing.assert_array_equal(triple.confusion, single.confusion)
 
@@ -279,8 +361,9 @@ class TestEnsemble:
         for seed in (1, 2, 3):
             model, vocab, _, dev_set = tiny_setup(seed=seed)
             ckpts.append(TR.Checkpoint.from_model(model, vocab))
-        a = TR.ensemble_evaluate(ckpts, dev_set)
-        b = TR.ensemble_evaluate(ckpts[::-1], dev_set)
+        models, _ = TR.build_ensemble(ckpts)
+        a = TR.evaluate_model(models, dev_set, vocab)
+        b = TR.evaluate_model(models[::-1], dev_set, vocab)
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_config_mismatch_rejected(self):
@@ -291,4 +374,4 @@ class TestEnsemble:
             TR.Checkpoint.from_model(model_b, vocab),
         ]
         with pytest.raises(ValueError, match="configs differ"):
-            TR.ensemble_evaluate(ckpts, dev_set)
+            TR.build_ensemble(ckpts)
