@@ -384,22 +384,23 @@ def gradcheck_all() -> dict[str, float]:
         grad_check(f_char, ep.filters[3][1]),
     )
 
-    # LSTM cell
-    cell = EN.LstmParams(
+    # fused LSTM layer, both directions, on a loss over h and the gates
+    layer = EN.LstmParams(
         w=Tensor(rng.normal(0, 0.4, size=(2, 12)), requires_grad=True),
         u=Tensor(rng.normal(0, 0.4, size=(3, 12)), requires_grad=True),
         b=Tensor(rng.normal(0, 0.4, size=12), requires_grad=True),
     )
-    x = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-    c0 = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    xs = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    layer_weights = Tensor(rng.normal(size=(4, 12)))
 
-    def f_cell(_t):
-        h, _, _ = EN.lstm_cell(x, h0, c0, cell)
-        return _scalarize(h)
+    def f_layer(_t, reverse):
+        out = EN.lstm_layer(xs, layer, reverse)
+        return _scalarize(T.mul(out, layer_weights))
 
-    errors["lstm-cell"] = max(
-        grad_check(f_cell, t) for t in (x, h0, c0, cell.w, cell.u, cell.b)
+    errors["lstm-layer"] = max(
+        grad_check(lambda _t: f_layer(_t, reverse), t)
+        for reverse in (False, True)
+        for t in (xs, layer.w, layer.u, layer.b)
     )
 
     # stacked encoder
@@ -409,9 +410,12 @@ def gradcheck_all() -> dict[str, float]:
             p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
             p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
     e = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    stack_weights = Tensor(rng.normal(size=(3, 24)))
 
     def f_stack(_t):
-        return _scalarize(EN.stacked_encode(e, np.ones(3), enc_params).h)
+        enc = EN.stacked_encode(e, np.ones(3), enc_params)
+        block = T.concat([enc.h, enc.gates_i, enc.gates_f, enc.gates_o], axis=1)
+        return _scalarize(T.mul(block, stack_weights))
 
     errors["stacked-encoder"] = max(
         grad_check(f_stack, e),

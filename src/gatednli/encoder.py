@@ -6,14 +6,15 @@ word embeddings concatenated with the previous layer's hidden states. The
 top layer's input, forget, and output gate activations are returned next to
 the hidden states so that pooling can weight positions by gate norms.
 
-All recurrence state is carried as (1, d) row vectors. Weight matrices are
-stored input-side first, so a step computes row @ W rather than W @ column.
+Each (layer, direction) is one fused op, ``lstm_layer``, that runs the
+whole recurrence in plain numpy and records a single tape entry with an
+analytic backward pass. Weight matrices are stored input-side first, so the
+input projection of all n positions is one (n, input_dim) @ W product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +44,6 @@ class LstmParams:
     @property
     def hidden_dim(self) -> int:
         return self.u.shape[0]
-
-
-@dataclass
-class CellGates:
-    """Gate activations of a single LSTM step, each (1, d)."""
-
-    i: Tensor
-    f: Tensor
-    o: Tensor
 
 
 @dataclass
@@ -134,53 +126,86 @@ def init_encoder_params(
     return EncoderParams(layers=layers)
 
 
-def _split_gates(pre: Tensor, d: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    i = T.sigmoid(T.slice_axis(pre, 1, 0, d))
-    f = T.sigmoid(T.slice_axis(pre, 1, d, 2 * d))
-    u = T.tanh(T.slice_axis(pre, 1, 2 * d, 3 * d))
-    o = T.sigmoid(T.slice_axis(pre, 1, 3 * d, 4 * d))
-    return i, f, u, o
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), written into out (which may be x)."""
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def lstm_cell(
-    x_t: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams
-) -> tuple[Tensor, Tensor, CellGates]:
-    """One recurrence step: gates from x and h, then the state update."""
-    pre = T.add(
-        T.add(T.matmul(x_t, params.w), T.matmul(h_prev, params.u)), params.b
-    )
-    i, f, u, o = _split_gates(pre, params.hidden_dim)
-    c_t = T.add(T.mul(f, c_prev), T.mul(i, u))
-    h_t = T.mul(o, T.tanh(c_t))
-    return h_t, c_t, CellGates(i=i, f=f, o=o)
+def lstm_layer(xs: Tensor, params: LstmParams, reverse: bool) -> Tensor:
+    """One direction of one layer over all rows of xs, as one tape record.
 
-
-def _scan(xs: Tensor, params: LstmParams, reverse: bool):
-    """Run one direction over all rows of xs, states indexed by position.
-
-    The input projection for every step is a single matmul; the recurrent
-    projection stays inside the loop.
+    Returns an (n, 4d) block laid out [h | i | f | o]: the hidden states
+    and the input, forget and output gate activations, row t belonging to
+    position t in either direction. The input projection of every step is
+    one GEMM before the time loop. The backward pass is analytic BPTT: it
+    takes gradients on h and on all three gates, keeps only the recurrent
+    product dh_prev = dpre @ u.T inside its loop, and forms the input,
+    weight and bias gradients afterwards with one GEMM (or sum) each.
     """
-    n = xs.shape[0]
-    d = params.hidden_dim
-    pre_x = T.add(T.matmul(xs, params.w), params.b)
-    h = Tensor(np.zeros((1, d)))
-    c = Tensor(np.zeros((1, d)))
-    h_rows: list = [None] * n
-    i_rows: list = [None] * n
-    f_rows: list = [None] * n
-    o_rows: list = [None] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        pre = T.add(T.slice_axis(pre_x, 0, t, t + 1), T.matmul(h, params.u))
-        i, f, u, o = _split_gates(pre, d)
-        c = T.add(T.mul(f, c), T.mul(i, u))
-        h = T.mul(o, T.tanh(c))
-        h_rows[t] = h
-        i_rows[t] = i
-        f_rows[t] = f
-        o_rows[t] = o
-    return h_rows, i_rows, f_rows, o_rows
+    w, u, b = params.w.data, params.u.data, params.b.data
+    if xs.ndim != 2 or xs.shape[1] != w.shape[0]:
+        raise T.ShapeError(f"lstm_layer: input {xs.shape} for weights {w.shape}")
+    n, d = xs.shape[0], u.shape[0]
+    # Everything below runs in processing order; reverse flips in and out.
+    x = xs.data[::-1] if reverse else xs.data
+    pre = x @ w + b  # (n, 4d), overwritten step by step with the gates
+    gates = pre.reshape(n, 4, d)  # [i, f, update, o]; update is tanh'd
+    # Row t + 1 holds the state after step t, row 0 the zero start state.
+    h = np.zeros((n + 1, d))
+    c = np.zeros((n + 1, d))
+    tc = np.empty((n, d))  # tanh(c) after step t
+    with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
+        for t in range(n):
+            if t:  # the zero start state adds nothing
+                pre[t] += h[t] @ u
+            i, f, upd, o = gates[t]
+            np.tanh(upd, out=upd)
+            _sigmoid(gates[t, :2], out=gates[t, :2])
+            _sigmoid(o, out=o)
+            np.multiply(f, c[t], out=c[t + 1])
+            c[t + 1] += i * upd
+            np.tanh(c[t + 1], out=tc[t])
+            np.multiply(o, tc[t], out=h[t + 1])
+    out = np.concatenate([h[1:, None], gates[:, :2], gates[:, 3:]], axis=1)
+    out = out.reshape(n, 4 * d)
+    if reverse:
+        out = out[::-1].copy()
+
+    def backward(gout):
+        gout = (gout[::-1] if reverse else gout).reshape(n, 4, d)
+        i, f, upd, o = gates.transpose(1, 0, 2)
+        slope = gates * (1.0 - gates)  # sigmoid slopes; the update's is unused
+        # dpre starts with what the gate outputs receive directly; the loop
+        # adds what flows back through c and h: k3 turns dc into the i, f
+        # and update rows, k_o turns dh into the o row and k_c dh into dc.
+        dpre = slope * np.concatenate(
+            [gout[:, 1:3], np.zeros((n, 1, d)), gout[:, 3:]], axis=1
+        )
+        k3 = np.stack(
+            [upd * slope[:, 0], c[:-1] * slope[:, 1], i * (1.0 - upd * upd)], axis=1
+        )
+        k_o = tc * slope[:, 3]
+        k_c = o * (1.0 - tc * tc)
+        flat = dpre.reshape(n, 4 * d)
+        dh_next = np.zeros(d)
+        dc_next = np.zeros(d)
+        for t in range(n - 1, -1, -1):
+            dh = gout[t, 0] + dh_next
+            dc = dh * k_c[t]
+            dc += dc_next
+            dpre[t, :3] += k3[t] * dc
+            dpre[t, 3] += dh * k_o[t]
+            if t:  # nothing precedes the first step
+                dc_next = dc * f[t]
+                dh_next = flat[t] @ u.T
+        dx = flat @ w.T
+        dx = dx[::-1] if reverse else dx
+        return dx, x.T @ flat, h[:-1].T @ flat, flat.sum(axis=0)
+
+    return T._apply("lstm_layer", out, (xs, params.w, params.u, params.b), backward)
 
 
 def valid_length(mask: np.ndarray) -> int:
@@ -217,20 +242,26 @@ def bilstm(
         raise ValueError(f"mask length {len(mask)} != input rows {n}")
     n_valid = valid_length(mask)
     xs = inputs if n_valid == n else T.slice_axis(inputs, 0, 0, n_valid)
-    f_h, f_i, f_f, f_o = _scan(xs, params_fwd, reverse=False)
-    b_h, b_i, b_f, b_o = _scan(xs, params_bwd, reverse=True)
+    fwd = lstm_layer(xs, params_fwd, reverse=False)
+    bwd = lstm_layer(xs, params_bwd, reverse=True)
+    d = params_fwd.hidden_dim
 
-    def stack(fwd_rows, bwd_rows):
+    def stack(k):
+        """Block k of [h | i | f | o], both directions side by side."""
         both = T.concat(
-            [T.concat(fwd_rows, axis=0), T.concat(bwd_rows, axis=0)], axis=1
+            [
+                T.slice_axis(fwd, 1, k * d, (k + 1) * d),
+                T.slice_axis(bwd, 1, k * d, (k + 1) * d),
+            ],
+            axis=1,
         )
         return _pad_rows(both, n - n_valid)
 
     return EncodedSentence(
-        h=stack(f_h, b_h),
-        gates_i=stack(f_i, b_i),
-        gates_f=stack(f_f, b_f),
-        gates_o=stack(f_o, b_o),
+        h=stack(0),
+        gates_i=stack(1),
+        gates_f=stack(2),
+        gates_o=stack(3),
         mask=np.asarray(mask),
     )
 

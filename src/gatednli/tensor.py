@@ -8,10 +8,14 @@ the tape once in reverse and accumulates gradients into every
 
 Ops run fine with no active graph (pure forward, nothing recorded),
 which is how inference and the numeric side of ``grad_check`` work.
+Recording is per thread: an op only ever records onto the graph that its
+own thread entered. A fused op outside this module (the encoder's LSTM
+layer) records itself through ``_apply`` like the primitives here.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,16 +103,21 @@ class Tensor:
 _BackwardFn = Callable[[np.ndarray], tuple]
 
 
+class _Recording(threading.local):
+    graph: Optional["Graph"] = None  # the graph this thread records onto
+
+
+_recording = _Recording()
+
+
 class Graph:
     """Tape of executed primitives for one forward/backward pass.
 
     Records are appended in execution order, so every op's inputs
     precede its output and one reverse sweep visits each op exactly
-    once.  A graph is single-use: entering starts recording, exiting
-    stops it, and ``backward`` may run once.
+    once.  A graph is single-use: entering starts recording on the
+    calling thread, exiting stops it, and ``backward`` may run once.
     """
-
-    _active: Optional["Graph"] = None
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
@@ -116,13 +125,13 @@ class Graph:
         self._spent = False
 
     def __enter__(self) -> "Graph":
-        if Graph._active is not None:
+        if _recording.graph is not None:
             raise GraphError("a Graph is already recording on this thread")
-        Graph._active = self
+        _recording.graph = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        Graph._active = None
+        _recording.graph = None
         return False
 
     def __len__(self) -> int:
@@ -132,7 +141,14 @@ class Graph:
         return t.requires_grad or id(t) in self._tracked
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for reachable leaves."""
+        """Accumulate d(loss)/d(t) into ``t.grad`` for reachable leaves.
+
+        Gradients are summed in place wherever the array is ours to write:
+        a leaf's ``.grad`` from its first (copied) contribution on, and an
+        intermediate's gradient from its second contribution on. A first
+        contribution may alias another op's gradient or be a read-only
+        broadcast view, so it is never written into.
+        """
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
         if self._spent:
@@ -140,6 +156,7 @@ class Graph:
         self._spent = True
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()  # flowing entries this sweep allocated
         for out, inputs, backward in reversed(self._records):
             gout = flowing.pop(id(out), None)
             if gout is None:
@@ -148,10 +165,20 @@ class Graph:
                 if g is None:
                     continue
                 if t.requires_grad:
-                    t.grad = g.copy() if t.grad is None else t.grad + g
+                    if t.grad is None:
+                        t.grad = g.copy()
+                    else:
+                        t.grad += g
                 elif id(t) in self._tracked:
-                    prev = flowing.get(id(t))
-                    flowing[id(t)] = g if prev is None else prev + g
+                    key = id(t)
+                    prev = flowing.get(key)
+                    if prev is None:
+                        flowing[key] = g
+                    elif key in owned:
+                        prev += g
+                    else:
+                        flowing[key] = prev + g
+                        owned.add(key)
 
 
 def _apply(
@@ -163,7 +190,7 @@ def _apply(
     if _debug_checks and not np.all(np.isfinite(out_data)):
         raise TensorError(f"{name}: non-finite values in output")
     out = Tensor._wrap(out_data)
-    g = Graph._active
+    g = _recording.graph
     if g is not None and any(g._connected(t) for t in inputs):
         g._records.append((out, inputs, backward))
         g._tracked.add(id(out))

@@ -28,6 +28,7 @@ from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
 INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
+ADAM_CHUNK = 16384  # values per slice of an Adam update; its scratch stays in cache
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 0
@@ -50,6 +51,10 @@ class Adam:
 
     A missing gradient counts as zero (the parameter sat out the forward
     pass); a non-finite gradient aborts the step before anything changes.
+    The update runs slice by slice through two small scratch buffers, in
+    the textbook formula's operation order, so it makes no full-size
+    temporaries and its results are bit for bit those of the formula.
+    Parameters must be C-contiguous, as the update walks their flat views.
     """
 
     def __init__(
@@ -66,8 +71,12 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        for name, tensor in self.named.items():
+            if not tensor.data.flags.c_contiguous:
+                raise ValueError(f"Adam: parameter {name} is not contiguous")
         self.m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def _grads(self) -> dict[str, np.ndarray]:
         out = {}
@@ -81,20 +90,34 @@ class Adam:
         return out
 
     def step(self):
+        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        p -= (lr / c1) m / (sqrt(v / c2) + eps)."""
         grads = self._grads()
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        lr_c1 = self.lr / c1
         for name, tensor in self.named.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
-            tensor.data -= update
+            flat = [
+                a.reshape(-1)
+                for a in (self.m[name], self.v[name], grads[name], tensor.data)
+            ]
+            for lo in range(0, flat[0].size, ADAM_CHUNK):
+                m, v, g, p = (a[lo : lo + ADAM_CHUNK] for a in flat)
+                s1, s2 = self._scratch[:, : m.size]
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=s1)
+                m += s1
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(v, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += self.eps
+                np.multiply(m, lr_c1, out=s2)
+                s2 /= s1
+                p -= s2
 
     def zero_grad(self):
         for tensor in self.named.values():
@@ -116,6 +139,16 @@ def clip_global_norm(named: dict[str, Tensor], max_norm: float) -> float:
         for g in grads:
             g *= scale
     return norm
+
+
+class _NoDraws:
+    """Stands in for the init's random generator when every drawn value
+    is overwritten anyway: ``normal`` hands back an unfilled array of the
+    requested shape, so the skeleton costs allocations but no draws."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
 
 
 @dataclass
@@ -143,14 +176,11 @@ class Checkpoint:
         )
 
     def build_model(self) -> Model:
-        """Fresh skeleton of the saved architecture, then overwrite every
-        tensor with the stored values."""
+        """Skeleton of the saved architecture, then overwrite every tensor
+        with a copy of the stored values."""
         placeholder = np.zeros((self.vocab.n_words, self.config.word_dim))
         model = Model.initialize(
-            self.config,
-            self.vocab.n_chars,
-            placeholder,
-            np.random.default_rng(0),
+            self.config, self.vocab.n_chars, placeholder, _NoDraws()
         )
         named = model.params.named_tensors()
         missing = set(named) - set(self.tensors)

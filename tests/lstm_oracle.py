@@ -1,0 +1,44 @@
+"""Composite LSTM reference, built from the autodiff core's primitives.
+
+This is the per-step recurrence the encoder ran before its fused
+``lstm_layer``: every gate slice, activation and state update is its own
+tape record, and the backward pass is whatever the primitives compose to.
+The tests check the fused op against it, values and gradients alike.
+"""
+
+import numpy as np
+
+from gatednli import tensor as T
+from gatednli.encoder import LstmParams
+from gatednli.tensor import Tensor
+
+
+def _split_gates(pre, d):
+    i = T.sigmoid(T.slice_axis(pre, 1, 0, d))
+    f = T.sigmoid(T.slice_axis(pre, 1, d, 2 * d))
+    u = T.tanh(T.slice_axis(pre, 1, 2 * d, 3 * d))
+    o = T.sigmoid(T.slice_axis(pre, 1, 3 * d, 4 * d))
+    return i, f, u, o
+
+
+def lstm_cell(x_t, h_prev, c_prev, params: LstmParams):
+    """One step from (1, d) states: returns h, c and the (i, f, o) gates."""
+    pre = T.add(
+        T.add(T.matmul(x_t, params.w), T.matmul(h_prev, params.u)), params.b
+    )
+    i, f, u, o = _split_gates(pre, params.hidden_dim)
+    c_t = T.add(T.mul(f, c_prev), T.mul(i, u))
+    h_t = T.mul(o, T.tanh(c_t))
+    return h_t, c_t, (i, f, o)
+
+
+def lstm_layer(xs, params: LstmParams, reverse: bool):
+    """The fused op's (n, 4d) [h | i | f | o] block, step by step."""
+    n, d = xs.shape[0], params.hidden_dim
+    h = Tensor(np.zeros((1, d)))
+    c = Tensor(np.zeros((1, d)))
+    rows = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        h, c, (i, f, o) = lstm_cell(T.slice_axis(xs, 0, t, t + 1), h, c, params)
+        rows[t] = T.concat([h, i, f, o], axis=1)
+    return T.concat(rows, axis=0)

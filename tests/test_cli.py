@@ -340,7 +340,7 @@ class TestGradcheckCommand:
         assert "FAIL" not in out
         for name in (
             "char-cnn",
-            "lstm-cell",
+            "lstm-layer",
             "stacked-encoder",
             "gated-attention-input",
             "gated-attention-forget",

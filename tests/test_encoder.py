@@ -1,5 +1,6 @@
-"""Tests for the LSTM cell, bidirectional runs, and the shortcut stack."""
+"""Tests for the fused LSTM layer, bidirectional runs, and the shortcut stack."""
 
+import lstm_oracle
 import numpy as np
 import pytest
 
@@ -31,58 +32,86 @@ def rng():
     return np.random.default_rng(7)
 
 
+def weighted_sum(m, weights):
+    """Scalar loss sum(m * weights) that reads every column of m."""
+    return T.sum_axis(T.sum_axis(T.mul(m, Tensor(weights)), axis=1), axis=0)
+
+
 class TestLstmCell:
+    """The cell recurrence as the fused lstm_layer runs it."""
+
     def test_all_zero_inputs_give_half_gates(self):
         params = zero_params(2, D)
-        x = Tensor(np.zeros((1, 2)))
-        h0 = Tensor(np.zeros((1, D)))
-        c0 = Tensor(np.zeros((1, D)))
-        h, c, gates = E.lstm_cell(x, h0, c0, params)
-        np.testing.assert_array_equal(h.data, 0.0)
-        np.testing.assert_array_equal(c.data, 0.0)
-        np.testing.assert_allclose(gates.i.data, 0.5)
-        np.testing.assert_allclose(gates.f.data, 0.5)
-        np.testing.assert_allclose(gates.o.data, 0.5)
+        out = E.lstm_layer(Tensor(np.zeros((3, 2))), params, reverse=False).data
+        np.testing.assert_array_equal(out[:, :D], 0.0)
+        np.testing.assert_allclose(out[:, D:], 0.5)
 
     def test_saturated_gates_carry_memory(self, rng):
-        # forget bias pushed to 1, input bias to 0: c_t stays c_prev.
+        # Feature 0 opens the input gate at the first step only; the forget
+        # gate is pinned open, so c (and with o = 0.5, h) stays put after.
         params = zero_params(2, D)
         params.b.data[0:D] = -30.0
         params.b.data[D : 2 * D] = 30.0
-        x = Tensor(rng.normal(size=(1, 2)))
-        c_prev = Tensor(rng.normal(size=(1, D)))
-        _, c, _ = E.lstm_cell(x, Tensor(np.zeros((1, D))), c_prev, params)
-        np.testing.assert_allclose(c.data, c_prev.data, atol=1e-7)
+        params.w.data[0, 0:D] = 60.0
+        params.w.data[0, 2 * D : 3 * D] = rng.normal(size=D)
+        x = np.zeros((5, 2))
+        x[0, 0] = 1.0
+        x[1:, 1] = rng.normal(size=4)
+        out = E.lstm_layer(Tensor(x), params, reverse=False).data
+        h = out[:, :D]
+        np.testing.assert_allclose(h, np.tile(h[0], (5, 1)), atol=1e-7)
+        assert np.abs(h[0]).max() > 0.05
 
     def test_dim_mismatch_errors(self, rng):
         params = random_params(4, D, rng)
-        with pytest.raises(T.ShapeError):
-            E.lstm_cell(
-                Tensor(np.zeros((1, 5))),
-                Tensor(np.zeros((1, D))),
-                Tensor(np.zeros((1, D))),
-                params,
-            )
+        with pytest.raises(T.ShapeError, match="lstm_layer"):
+            E.lstm_layer(Tensor(np.zeros((1, 5))), params, reverse=False)
 
     def test_grad_check_all_arguments(self, rng):
         params = random_params(2, D, rng)
-        x = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-        h_prev = Tensor(rng.normal(size=(1, D)), requires_grad=True)
-        c_prev = Tensor(rng.normal(size=(1, D)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        weights = rng.normal(size=(4, 4 * D))
+        for reverse in (False, True):
 
-        def f(_t):
-            h, _, _ = E.lstm_cell(x, h_prev, c_prev, params)
-            return T.sum_axis(T.sum_axis(h, axis=1), axis=0)
+            def f(_t):
+                return weighted_sum(E.lstm_layer(x, params, reverse), weights)
 
-        for name, t in [
-            ("x", x),
-            ("h_prev", h_prev),
-            ("c_prev", c_prev),
-            ("w", params.w),
-            ("u", params.u),
-            ("b", params.b),
-        ]:
-            assert grad_check(f, t) < 1e-5, name
+            for name in ("x", "w", "u", "b"):
+                t = x if name == "x" else getattr(params, name)
+                assert grad_check(f, t) < 1e-6, (name, reverse)
+
+    def test_one_tape_record(self, rng):
+        params = random_params(2, D, rng)
+        with T.Graph() as g:
+            E.lstm_layer(Tensor(rng.normal(size=(6, 2))), params, reverse=True)
+        assert len(g) == 1
+
+
+class TestFusedAgainstComposite:
+    """lstm_layer against the per-step composite in tests/lstm_oracle.py."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_values_and_gradients_agree(self, reverse, n):
+        rng = np.random.default_rng(100 + n + 10 * reverse)
+        params = random_params(5, 4, rng, scale=0.6)
+        x = Tensor(rng.normal(size=(n, 5)), requires_grad=True)
+        weights = rng.normal(size=(n, 16))
+        results = []
+        for op in (E.lstm_layer, lstm_oracle.lstm_layer):
+            for t in (x, params.w, params.u, params.b):
+                t.grad = None
+            with T.Graph() as g:
+                out = op(x, params, reverse)
+                g.backward(weighted_sum(out, weights))
+            results.append(
+                [out.data] + [t.grad.copy() for t in (x, params.w, params.u, params.b)]
+            )
+        names = ("h|i|f|o", "x", "w", "u", "b")
+        for name, fused, composite in zip(names, *results):
+            np.testing.assert_allclose(
+                fused, composite, rtol=0, atol=1e-10, err_msg=name
+            )
 
 
 class TestBilstm:
@@ -92,8 +121,8 @@ class TestBilstm:
         x = Tensor(rng.normal(size=(1, 4)))
         enc = E.bilstm(x, np.ones(1), pf, pb)
         zeros = Tensor(np.zeros((1, D)))
-        hf, _, _ = E.lstm_cell(x, zeros, zeros, pf)
-        hb, _, _ = E.lstm_cell(x, zeros, zeros, pb)
+        hf, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pf)
+        hb, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pb)
         np.testing.assert_array_equal(enc.h.data, np.hstack([hf.data, hb.data]))
 
     def test_sequence_reversal_swaps_direction_blocks(self, rng):
@@ -203,9 +232,13 @@ class TestStackedEncode:
                 p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
         e = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
 
+        weights = rng.normal(size=(3, 4 * 8))
+
         def f(_t):
+            # reads the gates too, so a wrong gate backward cannot pass
             enc = E.stacked_encode(e, np.ones(3), params)
-            return T.sum_axis(T.sum_axis(enc.h, axis=1), axis=0)
+            block = T.concat([enc.h, enc.gates_i, enc.gates_f, enc.gates_o], axis=1)
+            return weighted_sum(block, weights)
 
         assert grad_check(f, e) < 1e-4
         assert grad_check(f, params.layers[0][0].w) < 1e-4

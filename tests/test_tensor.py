@@ -1,5 +1,8 @@
 """Unit and property tests for the autodiff core."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,82 @@ class TestBackward:
         y = T.mul(x, x)
         assert y.data == pytest.approx(1.0)
         assert x.grad is None
+
+    def test_other_thread_does_not_record_into_graph(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            T.mul(x, x)
+            before = len(g)
+            worker = threading.Thread(target=lambda: T.mul(x, x))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(g) == before
+
+    def test_concurrent_threads_each_record_their_own_graph(self):
+        # More threads than cores, switching often: each graph must hold
+        # exactly its own thread's records, and backward must still work.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        n_threads, n_ops = 6, 200
+        tapes, errors = [], []
+
+        def record():
+            try:
+                with Graph() as g:
+                    y = x
+                    for _ in range(n_ops):
+                        y = T.mul(y, Tensor([1.0, 1.0]))
+                    tapes.append(len(g))
+            except Exception as err:  # surfaced by the assertion below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Graph() as main:
+                workers = [threading.Thread(target=record) for _ in range(n_threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert tapes == [n_ops] * n_threads
+        assert len(main) == 0
+
+    def test_leaf_fanout_with_aliased_gradients(self):
+        # The outer add hands x and the inner add one shared array; x.grad
+        # must not alias it, or the inner add's two contributions double it.
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        with Graph() as g:
+            z = T.add(T.add(x, x), x)
+            g.backward(T.sum_axis(T.mul(z, Tensor([2.0, 5.0])), axis=0))
+        np.testing.assert_array_equal(x.grad, [6.0, 15.0])
+
+    def test_tracked_fanout_with_aliased_gradients(self):
+        # y = x * 3 is used twice through add(y, y), then once more.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            y = T.mul(x, Tensor([3.0, 3.0]))
+            z = T.add(T.add(y, y), y)
+            g.backward(T.sum_axis(T.mul(z, z), axis=0))
+        # loss = sum((9x)^2) = 81 sum(x^2); d/dx = 162 x
+        np.testing.assert_allclose(x.grad, [162.0, 324.0])
+
+    def test_broadcast_view_gradient_into_twice_used_tensor(self):
+        # The backward sweep reaches total's sum_axis first, so y's first
+        # gradient is a read-only broadcast view; the two contributions of
+        # mul(y, y) that follow must not be written into it.
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        with Graph() as g:
+            y = T.tanh(x)
+            sq = T.sum_axis(T.sum_axis(T.mul(y, y), axis=1), axis=0)
+            total = T.sum_axis(T.sum_axis(y, axis=1), axis=0)
+            g.backward(T.add(sq, total))
+        t = np.tanh(x.data)
+        np.testing.assert_allclose(x.grad, (1.0 + 2.0 * t) * (1.0 - t * t))
 
 
 class TestGradCheck:
@@ -308,4 +387,6 @@ class TestStructuralProperties:
         with Graph():
             with pytest.raises(GraphError, match="already recording"):
                 Graph().__enter__()
-        assert Graph._active is None
+        with Graph() as g:  # the failed enter left no graph recording
+            T.mul(Tensor([1.0], requires_grad=True), Tensor([2.0]))
+        assert len(g) == 1

@@ -94,6 +94,41 @@ class TestAdam:
         np.testing.assert_array_equal(q.data, [2.0])
         assert adam.t == 0
 
+    def test_bit_identical_to_textbook_formula(self):
+        # Shapes straddle the slice size; "c" sits out one step (no grad).
+        rng = np.random.default_rng(12)
+        chunk = TR.ADAM_CHUNK
+        shapes = {"a": (7,), "b": (3, chunk // 3 + 5), "c": (chunk + 1,)}
+        named = {
+            k: Tensor(rng.normal(size=s), requires_grad=True)
+            for k, s in shapes.items()
+        }
+        want = {k: t.data.copy() for k, t in named.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        adam = TR.Adam(named, lr=3e-3)
+        for step in range(1, 4):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            if step == 2:
+                grads["c"] = np.zeros(shapes["c"])
+            for k, t in named.items():
+                t.grad = None if (step == 2 and k == "c") else grads[k].copy()
+            adam.step()
+            c1 = 1.0 - adam.beta1**step
+            c2 = 1.0 - adam.beta2**step
+            for k in shapes:
+                g = grads[k]
+                m[k] = adam.beta1 * m[k] + (1.0 - adam.beta1) * g
+                v[k] = adam.beta2 * v[k] + (1.0 - adam.beta2) * g * g
+                want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + adam.eps)
+        for k, t in named.items():
+            assert np.array_equal(t.data, want[k]), k
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
+        with pytest.raises(ValueError, match="contiguous"):
+            TR.Adam({"p": p})
+
 
 class TestClipGlobalNorm:
     def test_small_gradients_untouched(self):
@@ -142,6 +177,15 @@ class TestCheckpoint:
             TR.predict([model], train_set[:5], vocab),
             TR.predict([rebuilt], train_set[:5], vocab),
         )
+
+    def test_built_model_owns_exact_copies(self):
+        model, vocab, _, _ = tiny_setup()
+        ckpt = TR.Checkpoint.from_model(model, vocab)
+        built = ckpt.build_model().params.named_tensors()
+        assert set(built) == set(ckpt.tensors)
+        for name, arr in ckpt.tensors.items():
+            assert built[name].data.tobytes() == arr.tobytes(), name
+            assert not np.shares_memory(built[name].data, arr), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
