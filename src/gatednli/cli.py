@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Subcommands: train, eval, predict, ensemble-eval, ablate, gradcheck, and
-synth-data. Runs are configured by an optional key=value config file plus
-command-line overrides; every run prints a banner with the fully resolved
-configuration so identical banners imply identical outputs.
+synth-data. train and ablate are configured by an optional key=value
+config file plus command-line flags, which win. Both are derived from the
+fields of RunConfig and of the ModelConfig and TrainSettings it holds: each
+field is one key, and its flag is the key with "-" for "_". A bool that
+defaults to on is exposed inverted, so no_char and --no-char clear
+use_char. train, ablate and eval print the resolved keys as a banner, so
+identical banners imply identical outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (unreadable or malformed files), 3 numeric failure (divergence, failed
@@ -16,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,61 +52,19 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class RunConfig:
-    """Everything a training or ablation run needs, file- and flag-settable."""
+    """One training or ablation run: its paths, the vocabulary settings,
+    the architecture and the optimiser. Every leaf field is a config-file
+    key and a flag (``SETTINGS``)."""
 
     train_path: str = ""
     dev_path: str = ""
     vectors_path: str = ""
     checkpoint_path: str = "model.ckpt"
     history_path: str = ""
-    word_dim: int = 300
-    char_dim: int = 15
-    filter_widths: tuple[int, ...] = (1, 3, 5)
-    filter_channels: int = 100
-    hidden_dim: int = 600
-    n_layers: int = 3
-    mlp_hidden: int = 600
-    gate_kind: str = "input"
-    no_char: bool = False
-    no_word: bool = False
-    no_gated_att: bool = False
-    no_absdiff_product: bool = False
-    no_mlp_shortcut: bool = False
-    lr: float = 4e-4
-    batch_size: int = 32
-    epochs: int = 10
-    clip_norm: float = 10.0
-    stop_train_acc: float = 0.0  # 0 disables early stopping
     min_count: int = 1
     oov_sigma: float = 0.1
-    seed: int = 0
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            word_dim=self.word_dim,
-            char_dim=self.char_dim,
-            filter_widths=self.filter_widths,
-            filter_channels=self.filter_channels,
-            hidden_dim=self.hidden_dim,
-            n_layers=self.n_layers,
-            mlp_hidden=self.mlp_hidden,
-            gate_kind=self.gate_kind,
-            use_char=not self.no_char,
-            use_word=not self.no_word,
-            use_gated_att=not self.no_gated_att,
-            use_absdiff_product=not self.no_absdiff_product,
-            mlp_shortcut=not self.no_mlp_shortcut,
-            seed=self.seed,
-        )
-
-    def train_settings(self) -> TR.TrainSettings:
-        return TR.TrainSettings(
-            lr=self.lr,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            clip_norm=self.clip_norm,
-            stop_train_acc=self.stop_train_acc or None,
-        )
+    model: ModelConfig = field(default_factory=ModelConfig)
+    optim: TR.TrainSettings = field(default_factory=TR.TrainSettings)
 
 
 _BOOL_WORDS = {
@@ -115,22 +77,47 @@ _BOOL_WORDS = {
 }
 
 
-def _coerce(key: str, value: str, kind):
-    try:
-        if kind is bool:
-            word = value.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {value!r}")
-            return _BOOL_WORDS[word]
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            return value
-        return tuple(int(v) for v in value.replace(",", " ").split())
-    except ValueError as err:
-        raise DataError(f"config key {key}: {err}") from err
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {text!r}")
+    return _BOOL_WORDS[word]
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    """``1,3,5`` or ``1 3 5``."""
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+# One parser per kind of default, for file values and flags alike; an
+# optional that defaults to None (stop_train_acc) takes a float.
+PARSERS = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    tuple: int_list,
+    type(None): float,
+}
+
+
+def settings_of(cls, section: str = "") -> dict[str, tuple[str, Field]]:
+    """Config-file key -> (section, field) for every field of a config
+    dataclass; a field holding a config dataclass is flattened, with its
+    name as the section. A bool that defaults to on is exposed inverted:
+    the key ``no_char`` clears ``use_char``."""
+    out = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            out.update(settings_of(f.default_factory, f.name))
+        elif f.default is True:
+            out["no_" + f.name.removeprefix("use_")] = (section, f)
+        else:
+            out[f.name] = (section, f)
+    return out
+
+
+SETTINGS = settings_of(RunConfig)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -159,41 +146,49 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def resolve_config(args) -> RunConfig:
-    """Defaults, then the config file, then command-line flags."""
-    field_types = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {
-        "str": str,
-        "int": int,
-        "float": float,
-        "bool": bool,
-        "tuple[int, ...]": tuple,
-    }
-    merged = {}
+    """Defaults, then the config file, then command-line flags. Building
+    the ModelConfig validates the architecture before any file is read."""
+    values = {}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
-            if key not in field_types:
+            if key not in SETTINGS:
                 raise DataError(
                     f"unknown config key {key!r}; valid keys: "
-                    + ", ".join(sorted(field_types))
+                    + ", ".join(sorted(SETTINGS))
                 )
-            merged[key] = _coerce(key, raw, kinds[field_types[key]])
-    for name in field_types:
-        flag = getattr(args, name, None)
+            try:
+                values[key] = PARSERS[type(SETTINGS[key][1].default)](raw)
+            except ValueError as err:
+                raise DataError(f"config key {key}: {err}") from err
+    for key in SETTINGS:
+        flag = getattr(args, key, None)
         if flag is not None:
-            merged[name] = (
-                tuple(flag) if field_types[name] == "tuple[int, ...]" else flag
-            )
-    return RunConfig(**merged)
+            values[key] = flag
+    sections: dict[str, dict] = {}
+    for key, value in values.items():
+        section, f = SETTINGS[key]
+        sections.setdefault(section, {})[f.name] = (
+            value if key == f.name else not value
+        )
+    config = RunConfig(**sections.pop("", {}))
+    nested = {
+        name: replace(getattr(config, name), **kw)
+        for name, kw in sections.items()
+    }
+    return replace(config, **nested)
 
 
-def banner(config: RunConfig, out=None):
-    if out is None:
-        out = sys.stderr
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        if f.name == "filter_widths":
+def banner(config):
+    """``# key = value`` for every setting of a RunConfig, or of a
+    checkpoint's ModelConfig, under the keys the file and flags take."""
+    for key, (section, f) in settings_of(type(config)).items():
+        owner = getattr(config, section) if section else config
+        value = getattr(owner, f.name)
+        if isinstance(value, tuple):
             value = ",".join(str(w) for w in value)
-        print(f"# {f.name} = {value}", file=out)
+        elif key != f.name:
+            value = not value
+        print(f"# {key} = {value}", file=sys.stderr)
 
 
 def _require(config: RunConfig, *names: str):
@@ -214,8 +209,8 @@ def _load_pipeline(config: RunConfig):
     table, report = load_word_vectors(
         config.vectors_path,
         vocab,
-        dim=config.word_dim,
-        seed=config.seed,
+        dim=config.model.word_dim,
+        seed=config.model.seed,
         oov_sigma=config.oov_sigma,
     )
     print(
@@ -228,18 +223,16 @@ def _load_pipeline(config: RunConfig):
 
 
 def _train_once(config: RunConfig, train_set, dev_set, vocab, table):
-    model_config = config.model_config()
-    rng = np.random.default_rng(config.seed)
-    model = Model.initialize(model_config, vocab.n_chars, table, rng)
-    result = TR.train(
+    rng = np.random.default_rng(config.model.seed)
+    model = Model.initialize(config.model, vocab.n_chars, table, rng)
+    return TR.train(
         model,
         vocab,
         train_set,
         dev_set,
-        config.train_settings(),
+        config.optim,
         log=lambda msg: print(msg, file=sys.stderr),
     )
-    return result
 
 
 def cmd_train(args) -> int:
@@ -270,9 +263,7 @@ def _print_eval(result: TR.EvalResult):
 def cmd_eval(args) -> int:
     checkpoint = TR.Checkpoint.load(args.checkpoint)
     examples, _ = load_corpus(args.data)
-    banner_config = checkpoint.config.to_dict()
-    for key in sorted(banner_config):
-        print(f"# {key} = {banner_config[key]}", file=sys.stderr)
+    banner(checkpoint.config)
     model = checkpoint.build_model()
     _print_eval(TR.evaluate_model([model], examples, checkpoint.vocab))
     return EXIT_OK
@@ -312,20 +303,23 @@ def cmd_ensemble_eval(args) -> int:
 
 ABLATIONS: tuple[tuple[str, dict], ...] = (
     ("full", {}),
-    ("-gated-att", {"no_gated_att": True}),
-    ("-char-cnn", {"no_char": True}),
-    ("-word-embedding", {"no_word": True}),
-    ("-absdiff-product", {"no_absdiff_product": True}),
+    ("-gated-att", {"use_gated_att": False}),
+    ("-char-cnn", {"use_char": False}),
+    ("-word-embedding", {"use_word": False}),
+    ("-absdiff-product", {"use_absdiff_product": False}),
 )
 
 
 def run_ablations(config: RunConfig, log=None) -> list[tuple[str, float]]:
     """Train the full model and the four single-component removals."""
     say = log or (lambda _msg: None)
+    variants = [
+        (name, replace(config, model=replace(config.model, **overrides)))
+        for name, overrides in ABLATIONS
+    ]
     train_set, dev_set, vocab, table = _load_pipeline(config)
     rows = []
-    for name, overrides in ABLATIONS:
-        variant = RunConfig(**{**config.__dict__, **overrides})
+    for name, variant in variants:
         say(f"training {name}")
         result = _train_once(variant, train_set, dev_set, vocab, table)
         acc = result.best.metadata["dev_accuracy"]
@@ -507,48 +501,14 @@ class CliParser(argparse.ArgumentParser):
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--train-path", dest="train_path")
-    sub.add_argument("--dev-path", dest="dev_path")
-    sub.add_argument("--vectors-path", dest="vectors_path")
-    sub.add_argument("--checkpoint-path", dest="checkpoint_path")
-    sub.add_argument("--history-path", dest="history_path")
-    for name in (
-        "word_dim",
-        "char_dim",
-        "filter_channels",
-        "hidden_dim",
-        "n_layers",
-        "mlp_hidden",
-        "batch_size",
-        "epochs",
-        "min_count",
-        "seed",
-    ):
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int)
-    for name in ("lr", "clip_norm", "stop_train_acc", "oov_sigma"):
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
-    sub.add_argument(
-        "--filter-widths",
-        dest="filter_widths",
-        type=lambda s: tuple(int(v) for v in s.split(",")),
-    )
-    sub.add_argument("--gate-kind", dest="gate_kind", choices=GATE_CHOICES)
-    for name in (
-        "no_char",
-        "no_word",
-        "no_gated_att",
-        "no_absdiff_product",
-        "no_mlp_shortcut",
-    ):
-        sub.add_argument(
-            f"--{name.replace('_', '-')}",
-            dest=name,
-            action="store_const",
-            const=True,
-        )
-
-
-GATE_CHOICES = ("input", "forget", "output")
+    for key, (_, f) in SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(f.default, bool):
+            sub.add_argument(flag, action="store_const", const=True)
+        else:
+            parse = PARSERS[type(f.default)]
+            choices = f.metadata.get("choices")
+            sub.add_argument(flag, type=parse, choices=choices)
 
 
 def build_parser() -> CliParser:

@@ -65,15 +65,13 @@ def _tokenize(record: dict, side: int) -> list[str]:
 
 
 def load_corpus(
-    path, format: str = "jsonl", require_label: bool = True
+    path, require_label: bool = True
 ) -> tuple[list[NLIExample], LoadReport]:
     """Read a JSONL corpus; skip unlabeled records and count them.
 
     With ``require_label=False`` (prediction input), records without a
     usable gold label are kept with ``label=None``.
     """
-    if format != "jsonl":
-        raise DataError(f"unsupported corpus format: {format!r}")
     report = LoadReport()
     examples: list[NLIExample] = []
     try:

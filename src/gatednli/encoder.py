@@ -65,10 +65,6 @@ class EncodedSentence:
     def n_valid(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def state_dim(self) -> int:
-        return self.h.shape[1]
-
 
 def init_lstm_params(input_dim: int, hidden_dim: int, rng) -> LstmParams:
     """Gaussian weights, zero biases except a +1 forget-gate bias."""

@@ -12,7 +12,7 @@ switches, so a checkpoint can rebuild the exact network.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ModelConfig:
     hidden_dim: int = 600
     n_layers: int = 3
     mlp_hidden: int = 600
-    gate_kind: str = "input"
+    gate_kind: str = field(default="input", metadata={"choices": GATE_KINDS})
     use_char: bool = True
     use_word: bool = True
     use_gated_att: bool = True

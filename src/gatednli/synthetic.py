@@ -39,17 +39,6 @@ class World:
     adverbs: tuple[str, ...]
     filler: str = "the"
 
-    def all_words(self) -> list[str]:
-        words = list(self.subjects)
-        for a, b in self.verb_pairs:
-            words += [a, b]
-        for name, nouns in self.categories.items():
-            words.append(name)
-            words += list(nouns)
-        words += list(self.adverbs)
-        words.append(self.filler)
-        return words
-
 
 DEFAULT_WORLD = World(
     subjects=("mira", "joss", "tavek", "rune", "pelo", "sada"),

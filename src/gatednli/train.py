@@ -132,7 +132,7 @@ def clip_global_norm(named: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     grads = [t.grad for t in named.values() if t.grad is not None]
     for g in grads:
-        total += float((g * g).sum())
+        total += float(np.vdot(g, g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -332,6 +332,8 @@ def evaluate_model(
 
 @dataclass
 class TrainSettings:
+    """Optimiser settings; stop_train_acc None trains every epoch."""
+
     lr: float = 4e-4
     batch_size: int = 32
     epochs: int = 10

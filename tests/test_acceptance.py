@@ -263,10 +263,8 @@ class TestAcceptance:
             train_path=corpus.paths.train,
             dev_path=corpus.paths.dev,
             vectors_path=corpus.paths.vectors,
-            epochs=25,
-            seed=0,
-            **TOY_MODEL,
-            **TOY_OPTIM,
+            model=ModelConfig(**TOY_MODEL, seed=0),
+            optim=TR.TrainSettings(epochs=25, **TOY_OPTIM),
         )
         rows = C.run_ablations(config)
         by_name = dict(rows)

@@ -1,12 +1,63 @@
 """Tests for the command-line interface and config resolution."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gatednli import cli as C
 from gatednli.data import LABELS, DataError
+from gatednli.model import ModelConfig
+
+# Every train and ablate setting with a non-default value as the config
+# file and the flag spell it; None marks a switch (flag without a value).
+EXAMPLE_VALUES = {
+    "train_path": "a.jsonl",
+    "dev_path": "b.jsonl",
+    "vectors_path": "v.txt",
+    "checkpoint_path": "m.ckpt",
+    "history_path": "h.csv",
+    "min_count": "2",
+    "oov_sigma": "0.25",
+    "word_dim": "7",
+    "char_dim": "4",
+    "filter_widths": "2,4",
+    "filter_channels": "3",
+    "hidden_dim": "5",
+    "n_layers": "2",
+    "mlp_hidden": "6",
+    "gate_kind": "forget",
+    "no_char": None,
+    "no_word": None,
+    "no_gated_att": None,
+    "no_absdiff_product": None,
+    "no_mlp_shortcut": None,
+    "seed": "9",
+    "lr": "0.01",
+    "batch_size": "4",
+    "epochs": "3",
+    "clip_norm": "2.5",
+    "stop_train_acc": "0.9",
+}
+
+TRAIN_OPTIONS = sorted(
+    ["-h", "--help", "--config"]
+    + ["--" + key.replace("_", "-") for key in EXAMPLE_VALUES]
+)
+
+
+def _help_options(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        C.main([command, "--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    return sorted(set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)))
+
+
+def _banner(capsys, argv) -> list[str]:
+    C.banner(C.resolve_config(C.build_parser().parse_args(argv)))
+    return capsys.readouterr().err.splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +158,19 @@ class TestConfigFile:
             ["train", "--config", str(path), "--epochs", "8"]
         )
         config = C.resolve_config(args)
-        assert config.epochs == 8
-        assert config.hidden_dim == 5
-        assert config.no_char is True
+        assert config.optim.epochs == 8
+        assert config.model.hidden_dim == 5
+        assert config.model.use_char is False
 
     def test_filter_widths_parse(self, tmp_path):
         args = C.build_parser().parse_args(
             ["train", "--filter-widths", "2,4"]
         )
-        assert C.resolve_config(args).filter_widths == (2, 4)
+        assert C.resolve_config(args).model.filter_widths == (2, 4)
+
+    def test_filter_widths_flag_takes_spaces_like_the_file(self):
+        args = C.build_parser().parse_args(["train", "--filter-widths", "2 4"])
+        assert C.resolve_config(args).model.filter_widths == (2, 4)
 
 
 class TestExitCodes:
@@ -349,3 +404,111 @@ class TestGradcheckCommand:
             "classifier",
         ):
             assert name in out
+
+
+class TestCliSurface:
+    def test_train_and_ablate_options(self, capsys):
+        assert len(TRAIN_OPTIONS) == 29  # 28 options; -h is --help
+        assert TRAIN_OPTIONS == [
+            "--batch-size", "--char-dim", "--checkpoint-path", "--clip-norm",
+            "--config", "--dev-path", "--epochs", "--filter-channels",
+            "--filter-widths", "--gate-kind", "--help", "--hidden-dim",
+            "--history-path", "--lr", "--min-count", "--mlp-hidden",
+            "--n-layers", "--no-absdiff-product", "--no-char",
+            "--no-gated-att", "--no-mlp-shortcut", "--no-word",
+            "--oov-sigma", "--seed", "--stop-train-acc", "--train-path",
+            "--vectors-path", "--word-dim", "-h",
+        ]
+        assert _help_options(capsys, "train") == TRAIN_OPTIONS
+        assert _help_options(capsys, "ablate") == sorted(
+            TRAIN_OPTIONS + ["--out"]
+        )
+
+    def test_file_keys_banner_keys_and_flags_agree(self, tmp_path, capsys):
+        path = tmp_path / "a.cfg"
+        path.write_text("warp_factor = 9\n")
+        args = C.build_parser().parse_args(["train", "--config", str(path)])
+        with pytest.raises(DataError) as err:
+            C.resolve_config(args)
+        file_keys = str(err.value).split("valid keys: ")[1].split(", ")
+        banner_keys = [
+            re.match(r"# (\w+) = ", line).group(1)
+            for line in _banner(capsys, ["train"])
+        ]
+        flag_keys = [
+            option[2:].replace("-", "_")
+            for option in _help_options(capsys, "train")
+            if option not in ("-h", "--help", "--config")
+        ]
+        assert sorted(file_keys) == sorted(banner_keys) == sorted(flag_keys)
+        assert sorted(file_keys) == sorted(EXAMPLE_VALUES)
+
+    @pytest.mark.parametrize("key", sorted(EXAMPLE_VALUES))
+    def test_file_and_flag_set_the_same_value(self, tmp_path, key):
+        value = EXAMPLE_VALUES[key]
+        path = tmp_path / "a.cfg"
+        path.write_text(f"{key} = {'true' if value is None else value}\n")
+        parser = C.build_parser()
+        flag = ["--" + key.replace("_", "-")]
+        flag += [] if value is None else [value]
+        from_file = C.resolve_config(
+            parser.parse_args(["train", "--config", str(path)])
+        )
+        from_flag = C.resolve_config(parser.parse_args(["train"] + flag))
+        assert from_file == from_flag
+        assert from_file != C.RunConfig()
+
+    def test_unset_stop_train_acc_is_off(self, capsys):
+        config = C.resolve_config(C.build_parser().parse_args(["train"]))
+        assert config.optim.stop_train_acc is None
+        assert "# stop_train_acc = None" in _banner(capsys, ["train"])
+
+    def test_eval_banner_matches_train_banner(self, workdir, capsys):
+        config = str(workdir / "run.cfg")
+        train_lines = _banner(capsys, ["train", "--config", config])
+        rc = C.main(
+            [
+                "eval",
+                "--checkpoint",
+                str(workdir / "model.ckpt"),
+                "--data",
+                str(workdir / "dev.jsonl"),
+            ]
+        )
+        assert rc == 0
+        eval_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("# ")
+        ]
+        keys = list(C.settings_of(ModelConfig))
+        assert [line[2:].split(" = ")[0] for line in eval_lines] == keys
+        assert eval_lines == [
+            line for line in train_lines if line[2:].split(" = ")[0] in keys
+        ]
+        assert "# no_char = False" in eval_lines
+        assert "# filter_widths = 1,2" in eval_lines
+
+
+class TestUsageErrorsBeforeIO:
+    @pytest.mark.parametrize(
+        "flags, config_text, message",
+        [
+            (["--no-char", "--no-word"], None, "use_char and use_word"),
+            (["--hidden-dim", "0"], None, "hidden_dim must be positive"),
+            ([], "gate_kind = sideways\n", "gate_kind must be one of"),
+        ],
+        ids=["no-char-no-word", "hidden-dim-0", "gate-kind-sideways"],
+    )
+    def test_invalid_architecture_with_absent_files(
+        self, tmp_path, capsys, flags, config_text, message
+    ):
+        absent = str(tmp_path / "absent.jsonl")
+        argv = ["train", "--train-path", absent, "--dev-path", absent]
+        argv += ["--vectors-path", str(tmp_path / "absent.txt"), *flags]
+        if config_text is not None:
+            (tmp_path / "a.cfg").write_text(config_text)
+            argv += ["--config", str(tmp_path / "a.cfg")]
+        assert C.main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cannot read" not in err

@@ -1,5 +1,6 @@
 """Tests for Adam, clipping, checkpoints, the loop, and ensembling."""
 
+import math
 import struct
 
 import numpy as np
@@ -147,6 +148,24 @@ class TestClipGlobalNorm:
         assert norm == 50.0
         np.testing.assert_allclose(a.grad, [6.0, 0.0])
         np.testing.assert_allclose(b.grad, [0.0, 8.0])
+
+    def test_norm_and_scale_on_matrices(self):
+        rng = np.random.default_rng(5)
+        named = {
+            "w": Tensor(np.zeros((40, 70)), requires_grad=True),
+            "b": Tensor(np.zeros(70), requires_grad=True),
+            "frozen": Tensor(np.zeros((3, 3))),
+        }
+        named["w"].grad = rng.normal(size=(40, 70))
+        named["b"].grad = rng.normal(0, 3, size=70)
+        before = {k: t.grad.copy() for k, t in named.items() if t.grad is not None}
+        squares = np.concatenate([g.ravel() ** 2 for g in before.values()])
+        expected = np.sqrt(math.fsum(squares))
+        norm = TR.clip_global_norm(named, max_norm=1.0)
+        assert abs(norm - expected) <= 1e-12 * expected
+        assert named["frozen"].grad is None
+        for key, g in before.items():
+            np.testing.assert_array_equal(named[key].grad, g * (1.0 / norm))
 
 
 class TestCheckpoint:
