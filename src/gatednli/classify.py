@@ -38,14 +38,6 @@ class ClassifierParams:
     b_out: Tensor
     shortcut: bool
 
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[1]
-
     def named_tensors(self) -> dict[str, Tensor]:
         return {
             "classify.w1": self.w1,
@@ -105,9 +97,8 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     """Mean over the B rows of -log probs[row, label], as a (1,) tensor.
 
     ``labels`` holds one class id per row (an int for a single row). Each
-    picked probability is floored at 1e-12 by an elementwise max against a
-    constant, so the gradient routes to the probability whenever it is
-    above the floor.
+    picked probability p is floored at 1e-12 as p + relu(1e-12 - p), which
+    is p exactly at or above the floor, where the gradient routes to p.
     """
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n, n_classes = probs.shape
@@ -120,6 +111,6 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     one_hot = Tensor(np.eye(n_classes)[labels])
     pick = T.sum_axis(T.mul(probs, one_hot), axis=1, keepdims=True)
     floor = Tensor(np.full((n, 1), PROB_FLOOR))
-    clamped = T.max_axis(T.concat([pick, floor], axis=1), axis=1)
+    clamped = T.add(pick, T.relu(T.sub(floor, pick)))
     losses = T.mul(T.log(clamped), Tensor(np.asarray(-1.0)))
-    return T.div(T.sum_axis(losses, axis=0, keepdims=True), float(n))
+    return T.div(T.sum_axis(losses, axis=0), float(n))

@@ -66,6 +66,12 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     optim: TR.TrainSettings = field(default_factory=TR.TrainSettings)
 
+    def __post_init__(self):
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+        if not self.oov_sigma >= 0:
+            raise ValueError(f"oov_sigma must be >= 0, got {self.oov_sigma}")
+
 
 _BOOL_WORDS = {
     "true": True,
@@ -147,7 +153,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(args) -> RunConfig:
     """Defaults, then the config file, then command-line flags. Building
-    the ModelConfig validates the architecture before any file is read."""
+    the configs validates every setting before any file is read."""
     values = {}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
@@ -261,20 +267,19 @@ def _print_eval(result: TR.EvalResult):
 
 
 def cmd_eval(args) -> int:
-    checkpoint = TR.Checkpoint.load(args.checkpoint)
+    model, vocab = TR.load_model(args.checkpoint)
     examples, _ = load_corpus(args.data)
-    banner(checkpoint.config)
-    model = checkpoint.build_model()
-    _print_eval(TR.evaluate_model([model], examples, checkpoint.vocab))
+    banner(model.config)
+    _print_eval(TR.evaluate_model([model], examples, vocab))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    checkpoint = TR.Checkpoint.load(args.checkpoint)
+    model, vocab = TR.load_model(args.checkpoint)
     examples, _ = load_corpus(args.data, require_label=False)
     if not examples:
         raise DataError(f"no usable examples in {args.data}")
-    probs = TR.predict([checkpoint.build_model()], examples, checkpoint.vocab)
+    probs = TR.predict([model], examples, vocab)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for ex, p in zip(examples, probs):
@@ -292,11 +297,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_ensemble_eval(args) -> int:
-    checkpoints = [TR.Checkpoint.load(path) for path in args.checkpoints]
+    members = [TR.load_model(path) for path in args.checkpoints]
+    models, vocab = TR.build_ensemble(members)
     examples, _ = load_corpus(args.data)
-    models, vocab = TR.build_ensemble(checkpoints)
     result = TR.evaluate_model(models, examples, vocab)
-    print(f"ensemble of {len(checkpoints)} checkpoints")
+    print(f"ensemble of {len(models)} checkpoints")
     _print_eval(result)
     return EXIT_OK
 
@@ -388,7 +393,7 @@ def gradcheck_all() -> dict[str, float]:
     layer_weights = Tensor(rng.normal(size=(4, 12)))
 
     def f_layer(_t, reverse):
-        out = EN.lstm_layer(xs, layer, reverse)
+        out = EN.lstm_layer(xs, [1, 3], layer, reverse)
         return _scalarize(T.mul(out, layer_weights))
 
     errors["lstm-layer"] = max(
@@ -397,17 +402,18 @@ def gradcheck_all() -> dict[str, float]:
         for t in (xs, layer.w, layer.u, layer.b)
     )
 
-    # stacked encoder
+    # stacked encoder, on a ragged block of two sentences
     enc_params = EN.init_encoder_params(4, 3, 2, rng)
     for fwd, bwd in enc_params.layers:
         for p in (fwd, bwd):
             p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
             p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
-    e = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    stack_weights = Tensor(rng.normal(size=(3, 24)))
+    e = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    mask = np.array([[1, 1, 0], [1, 1, 1]])
+    stack_weights = Tensor(rng.normal(size=(5, 24)))
 
     def f_stack(_t):
-        enc = EN.stacked_encode(e, np.ones(3), enc_params)
+        enc = EN.stacked_encode(e, mask, enc_params)
         block = T.concat([enc.h, enc.gates_i, enc.gates_f, enc.gates_o], axis=1)
         return _scalarize(T.mul(block, stack_weights))
 
@@ -417,13 +423,13 @@ def gradcheck_all() -> dict[str, float]:
         grad_check(f_stack, enc_params.layers[1][1].u),
     )
 
-    # gated attention, all three kinds
+    # gated attention, all three kinds, on a ragged block of two sentences
     enc = EN.EncodedSentence(
-        h=Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        gates_i=Tensor(rng.uniform(0.2, 0.8, (3, 4)), requires_grad=True),
-        gates_f=Tensor(rng.uniform(0.2, 0.8, (3, 4)), requires_grad=True),
-        gates_o=Tensor(rng.uniform(0.2, 0.8, (3, 4)), requires_grad=True),
-        mask=np.ones(3),
+        h=Tensor(rng.normal(size=(5, 4)), requires_grad=True),
+        gates_i=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
+        gates_f=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
+        gates_o=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
+        lengths=np.array([3, 2]),
     )
     for kind, gate_tensor in (
         (CP.GateKind.INPUT, enc.gates_i),

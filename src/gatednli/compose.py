@@ -1,10 +1,12 @@
 """Fixed-length sentence vectors from encoded states.
 
-Three pools over the valid positions of an encoded sentence: an attention
-pool whose position weights are the l2 norms of a chosen gate's activations,
-an average pool, and a coordinatewise max pool. Their concatenation in the
-fixed order [gated; average; max] is the sentence vector handed to the
-classifier.
+Three pools over each sentence of an encoded ragged block: an attention
+pool whose position weights are the l2 norms of a chosen gate's
+activations, an average pool, and a coordinatewise max pool. Each reduces
+over the sentence's own rows only: the sums go through a constant (S, N)
+selector matrix, the max through one segment max. Their concatenation in
+the fixed order [gated; average; max] is the sentence vector handed to the
+classifier, one row per sentence.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class GateKind(Enum):
 
 @dataclass
 class SentenceVector:
-    """Pool outputs for one sentence, each a (1, 2d) row; v concatenates
-    them. v_g is None when the attention pool is ablated away."""
+    """Pool outputs for S sentences, each (S, 2d); v concatenates them.
+    v_g is None when the attention pool is ablated away."""
 
     v_g: Optional[Tensor]
     v_a: Tensor
@@ -39,68 +41,63 @@ class SentenceVector:
     v: Tensor
 
 
-def _valid_rows(m: Tensor, n_valid: int) -> Tensor:
-    if n_valid == m.shape[0]:
-        return m
-    return T.slice_axis(m, 0, 0, n_valid)
+def _segments(enc: EncodedSentence) -> tuple[np.ndarray, Tensor]:
+    """Each row's sentence index, and the (S, N) 0/1 selector whose row s
+    picks sentence s's rows."""
+    n_sentences = len(enc.lengths)
+    seg = np.repeat(np.arange(n_sentences), enc.lengths)
+    selector = np.arange(n_sentences)[:, None] == seg
+    return seg, Tensor(selector.astype(T.DTYPE))
 
 
 def _gate_scores(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """The vectors whose norms weight each position, valid rows only.
+    """The vectors whose norms weight each position.
 
     The forget variant scores a position by how much its forget gate lets
     go, so it uses the elementwise complement 1 - f.
     """
-    n = enc.n_valid
     if kind is GateKind.INPUT:
-        return _valid_rows(enc.gates_i, n)
+        return enc.gates_i
     if kind is GateKind.OUTPUT:
-        return _valid_rows(enc.gates_o, n)
-    f = _valid_rows(enc.gates_f, n)
-    ones = Tensor(np.ones(f.shape))
-    return T.sub(ones, f)
+        return enc.gates_o
+    ones = Tensor(np.ones(enc.gates_f.shape))
+    return T.sub(ones, enc.gates_f)
 
 
-def _attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """Normalized per-position weights, (n_valid, 1).
+def attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
+    """Per-position weights, (N, 1), summing to one over each sentence.
 
-    Positions whose gate norms all vanish get uniform weights; that branch
-    carries no gradient into the gates.
+    A sentence whose gate norms all vanish gets uniform weights; that
+    fallback carries no gradient into its gates.
     """
-    scores = _gate_scores(enc, kind)
-    norms = T.l2norm(scores, axis=1, keepdims=True)
-    denom = T.sum_axis(norms, axis=0, keepdims=True)
-    if float(denom.data.reshape(())) < WEIGHT_EPS:
-        n = enc.n_valid
-        return Tensor(np.full((n, 1), 1.0 / n))
+    seg, selector = _segments(enc)
+    norms = T.l2norm(_gate_scores(enc, kind), axis=1, keepdims=True)
+    vanished = (selector.data @ norms.data)[:, 0] < WEIGHT_EPS
+    if vanished.any():
+        reset = vanished[seg][:, None].astype(T.DTYPE)
+        norms = T.add(T.mul(norms, Tensor(1.0 - reset)), Tensor(reset))
+    denom = T.take_rows(T.matmul(selector, norms), seg)
     return T.div(norms, denom)
 
 
-def attention_weights(enc: EncodedSentence, kind: GateKind) -> np.ndarray:
-    """Full-length weight vector; masked positions are exactly zero."""
-    w = _attention_weights(enc, kind).data.reshape(-1)
-    out = np.zeros(len(enc.mask))
-    out[: enc.n_valid] = w
-    return out
-
-
 def gated_attention_pool(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """Weighted sum of hidden states, weights from gate norms."""
-    weights = _attention_weights(enc, kind)
-    h = _valid_rows(enc.h, enc.n_valid)
-    return T.sum_axis(T.mul(weights, h), axis=0, keepdims=True)
+    """Weighted sum of each sentence's hidden states, weights from gate
+    norms."""
+    weights = attention_weights(enc, kind)
+    _, selector = _segments(enc)
+    return T.matmul(selector, T.mul(weights, enc.h))
 
 
 def avg_pool(enc: EncodedSentence) -> Tensor:
-    """Mean of hidden states over valid positions."""
-    h = _valid_rows(enc.h, enc.n_valid)
-    return T.div(T.sum_axis(h, axis=0, keepdims=True), float(enc.n_valid))
+    """Mean of each sentence's hidden states."""
+    _, selector = _segments(enc)
+    lengths = Tensor(np.asarray(enc.lengths, dtype=T.DTYPE)[:, None])
+    return T.div(T.matmul(selector, enc.h), lengths)
 
 
 def max_pool(enc: EncodedSentence) -> Tensor:
-    """Coordinatewise max of hidden states over valid positions."""
-    h = _valid_rows(enc.h, enc.n_valid)
-    return T.max_axis(h, axis=0, keepdims=True)
+    """Coordinatewise max of each sentence's hidden states."""
+    return T.segment_max(enc.h, enc.lengths)
 
 
 def compose(

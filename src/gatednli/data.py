@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -136,13 +136,6 @@ class Vocab:
     def char_id(self, ch: str) -> int:
         return self.char_to_id.get(ch, self.unk_id)
 
-    def words_by_id(self) -> list[str]:
-        """Dense id -> word listing, including the pad/unk sentinels."""
-        out = ["<pad>", "<unk>"] + [""] * len(self.word_to_id)
-        for word, i in self.word_to_id.items():
-            out[i] = word
-        return out
-
     def to_json(self) -> dict:
         return {"words": self.word_to_id, "chars": self.char_to_id}
 
@@ -260,18 +253,17 @@ def encode_sentence_ids(
 
 @dataclass
 class SideBatch:
-    word_ids: np.ndarray  # (B, L_max) int64
-    char_ids: np.ndarray  # (B, L_max, C_max) int64
-    mask: np.ndarray      # (B, L_max) int64 in {0, 1}
+    """Sentences padded to one grid; mask row s is ones over sentence s's
+    tokens, then zeros."""
 
-    def length(self, b: int) -> int:
-        return int(self.mask[b].sum())
+    word_ids: np.ndarray  # (S, L_max) int64
+    char_ids: np.ndarray  # (S, L_max, C_max) int64
+    mask: np.ndarray      # (S, L_max) int64 in {0, 1}
 
 
 @dataclass
 class Batch:
-    premise: SideBatch
-    hypothesis: SideBatch
+    sentences: SideBatch  # 2B rows: the B premises, then the B hypotheses
     labels: np.ndarray  # (B,) int64
 
     @property
@@ -279,16 +271,17 @@ class Batch:
         return len(self.labels)
 
 
-def _pack_side(
-    sides: list[tuple[np.ndarray, np.ndarray]],
+def _pack_sentences(
+    sentences: list[tuple[np.ndarray, np.ndarray]],
 ) -> SideBatch:
-    b = len(sides)
-    l_max = max(w.shape[0] for w, _ in sides)
-    c_max = max(c.shape[1] for _, c in sides)
+    """Pad (word_ids, char_ids) sentences to the longest one and word."""
+    b = len(sentences)
+    l_max = max(w.shape[0] for w, _ in sentences)
+    c_max = max(c.shape[1] for _, c in sentences)
     word_ids = np.full((b, l_max), PAD_ID, dtype=np.int64)
     char_ids = np.full((b, l_max, c_max), PAD_ID, dtype=np.int64)
     mask = np.zeros((b, l_max), dtype=np.int64)
-    for i, (w, c) in enumerate(sides):
+    for i, (w, c) in enumerate(sentences):
         n = w.shape[0]
         word_ids[i, :n] = w
         char_ids[i, :n, : c.shape[1]] = c
@@ -303,7 +296,8 @@ def batchify(
     seed: int,
     shuffle: bool = True,
 ) -> list[Batch]:
-    """Seeded shuffle, then fixed-size batches padded to per-batch maxima."""
+    """Seeded shuffle, then fixed-size batches, each batch's premises and
+    hypotheses padded together to the batch's maxima."""
     if batch_size < 1:
         raise DataError(f"batchify: batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(examples))
@@ -312,10 +306,10 @@ def batchify(
     batches: list[Batch] = []
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start : start + batch_size]]
-        premises = [encode_sentence_ids(ex.premise_tokens, vocab) for ex in chunk]
-        hypotheses = [encode_sentence_ids(ex.hypothesis_tokens, vocab) for ex in chunk]
+        sentences = [encode_sentence_ids(ex.premise_tokens, vocab) for ex in chunk]
+        sentences += [encode_sentence_ids(ex.hypothesis_tokens, vocab) for ex in chunk]
         labels = np.array(
             [-1 if ex.label is None else ex.label for ex in chunk], dtype=np.int64
         )
-        batches.append(Batch(_pack_side(premises), _pack_side(hypotheses), labels))
+        batches.append(Batch(_pack_sentences(sentences), labels))
     return batches

@@ -23,14 +23,6 @@ class EmbedParams:
     word_table: Tensor                       # (n_words, word_dim), frozen
     char_dim: int
 
-    @property
-    def char_out_dim(self) -> int:
-        return sum(w.shape[1] for w, _ in self.filters.values())
-
-    @property
-    def word_dim(self) -> int:
-        return self.word_table.shape[1]
-
     def named_tensors(self) -> dict[str, Tensor]:
         out = {"embed.char_table": self.char_table, "embed.word_table": self.word_table}
         for width, (weight, bias) in sorted(self.filters.items()):
@@ -95,7 +87,7 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
                 axis=1,
             )
         conv = T.add(T.matmul(windows, weight), bias)
-        pooled.append(T.max_axis(T.relu(conv), axis=0, keepdims=True))
+        pooled.append(T.segment_max(T.relu(conv), [n_windows]))
     if len(pooled) == 1:
         return pooled[0]
     return T.concat(pooled, axis=1)
@@ -108,10 +100,11 @@ def embed_sentence(
     use_char: bool = True,
     use_word: bool = True,
 ) -> Tensor:
-    """Embed a sentence of L tokens into an (L, d_w) matrix.
+    """Embed L tokens, of one sentence or of a whole block of sentences
+    back to back, into an (L, d_w) matrix.
 
     ``char_ids`` is (L, C) with pad-id tails per word.  Repeated tokens
-    within the sentence share one composed char vector (identical graph
+    within the call share one composed char vector (identical graph
     node; gradient fan-out handles the reuse).
     """
     if not (use_char or use_word):

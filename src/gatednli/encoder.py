@@ -6,10 +6,13 @@ word embeddings concatenated with the previous layer's hidden states. The
 top layer's input, forget, and output gate activations are returned next to
 the hidden states so that pooling can weight positions by gate norms.
 
-Each (layer, direction) is one fused op, ``lstm_layer``, that runs the
-whole recurrence in plain numpy and records a single tape entry with an
-analytic backward pass. Weight matrices are stored input-side first, so the
-input projection of all n positions is one (n, input_dim) @ W product.
+A call encodes a ragged block: the sentences' rows back to back, with their
+lengths, and no padding. Sentences never read each other's rows. Each
+(layer, direction) is one fused op, ``lstm_layer``, that runs the whole
+recurrence of the block in plain numpy, one GEMM per time step over the
+sentences still running, and records a single tape entry with an analytic
+backward pass. Weight matrices are stored input-side first, so the input
+projection of all N rows is one (N, input_dim) @ W product.
 """
 
 from __future__ import annotations
@@ -38,32 +41,24 @@ class LstmParams:
     b: Tensor
 
     @property
-    def input_dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
     def hidden_dim(self) -> int:
         return self.u.shape[0]
 
 
 @dataclass
 class EncodedSentence:
-    """Top-layer states and gates for one sentence.
+    """Top-layer states and gates for a ragged block of sentences.
 
-    h and each gate matrix are (n, 2d) with the forward direction in the
-    first d columns. Rows at masked positions are all zeros. mask is the
-    (n,) 0/1 array the encoder was called with.
+    h and each gate matrix are (N, 2d) with the forward direction in the
+    first d columns; sentence s owns lengths[s] consecutive rows, in block
+    order.
     """
 
     h: Tensor
     gates_i: Tensor
     gates_f: Tensor
     gates_o: Tensor
-    mask: np.ndarray
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.mask.sum())
+    lengths: np.ndarray
 
 
 def init_lstm_params(input_dim: int, hidden_dim: int, rng) -> LstmParams:
@@ -85,14 +80,6 @@ class EncoderParams:
     """Per-layer (forward, backward) LSTM parameters."""
 
     layers: list[tuple[LstmParams, LstmParams]]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.layers[0][0].hidden_dim
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {}
@@ -130,48 +117,73 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def lstm_layer(xs: Tensor, params: LstmParams, reverse: bool) -> Tensor:
-    """One direction of one layer over all rows of xs, as one tape record.
+def lstm_layer(
+    xs: Tensor, lengths: np.ndarray, params: LstmParams, reverse: bool
+) -> Tensor:
+    """One direction of one layer over a ragged block, as one tape record.
 
-    Returns an (n, 4d) block laid out [h | i | f | o]: the hidden states
-    and the input, forget and output gate activations, row t belonging to
-    position t in either direction. The input projection of every step is
-    one GEMM before the time loop. The backward pass is analytic BPTT: it
-    takes gradients on h and on all three gates, keeps only the recurrent
-    product dh_prev = dpre @ u.T inside its loop, and forms the input,
-    weight and bias gradients afterwards with one GEMM (or sum) each.
+    xs holds the block's sentences back to back, lengths[s] rows for
+    sentence s. Returns an (N, 4d) block in the same row order, laid out
+    [h | i | f | o]: the hidden states and the input, forget and output
+    gate activations. The rows are gathered once into packed, time-major
+    order: sentences sorted longest first, so the B_t sentences still
+    running at step t are the first B_t of step t - 1, and each read back
+    to front when reverse is set. Every step is then one h[:B_t] @ u
+    product, after one GEMM for the input projection of all rows. The
+    backward pass is analytic BPTT: it takes gradients on h and on all
+    three gates, keeps only the recurrent product dpre @ u.T inside its
+    loop, and forms the input, weight and bias gradients afterwards with
+    one GEMM (or sum) each.
     """
     w, u, b = params.w.data, params.u.data, params.b.data
     if xs.ndim != 2 or xs.shape[1] != w.shape[0]:
         raise T.ShapeError(f"lstm_layer: input {xs.shape} for weights {w.shape}")
+    lengths = np.asarray(lengths, dtype=np.int64)
     n, d = xs.shape[0], u.shape[0]
-    # Everything below runs in processing order; reverse flips in and out.
-    x = xs.data[::-1] if reverse else xs.data
+    if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
+        raise ValueError(f"lstm_layer: lengths {lengths} must be >= 1, sum {n}")
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    step = np.arange(lens[0])[:, None]
+    running = step < lens  # (steps, S), row-major in packed order
+    rows = (starts + (lens - 1 - step if reverse else step))[running]
+    sizes = running.sum(axis=1)  # B_t
+    # Everything below runs in packed order. State row b0 + r holds the
+    # state after packed row r; rows below b0 hold the zero start state,
+    # and a row's predecessor lies B_{t-1} rows up (b0 up at step 0).
+    b0 = sizes[0]
+    prev_rows = b0 + np.arange(n) - np.repeat(np.r_[b0, sizes[:-1]], sizes)
+    x = xs.data[rows]
     pre = x @ w + b  # (n, 4d), overwritten step by step with the gates
     gates = pre.reshape(n, 4, d)  # [i, f, update, o]; update is tanh'd
-    # Row t + 1 holds the state after step t, row 0 the zero start state.
-    h = np.zeros((n + 1, d))
-    c = np.zeros((n + 1, d))
-    tc = np.empty((n, d))  # tanh(c) after step t
+    h = np.zeros((b0 + n, d))
+    c = np.zeros((b0 + n, d))
+    tc = np.empty((n, d))  # tanh(c) after each packed row
+    lo = 0
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
-        for t in range(n):
-            if t:  # the zero start state adds nothing
-                pre[t] += h[t] @ u
-            i, f, upd, o = gates[t]
+        for bt in sizes:
+            hi, p = lo + bt, prev_rows[lo]
+            if lo:  # the zero start state adds nothing
+                pre[lo:hi] += h[p : p + bt] @ u
+            g = gates[lo:hi]
+            i, f, upd, o = g.transpose(1, 0, 2)
             np.tanh(upd, out=upd)
-            _sigmoid(gates[t, :2], out=gates[t, :2])
+            _sigmoid(g[:, :2], out=g[:, :2])
             _sigmoid(o, out=o)
-            np.multiply(f, c[t], out=c[t + 1])
-            c[t + 1] += i * upd
-            np.tanh(c[t + 1], out=tc[t])
-            np.multiply(o, tc[t], out=h[t + 1])
-    out = np.concatenate([h[1:, None], gates[:, :2], gates[:, 3:]], axis=1)
-    out = out.reshape(n, 4 * d)
-    if reverse:
-        out = out[::-1].copy()
+            c_t = c[b0 + lo : b0 + hi]
+            np.multiply(f, c[p : p + bt], out=c_t)
+            c_t += i * upd
+            np.tanh(c_t, out=tc[lo:hi])
+            np.multiply(o, tc[lo:hi], out=h[b0 + lo : b0 + hi])
+            lo = hi
+    out = np.empty((n, 4, d))
+    out[rows, 0] = h[b0:]
+    out[rows, 1:3] = gates[:, :2]
+    out[rows, 3] = gates[:, 3]
 
     def backward(gout):
-        gout = (gout[::-1] if reverse else gout).reshape(n, 4, d)
+        gout = gout[rows].reshape(n, 4, d)
         i, f, upd, o = gates.transpose(1, 0, 2)
         slope = gates * (1.0 - gates)  # sigmoid slopes; the update's is unused
         # dpre starts with what the gate outputs receive directly; the loop
@@ -181,96 +193,79 @@ def lstm_layer(xs: Tensor, params: LstmParams, reverse: bool) -> Tensor:
             [gout[:, 1:3], np.zeros((n, 1, d)), gout[:, 3:]], axis=1
         )
         k3 = np.stack(
-            [upd * slope[:, 0], c[:-1] * slope[:, 1], i * (1.0 - upd * upd)], axis=1
+            [upd * slope[:, 0], c[prev_rows] * slope[:, 1], i * (1.0 - upd * upd)],
+            axis=1,
         )
         k_o = tc * slope[:, 3]
         k_c = o * (1.0 - tc * tc)
         flat = dpre.reshape(n, 4 * d)
-        dh_next = np.zeros(d)
-        dc_next = np.zeros(d)
-        for t in range(n - 1, -1, -1):
-            dh = gout[t, 0] + dh_next
-            dc = dh * k_c[t]
-            dc += dc_next
-            dpre[t, :3] += k3[t] * dc
-            dpre[t, 3] += dh * k_o[t]
-            if t:  # nothing precedes the first step
-                dc_next = dc * f[t]
-                dh_next = flat[t] @ u.T
-        dx = flat @ w.T
-        dx = dx[::-1] if reverse else dx
-        return dx, x.T @ flat, h[:-1].T @ flat, flat.sum(axis=0)
+        # What step t + 1 hands back to the first B_{t+1} rows of step t;
+        # the rows past B_{t+1} are still zero when step t reads them.
+        dh_next = np.zeros((b0, d))
+        dc_next = np.zeros((b0, d))
+        hi = n
+        for bt in sizes[::-1]:
+            lo = hi - bt
+            dh = gout[lo:hi, 0] + dh_next[:bt]
+            dc = dh * k_c[lo:hi]
+            dc += dc_next[:bt]
+            dpre[lo:hi, :3] += k3[lo:hi] * dc[:, None]
+            dpre[lo:hi, 3] += dh * k_o[lo:hi]
+            if lo:  # nothing precedes the first step
+                np.multiply(dc, f[lo:hi], out=dc_next[:bt])
+                np.matmul(flat[lo:hi], u.T, out=dh_next[:bt])
+            hi = lo
+        dx = np.empty_like(x)
+        dx[rows] = flat @ w.T
+        return dx, x.T @ flat, h[prev_rows].T @ flat, flat.sum(axis=0)
 
-    return T._apply("lstm_layer", out, (xs, params.w, params.u, params.b), backward)
-
-
-def valid_length(mask: np.ndarray) -> int:
-    """Number of leading ones; padding must be a contiguous tail of zeros."""
-    mask = np.asarray(mask)
-    n_valid = int(mask.sum())
-    if not (np.all(mask[:n_valid] == 1) and np.all(mask[n_valid:] == 0)):
-        raise ValueError(f"mask must be ones followed by zeros, got {mask}")
-    if n_valid == 0:
-        raise ValueError("all positions are masked")
-    return n_valid
-
-
-def _pad_rows(m: Tensor, n_pad: int) -> Tensor:
-    if n_pad == 0:
-        return m
-    zeros = Tensor(np.zeros((n_pad, m.shape[1])))
-    return T.concat([m, zeros], axis=0)
+    inputs = (xs, params.w, params.u, params.b)
+    return T._apply(out.reshape(n, 4 * d), inputs, backward)
 
 
 def bilstm(
     inputs: Tensor,
-    mask: np.ndarray,
+    lengths: np.ndarray,
     params_fwd: LstmParams,
     params_bwd: LstmParams,
 ) -> EncodedSentence:
-    """Both directions over the valid prefix, concatenated per position.
-
-    Rows at masked positions come out as zeros for the states and all three
-    gate matrices, so downstream pooling can rely on zero contribution.
-    """
-    n = inputs.shape[0]
-    if len(mask) != n:
-        raise ValueError(f"mask length {len(mask)} != input rows {n}")
-    n_valid = valid_length(mask)
-    xs = inputs if n_valid == n else T.slice_axis(inputs, 0, 0, n_valid)
-    fwd = lstm_layer(xs, params_fwd, reverse=False)
-    bwd = lstm_layer(xs, params_bwd, reverse=True)
+    """Both directions over a ragged block, concatenated per position."""
+    fwd = lstm_layer(inputs, lengths, params_fwd, reverse=False)
+    bwd = lstm_layer(inputs, lengths, params_bwd, reverse=True)
     d = params_fwd.hidden_dim
 
     def stack(k):
         """Block k of [h | i | f | o], both directions side by side."""
-        both = T.concat(
+        return T.concat(
             [
                 T.slice_axis(fwd, 1, k * d, (k + 1) * d),
                 T.slice_axis(bwd, 1, k * d, (k + 1) * d),
             ],
             axis=1,
         )
-        return _pad_rows(both, n - n_valid)
 
     return EncodedSentence(
         h=stack(0),
         gates_i=stack(1),
         gates_f=stack(2),
         gates_o=stack(3),
-        mask=np.asarray(mask),
+        lengths=np.asarray(lengths),
     )
 
 
 def stacked_encode(
     e: Tensor, mask: np.ndarray, params: EncoderParams
 ) -> EncodedSentence:
-    """Stack of BiLSTMs; upper layers see [e; previous states].
+    """Stack of BiLSTMs over a ragged block; upper layers see [e; previous
+    states].
 
-    Only the top layer's gates survive in the result.
+    e holds the valid rows of the (S, L) 0/1 mask in row-major order, so
+    sentence s is mask[s].sum() consecutive rows. Only the top layer's
+    gates survive in the result.
     """
+    lengths = np.asarray(mask).sum(axis=1)
     enc = None
     for k, (fwd, bwd) in enumerate(params.layers):
         layer_in = e if k == 0 else T.concat([e, enc.h], axis=1)
-        enc = bilstm(layer_in, mask, fwd, bwd)
+        enc = bilstm(layer_in, lengths, fwd, bwd)
     return enc

@@ -2,10 +2,11 @@
 
 ``Model.forward`` scores a padded ``data.Batch`` of premise/hypothesis
 pairs; it is the one forward path behind training, evaluation, prediction
-and ensembles. Each sentence is embedded, encoded by the shared stacked
-BiLSTM and pooled into a sentence vector on its valid prefix alone, as the
-model allows no cross-sentence attention; the batch's sentence vectors are
-then expanded into matching features and classified together. The
+and ensembles. The model allows no cross-sentence attention, so the
+batch's 2B sentences are embedded, encoded by the shared stacked BiLSTM and
+pooled together, as one ragged block of their valid tokens, with one call
+each; the (2B, ·) sentence vectors are then split into premises and
+hypotheses, expanded into matching features and classified. The
 configuration captures every architectural knob, including the ablation
 switches, so a checkpoint can rebuild the exact network.
 """
@@ -22,7 +23,7 @@ from . import embed as EM
 from . import encoder as EN
 from . import tensor as T
 from .compose import GateKind
-from .data import Batch, SideBatch
+from .data import Batch
 from .tensor import Tensor
 
 GATE_KINDS = tuple(k.value for k in GateKind)
@@ -170,33 +171,28 @@ class Model:
             params=ModelParams(embed=embed, encoder=encoder, classifier=classifier),
         )
 
-    def _side_vectors(self, side: SideBatch) -> Tensor:
-        """(B, sentence_dim): each row's sentence embedded, encoded and
-        pooled on its valid prefix alone."""
-        rows = []
-        for b in range(len(side.word_ids)):
-            n = side.length(b)
-            e = EM.embed_sentence(
-                side.word_ids[b, :n],
-                side.char_ids[b, :n],
-                self.params.embed,
-                use_char=self.config.use_char,
-                use_word=self.config.use_word,
-            )
-            enc = EN.stacked_encode(e, np.ones(n), self.params.encoder)
-            pooled = CP.compose(enc, self.config.gate, self.config.use_gated_att)
-            rows.append(pooled.v)
-        return T.concat(rows, axis=0)
-
     def forward(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """(probs, logits), each (B, 3), for a padded batch of pairs.
 
-        Padded cells are never read. Sentences are encoded one at a time;
-        the classifier scores the whole batch at once.
+        The batch's 2B sentences go through the embedding, the encoder and
+        the pools as one ragged block, made of the valid cells alone, so
+        padded cells are never read. The classifier scores the B pairs.
         """
+        sentences = batch.sentences
+        valid = sentences.mask.astype(bool)
+        e = EM.embed_sentence(
+            sentences.word_ids[valid],
+            sentences.char_ids[valid],
+            self.params.embed,
+            use_char=self.config.use_char,
+            use_word=self.config.use_word,
+        )
+        enc = EN.stacked_encode(e, sentences.mask, self.params.encoder)
+        v = CP.compose(enc, self.config.gate, self.config.use_gated_att).v
+        b = batch.size
         v_inp = CL.matching_features(
-            self._side_vectors(batch.premise),
-            self._side_vectors(batch.hypothesis),
+            T.slice_axis(v, 0, 0, b),
+            T.slice_axis(v, 0, b, 2 * b),
             self.config.use_absdiff_product,
         )
         return CL.mlp_forward(v_inp, self.params.classifier)

@@ -22,14 +22,6 @@ import numpy as np
 
 DTYPE = np.float64
 
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Screen every op output for NaN/Inf.  Slow; meant for tests."""
-    global _debug_checks
-    _debug_checks = enabled
-
 
 class TensorError(Exception):
     """Base class for tensor-level failures."""
@@ -70,34 +62,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
-        return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Arithmetic sugar over the module-level primitives.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 _BackwardFn = Callable[[np.ndarray], tuple]
@@ -182,13 +149,8 @@ class Graph:
 
 
 def _apply(
-    name: str,
-    out_data: np.ndarray,
-    inputs: tuple[Tensor, ...],
-    backward: _BackwardFn,
+    out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: _BackwardFn
 ) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(out_data)):
-        raise TensorError(f"{name}: non-finite values in output")
     out = Tensor._wrap(out_data)
     g = _recording.graph
     if g is not None and any(g._connected(t) for t in inputs):
@@ -227,7 +189,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return g @ bd.T, ad.T @ g
 
-    return _apply("matmul", out, (a, b), backward)
+    return _apply(out, (a, b), backward)
 
 
 def _elementwise(name: str, a: Tensor, b: Tensor, fwd, bwd) -> Tensor:
@@ -242,7 +204,7 @@ def _elementwise(name: str, a: Tensor, b: Tensor, fwd, bwd) -> Tensor:
         ga, gb = bwd(g, ad, bd)
         return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
-    return _apply(name, out, (a, b), backward)
+    return _apply(out, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -264,26 +226,7 @@ def absolute(a: Tensor) -> Tensor:
     def backward(g):
         return (g * np.sign(ad),)
 
-    return _apply("absolute", out, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # exp overflow saturates to the correct 0/1
-        out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _apply("sigmoid", out, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _apply("tanh", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -293,7 +236,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         return (g * (ad > 0.0),)
 
-    return _apply("relu", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -322,7 +265,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             for i in range(len(sizes))
         )
 
-    return _apply("concat", out, tuple(parts), backward)
+    return _apply(out, tuple(parts), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -341,7 +284,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         z[index] = g
         return (z,)
 
-    return _apply("slice_axis", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
@@ -363,7 +306,7 @@ def take_rows(a: Tensor, ids) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return _apply("take_rows", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -376,24 +319,25 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, ad.shape),)
 
-    return _apply("sum_axis", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
-def max_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over an axis; gradient routes to the first argmax on ties."""
-    _check_axis("max_axis", a, axis)
+def segment_max(a: Tensor, lengths) -> Tensor:
+    """Max over consecutive row segments of a 2-D tensor, lengths[s] >= 1
+    rows for segment s; gradient routes to the first argmax on ties."""
     ad = a.data
-    out = ad.max(axis=axis, keepdims=keepdims)
-    argmax = np.expand_dims(ad.argmax(axis=axis), axis)  # first index on ties
+    starts = np.cumsum(lengths) - lengths
+    out = np.maximum.reduceat(ad, starts, axis=0)
+    at_max = ad == np.repeat(out, lengths, axis=0)
+    rows = np.where(at_max, np.arange(len(ad))[:, None], len(ad))
+    argmax = np.minimum.reduceat(rows, starts, axis=0)  # first per segment
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         z = np.zeros_like(ad)
-        np.put_along_axis(z, argmax, g, axis=axis)
+        np.put_along_axis(z, argmax, g, axis=0)
         return (z,)
 
-    return _apply("max_axis", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def l2norm(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
@@ -409,24 +353,16 @@ def l2norm(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         safe = np.where(norm == 0.0, 1.0, norm)  # 0-vector rows yield 0/1 = 0
         return (g * ad / safe,)
 
-    return _apply("l2norm", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
-def div(a: Tensor, s) -> Tensor:
-    """Divide a tensor by a scalar (python number or size-1 tensor)."""
-    if not isinstance(s, Tensor):
-        s = Tensor(np.asarray(s, dtype=DTYPE))
-    if s.size != 1:
-        raise ShapeError(f"div: divisor must be scalar, got shape {s.shape}")
-    ad, sd = a.data, s.data
-    out = ad / sd
-
-    def backward(g):
-        ga = g / sd
-        gs = np.asarray(-(g * ad).sum() / (sd * sd).reshape(())).reshape(s.data.shape)
-        return ga, gs
-
-    return _apply("div", out, (a, s), backward)
+def div(a: Tensor, b) -> Tensor:
+    """Elementwise a / b with broadcasting; b may be a python number."""
+    if not isinstance(b, Tensor):
+        b = Tensor(b)
+    return _elementwise(
+        "div", a, b, lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
+    )
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -440,7 +376,7 @@ def softmax(a: Tensor) -> Tensor:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
-    return _apply("softmax", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -451,7 +387,7 @@ def log(a: Tensor) -> Tensor:
     def backward(g):
         return (g / ad,)
 
-    return _apply("log", out, (a,), backward)
+    return _apply(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

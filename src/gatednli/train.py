@@ -275,7 +275,7 @@ class Checkpoint:
             # The second copy is kept on purpose: freeing the first one
             # raises glibc's mmap and trim thresholds, so the forward
             # pass's large temporaries reuse heap memory instead of being
-            # mapped and unmapped on every sentence (8x the page faults).
+            # mapped and unmapped on every batch (2x the page faults).
             tensors[name] = arr.reshape(shape).astype(np.float64).copy()
         return cls(
             config=ModelConfig.from_dict(header["config"]),
@@ -340,6 +340,16 @@ class TrainSettings:
     clip_norm: float = 10.0
     stop_train_acc: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("lr", "clip_norm"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class HistoryRow:
@@ -378,8 +388,6 @@ def train(
         raise DataError("train: empty training set")
     if not dev_set:
         raise DataError("train: empty dev set")
-    if settings.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {settings.epochs}")
     say = log or (lambda _msg: None)
     adam = Adam(model.params.trainable(), lr=settings.lr)
     last_good = Checkpoint.from_model(
@@ -458,23 +466,27 @@ def write_history(path: str, history: Sequence[HistoryRow]):
             writer.writerow([row.epoch, repr(row.train_loss), repr(row.dev_acc)])
 
 
-def _check_ensemble(models: Sequence[Model], vocabs: Sequence[Vocab]):
-    if not models:
-        raise ValueError("ensemble: need at least one model")
-    sig = models[0].config.signature()
-    for m in models[1:]:
-        if m.config.signature() != sig:
-            raise ValueError("ensemble: checkpoint configs differ")
-    first = vocabs[0].to_json()
-    for v in vocabs[1:]:
-        if v.to_json() != first:
-            raise ValueError("ensemble: checkpoint vocabularies differ")
+def load_model(path: str) -> tuple[Model, Vocab]:
+    """The model and vocabulary of a checkpoint file. The checkpoint's own
+    copy of the tensors goes out of scope once the model is built, so it is
+    not held while the model scores."""
+    checkpoint = Checkpoint.load(path)
+    return checkpoint.build_model(), checkpoint.vocab
 
 
 def build_ensemble(
-    checkpoints: Sequence[Checkpoint],
+    members: Sequence[tuple[Model, Vocab]],
 ) -> tuple[list[Model], Vocab]:
-    """Models of checkpoints that share one architecture and vocabulary."""
-    models = [c.build_model() for c in checkpoints]
-    _check_ensemble(models, [c.vocab for c in checkpoints])
-    return models, checkpoints[0].vocab
+    """The models of (model, vocabulary) members, which must share one
+    architecture and one vocabulary, and that vocabulary."""
+    if not members:
+        raise ValueError("ensemble: need at least one model")
+    models = [model for model, _ in members]
+    sig = models[0].config.signature()
+    vocab = members[0][1].to_json()
+    for model, other in members[1:]:
+        if model.config.signature() != sig:
+            raise ValueError("ensemble: checkpoint configs differ")
+        if other.to_json() != vocab:
+            raise ValueError("ensemble: checkpoint vocabularies differ")
+    return models, members[0][1]

@@ -3,7 +3,9 @@
 This is the per-step recurrence the encoder ran before its fused
 ``lstm_layer``: every gate slice, activation and state update is its own
 tape record, and the backward pass is whatever the primitives compose to.
-The tests check the fused op against it, values and gradients alike.
+The tests check the fused op against it, values and gradients alike,
+running the oracle on one sentence at a time. The elementwise sigmoid and
+tanh ops it needs live here, as only the oracle uses them.
 """
 
 import numpy as np
@@ -13,11 +15,30 @@ from gatednli.encoder import LstmParams
 from gatednli.tensor import Tensor
 
 
+def sigmoid(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):  # exp overflow saturates to the correct 0/1
+        out = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        return (g * out * (1.0 - out),)
+
+    return T._apply(out, (a,), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+
+    def backward(g):
+        return (g * (1.0 - out * out),)
+
+    return T._apply(out, (a,), backward)
+
+
 def _split_gates(pre, d):
-    i = T.sigmoid(T.slice_axis(pre, 1, 0, d))
-    f = T.sigmoid(T.slice_axis(pre, 1, d, 2 * d))
-    u = T.tanh(T.slice_axis(pre, 1, 2 * d, 3 * d))
-    o = T.sigmoid(T.slice_axis(pre, 1, 3 * d, 4 * d))
+    i = sigmoid(T.slice_axis(pre, 1, 0, d))
+    f = sigmoid(T.slice_axis(pre, 1, d, 2 * d))
+    u = tanh(T.slice_axis(pre, 1, 2 * d, 3 * d))
+    o = sigmoid(T.slice_axis(pre, 1, 3 * d, 4 * d))
     return i, f, u, o
 
 
@@ -28,12 +49,13 @@ def lstm_cell(x_t, h_prev, c_prev, params: LstmParams):
     )
     i, f, u, o = _split_gates(pre, params.hidden_dim)
     c_t = T.add(T.mul(f, c_prev), T.mul(i, u))
-    h_t = T.mul(o, T.tanh(c_t))
+    h_t = T.mul(o, tanh(c_t))
     return h_t, c_t, (i, f, o)
 
 
 def lstm_layer(xs, params: LstmParams, reverse: bool):
-    """The fused op's (n, 4d) [h | i | f | o] block, step by step."""
+    """The fused op's (n, 4d) [h | i | f | o] block for one sentence, step
+    by step."""
     n, d = xs.shape[0], params.hidden_dim
     h = Tensor(np.zeros((1, d)))
     c = Tensor(np.zeros((1, d)))

@@ -141,7 +141,7 @@ class TestAcceptance:
                 Tensor(gi.copy()),
                 Tensor(gf.copy()),
                 Tensor(go.copy()),
-                np.ones(n, dtype=np.int64),
+                np.array([n]),
             )
             for kind, gates in ((GateKind.INPUT, gi), (GateKind.FORGET, gf), (GateKind.OUTPUT, go)):
                 got = CP.gated_attention_pool(enc, kind).data[0]
@@ -166,7 +166,7 @@ class TestAcceptance:
             Tensor(flat.copy()),
             Tensor(flat.copy()),
             Tensor(flat.copy()),
-            np.ones(6, dtype=np.int64),
+            np.array([6]),
         )
         v_a = CP.avg_pool(enc).data
         uniform_gap = max(
@@ -179,7 +179,7 @@ class TestAcceptance:
             Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
             Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
             Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
-            np.ones(1, dtype=np.int64),
+            np.array([1]),
         )
         exact = all(
             _same_bits(pool.data, h1)
@@ -211,16 +211,16 @@ class TestAcceptance:
         ok = True
         for batch in batches:
             before = model.forward(batch)[1].data.copy()
-            for side in (batch.premise, batch.hypothesis):
-                for b in range(batch.size):
-                    n = side.length(b)
-                    side.word_ids[b, n:] = (
-                        side.word_ids[b, n:] + 3
-                    ) % corpus.vocab.n_words
-                    side.char_ids[b, n:, :] = (
-                        side.char_ids[b, n:, :] + 5
-                    ) % corpus.vocab.n_chars
-                    mutated_cells += side.word_ids.shape[1] - n
+            side = batch.sentences
+            for b in range(2 * batch.size):
+                n = int(side.mask[b].sum())
+                side.word_ids[b, n:] = (
+                    side.word_ids[b, n:] + 3
+                ) % corpus.vocab.n_words
+                side.char_ids[b, n:, :] = (
+                    side.char_ids[b, n:, :] + 5
+                ) % corpus.vocab.n_chars
+                mutated_cells += side.word_ids.shape[1] - n
             after = model.forward(batch)[1].data
             ok = ok and _same_bits(before, after)
         ok = ok and mutated_cells > 0

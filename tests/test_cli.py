@@ -496,12 +496,32 @@ class TestUsageErrorsBeforeIO:
             (["--no-char", "--no-word"], None, "use_char and use_word"),
             (["--hidden-dim", "0"], None, "hidden_dim must be positive"),
             ([], "gate_kind = sideways\n", "gate_kind must be one of"),
+            (["--clip-norm", "-1"], None, "clip_norm must be positive"),
+            (["--batch-size", "0"], None, "batch_size must be >= 1"),
+            (["--epochs", "0"], None, "epochs must be >= 1"),
+            (["--oov-sigma", "-1"], None, "oov_sigma must be >= 0"),
+            ([], "min_count = 0\n", "min_count must be >= 1"),
+            ([], "lr = 0\n", "lr must be positive"),
+            (["--lr", "nan"], None, "lr must be positive"),
         ],
-        ids=["no-char-no-word", "hidden-dim-0", "gate-kind-sideways"],
+        ids=[
+            "no-char-no-word",
+            "hidden-dim-0",
+            "gate-kind-sideways",
+            "clip-norm-negative",
+            "batch-size-0",
+            "epochs-0",
+            "oov-sigma-negative",
+            "min-count-0",
+            "lr-0",
+            "lr-nan",
+        ],
     )
     def test_invalid_architecture_with_absent_files(
         self, tmp_path, capsys, flags, config_text, message
     ):
+        # Every invalid setting, not only the architecture's, is a usage
+        # error reported before the absent files are opened.
         absent = str(tmp_path / "absent.jsonl")
         argv = ["train", "--train-path", absent, "--dev-path", absent]
         argv += ["--vectors-path", str(tmp_path / "absent.txt"), *flags]

@@ -11,7 +11,8 @@ from gatednli.tensor import Tensor, grad_check
 KINDS = (C.GateKind.INPUT, C.GateKind.FORGET, C.GateKind.OUTPUT)
 
 
-def make_enc(h, gi=None, gf=None, go=None, mask=None, requires_grad=False):
+def make_enc(h, gi=None, gf=None, go=None, lengths=None, requires_grad=False):
+    """A ragged block; by default one sentence over all rows of h."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
 
@@ -25,7 +26,7 @@ def make_enc(h, gi=None, gf=None, go=None, mask=None, requires_grad=False):
         gates_i=gate(gi),
         gates_f=gate(gf),
         gates_o=gate(go),
-        mask=np.ones(n) if mask is None else np.asarray(mask),
+        lengths=np.array([n] if lengths is None else lengths),
     )
 
 
@@ -76,17 +77,52 @@ class TestGatedAttention:
                 want = pool_oracle(h, gates[key], kind, n)
                 assert np.abs(got - want).max() < 1e-12
 
-    def test_weights_sum_to_one_and_vanish_at_masked(self):
+    def test_weights_sum_to_one_per_sentence_and_ignore_companions(self):
         rng = np.random.default_rng(3)
-        enc = make_enc(
-            rng.normal(size=(5, 4)),
-            gi=rng.uniform(0.1, 0.9, (5, 4)),
-            mask=[1, 1, 1, 0, 0],
-        )
-        w = C.attention_weights(enc, C.GateKind.INPUT)
+        h = rng.normal(size=(5, 4))
+        gi = rng.uniform(0.1, 0.9, (5, 4))
+        enc = make_enc(h, gi=gi, lengths=[3, 2])
+        w = C.attention_weights(enc, C.GateKind.INPUT).data[:, 0]
         assert np.all(w >= 0.0)
-        assert abs(w.sum() - 1.0) < 1e-9
-        np.testing.assert_array_equal(w[3:], 0.0)
+        assert abs(w[:3].sum() - 1.0) < 1e-12
+        assert abs(w[3:].sum() - 1.0) < 1e-12
+        mutated = gi.copy()
+        mutated[3:] = rng.uniform(0.1, 0.9, (2, 4))
+        other = C.attention_weights(
+            make_enc(h, gi=mutated, lengths=[3, 2]), C.GateKind.INPUT
+        )
+        np.testing.assert_array_equal(other.data[:3, 0], w[:3])
+        assert not np.array_equal(other.data[3:, 0], w[3:])
+
+    def test_ragged_block_matches_each_sentence_alone(self):
+        rng = np.random.default_rng(13)
+        lengths = [2, 1, 4, 4]
+        h = rng.normal(size=(11, 6))
+        gates = {k: rng.uniform(0.05, 0.95, (11, 6)) for k in ("gi", "gf", "go")}
+        block = make_enc(h, lengths=lengths, **gates)
+        starts = np.cumsum([0] + lengths)
+        for kind, key in zip(KINDS, ("gi", "gf", "go")):
+            got = C.gated_attention_pool(block, kind).data
+            assert got.shape == (4, 6)
+            for s, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+                want = pool_oracle(h[lo:hi], gates[key][lo:hi], kind, hi - lo)
+                assert np.abs(got[s] - want).max() < 1e-12
+
+    def test_vanished_sentence_alone_falls_back_to_uniform(self):
+        # Sentence 0's gate norms all vanish, sentence 1's do not: only
+        # sentence 0 is averaged, and its gates get no gradient.
+        rng = np.random.default_rng(14)
+        h = rng.normal(size=(5, 4))
+        gi = np.vstack([np.zeros((2, 4)), rng.uniform(0.2, 0.8, (3, 4))])
+        enc = make_enc(h, gi=gi, lengths=[2, 3], requires_grad=True)
+        with T.Graph() as g:
+            v_g = C.gated_attention_pool(enc, C.GateKind.INPUT)
+            g.backward(T.sum_axis(T.sum_axis(v_g, axis=1), axis=0))
+        np.testing.assert_allclose(v_g.data[0], h[:2].mean(axis=0), atol=1e-15)
+        want = pool_oracle(h[2:], gi[2:], C.GateKind.INPUT, 3)
+        assert np.abs(v_g.data[1] - want).max() < 1e-12
+        np.testing.assert_array_equal(enc.gates_i.grad[:2], 0.0)
+        assert np.abs(enc.gates_i.grad[2:]).max() > 0.0
 
     def test_gate_scale_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
@@ -141,16 +177,25 @@ class TestAvgMaxPool:
         np.testing.assert_allclose(C.avg_pool(enc).data, [[0.5, -2.0, 7.0]])
         np.testing.assert_array_equal(C.max_pool(enc).data, [[0.5, -2.0, 7.0]])
 
-    def test_masked_rows_ignored(self):
+    def test_companion_rows_ignored(self):
         rng = np.random.default_rng(7)
-        h = rng.normal(size=(4, 3))
-        mask = [1, 1, 0, 0]
-        a = make_enc(h, mask=mask)
+        h = rng.normal(size=(5, 3))
+        a = make_enc(h, lengths=[2, 3])
         mutated = h.copy()
         mutated[2:] = 99.0
-        b = make_enc(mutated, mask=mask)
-        np.testing.assert_array_equal(C.avg_pool(a).data, C.avg_pool(b).data)
-        np.testing.assert_array_equal(C.max_pool(a).data, C.max_pool(b).data)
+        b = make_enc(mutated, lengths=[2, 3])
+        for pool in (C.avg_pool, C.max_pool):
+            np.testing.assert_array_equal(pool(a).data[0], pool(b).data[0])
+            np.testing.assert_array_equal(pool(b).data[1], [99.0] * 3)
+        np.testing.assert_allclose(
+            C.avg_pool(a).data,
+            [h[:2].mean(axis=0), h[2:].mean(axis=0)],
+            rtol=0,
+            atol=1e-15,
+        )
+        np.testing.assert_array_equal(
+            C.max_pool(a).data, [h[:2].max(axis=0), h[2:].max(axis=0)]
+        )
 
     def test_max_dominates_avg(self):
         rng = np.random.default_rng(8)
@@ -159,7 +204,7 @@ class TestAvgMaxPool:
 
     def test_grad_check(self):
         rng = np.random.default_rng(9)
-        enc = make_enc(rng.normal(size=(3, 4)), requires_grad=True)
+        enc = make_enc(rng.normal(size=(5, 4)), lengths=[3, 2], requires_grad=True)
 
         def f_avg(_t):
             return T.sum_axis(T.sum_axis(C.avg_pool(enc), axis=1), axis=0)

@@ -138,7 +138,7 @@ class TestVocab:
 
     def test_detokenize_roundtrip_in_vocab(self):
         vocab = D.build_vocab(self.examples("the dog runs"))
-        words = vocab.words_by_id()
+        words = {i: w for w, i in vocab.word_to_id.items()}
         ids, _ = D.encode_sentence_ids(["the", "dog", "runs"], vocab)
         assert [words[i] for i in ids] == ["the", "dog", "runs"]
 
@@ -221,14 +221,14 @@ class TestBatchify:
     def test_mask_matches_lengths(self):
         exs = [
             D.NLIExample(["a", "b", "c"], ["x"], 0),
-            D.NLIExample(["a", "b", "c", "d", "e"], ["x"], 1),
+            D.NLIExample(["a", "b", "c", "d", "e"], ["x", "y"], 1),
         ]
         batches = D.batchify(exs, 2, self.vocab_for(exs), seed=0, shuffle=False)
-        side = batches[0].premise
-        lengths = sorted(side.mask.sum(axis=1).tolist())
-        assert lengths == [3, 5]
-        for b in range(2):
-            n = side.length(b)
+        side = batches[0].sentences
+        # premises first, then hypotheses, in example order
+        lengths = side.mask.sum(axis=1).tolist()
+        assert lengths == [3, 5, 1, 2]
+        for b, n in enumerate(lengths):
             assert side.mask[b, :n].tolist() == [1] * n
             assert side.mask[b, n:].tolist() == [0] * (5 - n)
             assert np.all(side.word_ids[b, n:] == D.PAD_ID)
@@ -240,7 +240,7 @@ class TestBatchify:
         b2 = D.batchify(exs, 4, vocab, seed=9)
         for x, y in zip(b1, b2):
             assert np.array_equal(x.labels, y.labels)
-            assert np.array_equal(x.premise.word_ids, y.premise.word_ids)
+            assert np.array_equal(x.sentences.word_ids, y.sentences.word_ids)
 
     def test_different_seed_usually_differs(self):
         exs = self.examples(17)
@@ -253,7 +253,7 @@ class TestBatchify:
         exs = [D.NLIExample(["x" * 50], ["y"], 0)]
         vocab = self.vocab_for(exs)
         batches = D.batchify(exs, 1, vocab, seed=0)
-        assert batches[0].premise.char_ids.shape[2] == D.MAX_WORD_CHARS
+        assert batches[0].sentences.char_ids.shape[2] == D.MAX_WORD_CHARS
 
     def test_bad_batch_size(self):
         exs = self.examples(3)

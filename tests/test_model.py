@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from gatednli import classify as CL
+from gatednli import compose as CP
+from gatednli import embed as EM
+from gatednli import encoder as EN
 from gatednli import tensor as T
-from gatednli.data import Batch, _pack_side
+from gatednli.data import Batch, _pack_sentences
 from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Graph, Tensor, grad_check
 
@@ -46,9 +49,10 @@ def toy_pair(rng, lp=3, lh=2):
 
 def pack(pairs):
     """A padded batch of (p_word, p_char, h_word, h_char) pairs, labeled 0."""
+    premises = [(pw, pc) for pw, pc, _, _ in pairs]
+    hypotheses = [(hw, hc) for _, _, hw, hc in pairs]
     return Batch(
-        _pack_side([(pw, pc) for pw, pc, _, _ in pairs]),
-        _pack_side([(hw, hc) for _, _, hw, hc in pairs]),
+        _pack_sentences(premises + hypotheses),
         np.zeros(len(pairs), dtype=np.int64),
     )
 
@@ -129,15 +133,47 @@ class TestModelForward:
         pair = toy_pair(rng, 3, 2)
         pw, pc, hw, hc = toy_pair(rng, 1, 7)
         wide = (pw, np.pad(pc, ((0, 0), (0, 3))), hw, hc)  # pad-id char tails
-        first = pack([pair, toy_pair(rng, 6, 1)])
-        second = pack([wide, toy_pair(rng, 2, 2), pair])
-        assert first.premise.word_ids.shape != second.premise.word_ids.shape
-        assert first.premise.char_ids.shape[2] < second.premise.char_ids.shape[2]
+        # Companions whose premises and hypotheses share the pair's length
+        # buckets (3 and 2), so they run in the same steps of the encoder.
+        first = pack([pair, toy_pair(rng, 2, 3), toy_pair(rng, 6, 1)])
+        second = pack([wide, toy_pair(rng, 2, 2), pair, toy_pair(rng, 3, 3)])
+        assert first.sentences.word_ids.shape != second.sentences.word_ids.shape
+        assert first.sentences.char_ids.shape[2] < second.sentences.char_ids.shape[2]
         alone = probs_of(model, pack([pair]))[0]
         in_first = probs_of(model, first)[0]
         in_second = probs_of(model, second)[2]
         assert np.max(np.abs(in_first - in_second)) < 1e-10
         assert np.max(np.abs(in_first - alone)) < 1e-10
+
+    @pytest.mark.parametrize("n_pairs", [1, 3, 8])
+    def test_one_lstm_record_per_layer_and_direction(self, n_pairs):
+        model = toy_model()
+        rng = np.random.default_rng(n_pairs)
+        lengths = [tuple(rng.integers(1, 6, size=2)) for _ in range(n_pairs)]
+        with Graph() as g:
+            model.forward(toy_batch(rng, lengths))
+        names = [backward.__qualname__ for _, _, backward in g._records]
+        lstm = [name for name in names if name.startswith("lstm_layer.")]
+        assert len(lstm) == 2 * model.config.n_layers
+
+    def test_one_embed_encode_compose_call_per_forward(self, monkeypatch):
+        model = toy_model()
+        calls = []
+        entry_points = (
+            (EM, "embed_sentence"),
+            (EN, "stacked_encode"),
+            (CP, "compose"),
+        )
+        for module, name in entry_points:
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(6)
+        model.forward(toy_batch(rng, [(3, 2), (1, 4), (5, 5), (2, 2)]))
+        assert sorted(calls) == ["compose", "embed_sentence", "stacked_encode"]
 
     def test_ablated_models_run(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gatednli import train as TR
 from gatednli.data import (
     DataError,
     NLIExample,
+    Vocab,
     build_vocab,
     load_word_vectors,
 )
@@ -414,17 +416,19 @@ class TestEnsemble:
         model, vocab, _, dev_set = tiny_setup()
         ckpt = TR.Checkpoint.from_model(model, vocab)
         single = TR.evaluate_model([model], dev_set, vocab)
-        models, _ = TR.build_ensemble([ckpt, ckpt, ckpt])
+        models, _ = TR.build_ensemble(
+            [(ckpt.build_model(), ckpt.vocab) for _ in range(3)]
+        )
         triple = TR.evaluate_model(models, dev_set, vocab)
         assert triple.accuracy == single.accuracy
         np.testing.assert_array_equal(triple.confusion, single.confusion)
 
     def test_order_invariance(self):
-        ckpts = []
+        members = []
         for seed in (1, 2, 3):
             model, vocab, _, dev_set = tiny_setup(seed=seed)
-            ckpts.append(TR.Checkpoint.from_model(model, vocab))
-        models, _ = TR.build_ensemble(ckpts)
+            members.append((model, vocab))
+        models, _ = TR.build_ensemble(members)
         a = TR.evaluate_model(models, dev_set, vocab)
         b = TR.evaluate_model(models[::-1], dev_set, vocab)
         np.testing.assert_array_equal(a.confusion, b.confusion)
@@ -432,9 +436,34 @@ class TestEnsemble:
     def test_config_mismatch_rejected(self):
         model_a, vocab, _, dev_set = tiny_setup()
         model_b, _, _, _ = tiny_setup(hidden_dim=4)
-        ckpts = [
-            TR.Checkpoint.from_model(model_a, vocab),
-            TR.Checkpoint.from_model(model_b, vocab),
-        ]
         with pytest.raises(ValueError, match="configs differ"):
-            TR.build_ensemble(ckpts)
+            TR.build_ensemble([(model_a, vocab), (model_b, vocab)])
+
+    def test_vocabulary_mismatch_rejected(self):
+        model, vocab, _, _ = tiny_setup()
+        other = Vocab(dict(vocab.word_to_id, extra=vocab.n_words), vocab.char_to_id)
+        with pytest.raises(ValueError, match="vocabularies differ"):
+            TR.build_ensemble([(model, vocab), (model, other)])
+
+
+class TestLoadModel:
+    def test_checkpoint_freed_once_model_built(self, tmp_path, monkeypatch):
+        model, vocab, _, dev_set = tiny_setup()
+        path = str(tmp_path / "m.ckpt")
+        TR.Checkpoint.from_model(model, vocab).save(path)
+        loaded = []
+        load = TR.Checkpoint.load
+
+        def tracked(path):
+            checkpoint = load(path)
+            loaded.append(weakref.ref(checkpoint))
+            return checkpoint
+
+        monkeypatch.setattr(TR.Checkpoint, "load", tracked)
+        rebuilt, rebuilt_vocab = TR.load_model(path)
+        assert loaded and loaded[0]() is None
+        assert rebuilt_vocab.to_json() == vocab.to_json()
+        np.testing.assert_array_equal(
+            TR.predict([rebuilt], dev_set, vocab), TR.predict([model], dev_set, vocab)
+        )
+
