@@ -3,7 +3,8 @@
 The corpus format is SNLI/MultiNLI-style JSONL: one object per line
 with ``sentence1``, ``sentence2``, ``gold_label`` and optionally
 pre-tokenized ``sentence{1,2}_binary_parse`` fields plus a ``genre``.
-Word-vector files are whitespace-separated text, ``token v1 .. vD``.
+Word-vector files are text lines ``token v1 .. vD`` whose fields are
+separated by single spaces; trailing whitespace is ignored.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def load_word_vectors(
         raise DataError(f"cannot read vectors {path}: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) <= 1:
                 continue
             token, values = parts[0], parts[1:]

@@ -1,8 +1,9 @@
 """Per-token vectors: character-CNN composition + frozen word embeddings.
 
 Each token is represented as the concatenation of (a) a max-pooled
-multi-width character convolution and (b) a row of the frozen
-word-vector table.  Either half can be switched off for ablations.
+multi-width character convolution, run once per call over the call's
+distinct words, and (b) a row of the frozen word-vector table.  Either
+half can be switched off for ablations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ class EmbedParams:
     char_table: Tensor                       # (n_chars, char_dim), trainable
     filters: dict[int, tuple[Tensor, Tensor]]  # width -> (weight (width*char_dim, ch), bias (ch,))
     word_table: Tensor                       # (n_words, word_dim), frozen
-    char_dim: int
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = {"embed.char_table": self.char_table, "embed.word_table": self.word_table}
@@ -53,43 +53,37 @@ def init_embed_params(
         char_table=char_table,
         filters=filters,
         word_table=Tensor(word_table, requires_grad=False),
-        char_dim=char_dim,
     )
 
 
 def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
-    """Compose one word's characters into a (1, char_out_dim) vector.
+    """Compose a (W, C) block of words, one row of char ids with a pad-id
+    tail each, into a (W, char_out_dim) matrix.
 
-    ``char_ids`` may carry trailing pad ids (from batch packing); they
-    are stripped so windows only ever cover real characters.  Words
-    shorter than a filter width are zero-padded to yield one window.
+    Per filter width, a word of n chars has ``max(n, width) - width + 1``
+    windows; all the block's windows share one GEMM, and each word's are
+    max-pooled as one segment.  Positions past a word's end read a zero
+    row, so a word shorter than a filter is zero-padded.
     """
-    ids = np.asarray(char_ids, dtype=np.int64)
-    valid = ids[ids != PAD_ID]
-    if valid.size == 0:
+    lengths = (char_ids != PAD_ID).sum(axis=1)
+    if not lengths.all():
         raise ValueError("char_compose: empty word")
-    chars = T.take_rows(params.char_table, valid)
-    length = valid.size
-    cd = params.char_dim
+    n_chars, char_dim = params.char_table.shape
+    table = T.concat([params.char_table, Tensor(np.zeros((1, char_dim)))], axis=0)
+    rows = np.where(char_ids == PAD_ID, n_chars, char_ids)  # n_chars: the zero row
+    padded = np.pad(rows, ((0, 0), (0, max(params.filters))), constant_values=n_chars)
 
     pooled = []
     for width, (weight, bias) in sorted(params.filters.items()):
-        x = chars
-        if length < width:
-            pad = Tensor(np.zeros((width - length, cd)))
-            x = T.concat([x, pad], axis=0)
-        n_windows = max(length, width) - width + 1
-        if width == 1:
-            windows = x
-        else:
-            windows = T.concat(
-                [T.slice_axis(x, 0, o, o + n_windows) for o in range(width)],
-                axis=1,
-            )
+        n_windows = np.maximum(lengths, width) - width + 1
+        word = np.repeat(np.arange(len(char_ids)), n_windows)
+        start = np.arange(word.size) - (np.cumsum(n_windows) - n_windows)[word]
+        windows = T.concat(
+            [T.take_rows(table, padded[word, start + o]) for o in range(width)],
+            axis=1,
+        )
         conv = T.add(T.matmul(windows, weight), bias)
-        pooled.append(T.segment_max(T.relu(conv), [n_windows]))
-    if len(pooled) == 1:
-        return pooled[0]
+        pooled.append(T.segment_max(T.relu(conv), n_windows))
     return T.concat(pooled, axis=1)
 
 
@@ -103,31 +97,19 @@ def embed_sentence(
     """Embed L tokens, of one sentence or of a whole block of sentences
     back to back, into an (L, d_w) matrix.
 
-    ``char_ids`` is (L, C) with pad-id tails per word.  Repeated tokens
-    within the call share one composed char vector (identical graph
-    node; gradient fan-out handles the reuse).
+    ``char_ids`` is (L, C) with pad-id tails per word.  One
+    ``char_compose`` call composes the distinct words, and the tokens
+    gather their rows from it (repeats share a row and its gradient).
     """
     if not (use_char or use_word):
         raise ValueError("embed_sentence: both embedding halves disabled")
-    word_ids = np.asarray(word_ids, dtype=np.int64)
-    n = word_ids.shape[0]
-    if n == 0:
+    if len(word_ids) == 0:
         raise ValueError("embed_sentence: empty sentence")
 
     parts = []
     if use_char:
-        cache: dict[bytes, Tensor] = {}
-        rows = []
-        for t in range(n):
-            key = char_ids[t].tobytes()
-            vec = cache.get(key)
-            if vec is None:
-                vec = char_compose(char_ids[t], params)
-                cache[key] = vec
-            rows.append(vec)
-        parts.append(rows[0] if n == 1 else T.concat(rows, axis=0))
+        words, inverse = np.unique(char_ids, axis=0, return_inverse=True)
+        parts.append(T.take_rows(char_compose(words, params), inverse.reshape(-1)))
     if use_word:
         parts.append(T.take_rows(params.word_table, word_ids))
-    if len(parts) == 1:
-        return parts[0]
     return T.concat(parts, axis=1)

@@ -272,6 +272,10 @@ class Checkpoint:
                 )
             arr = np.frombuffer(view[pos : pos + n_bytes], dtype="<f8")
             pos += n_bytes
+            if not np.isfinite(arr).all():
+                raise DataError(
+                    f"checkpoint {path}: tensor {name} has a non-finite value"
+                )
             # The second copy is kept on purpose: freeing the first one
             # raises glibc's mmap and trim thresholds, so the forward
             # pass's large temporaries reuse heap memory instead of being

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gatednli import cli as C
+from gatednli import train as TR
 from gatednli.data import LABELS, DataError
 from gatednli.model import ModelConfig
 
@@ -226,6 +227,25 @@ class TestExitCodes:
             cut.write_bytes(blob[:n])
             argv = ["eval", "--checkpoint", str(cut)]
             assert C.main(argv + ["--data", str(workdir / "dev.jsonl")]) == 2, n
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_checkpoint_value_is_data_error(
+        self, tmp_path, workdir, capsys, command, value
+    ):
+        ckpt = TR.Checkpoint.load(str(workdir / "model.ckpt"))
+        ckpt.tensors["classify.b_out"][1] = value
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save(str(bad))
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--checkpoint", str(bad), "--data", str(workdir / "dev.jsonl")]
+        if command == "predict":
+            argv += ["--out", str(out)]
+        assert C.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tensor classify.b_out has a non-finite value" in captured.err
+        assert "accuracy" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_bad_vector_value_is_data_error(

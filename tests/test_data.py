@@ -196,6 +196,19 @@ class TestWordVectors:
         with pytest.raises(D.DataError, match="line 1"):
             D.load_word_vectors(path, vocab, dim=2, seed=0)
 
+    def test_trailing_whitespace_accepted(self, tmp_path):
+        vocab = self.vocab("dog", "cat", "emu")
+        rows = [("dog", [1.0, 2.0]), ("cat", [-0.5, 3.25]), ("emu", [0.0, 1e-3])]
+        path = vector_file(tmp_path, rows, dim=2)
+        plain, plain_report = D.load_word_vectors(path, vocab, dim=2, seed=0)
+        lines = open(path).read().splitlines()
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text("".join(line + " \n" for line in lines[:2]) + lines[2] + " \t\r\n")
+        table, report = D.load_word_vectors(str(spaced), vocab, dim=2, seed=0)
+        assert np.array_equal(table, plain)
+        assert report == plain_report
+        assert report.hits == 3
+
     def test_pad_row_is_zero(self, tmp_path):
         vocab = self.vocab("dog")
         path = vector_file(tmp_path, [("dog", [1.0, 2.0])], dim=2)

@@ -52,6 +52,30 @@ def char_oracle(ids, params):
     )
 
 
+def block_of(words):
+    """(W, C) char-id block with pad-id tails from a list of char-id lists."""
+    width = max(len(w) for w in words)
+    block = np.full((len(words), width), PAD_ID, dtype=np.int64)
+    for i, chars in enumerate(words):
+        block[i, : len(chars)] = chars
+    return block
+
+
+def random_words(rng, n_words=8, max_len=6):
+    """Words of length 1, shorter than the widest filter and of the block's
+    full width, plus random ones and a repeat of the first."""
+    words = [[int(rng.integers(1, N_CHARS))], list(rng.integers(1, N_CHARS, size=2))]
+    words.append(list(rng.integers(1, N_CHARS, size=max_len)))
+    for _ in range(n_words - 4):
+        words.append(list(rng.integers(1, N_CHARS, size=rng.integers(1, max_len + 1))))
+    words.append(words[0])
+    return block_of(words)
+
+
+def weighted_sum(out, weights):
+    return T.sum_axis(T.sum_axis(T.mul(out, Tensor(weights)), axis=1), axis=0)
+
+
 class TestCharCompose:
     def test_single_char_degenerates_to_bias(self, params):
         params.char_table.data[:] = 0.0
@@ -60,48 +84,74 @@ class TestCharCompose:
             w.data[:] = 0.0
             b.data[:] = np.arange(CHANNELS) - 1.5
             bias_values.append(np.maximum(b.data, 0.0))
-        out = E.char_compose(np.array([2]), params)
+        out = E.char_compose(np.array([[2]]), params)
         np.testing.assert_allclose(out.data, np.concatenate(bias_values)[None, :])
 
     def test_matches_window_enumeration_oracle(self, params, rng):
         for _ in range(20):
-            length = rng.integers(1, 7)
-            ids = rng.integers(1, N_CHARS, size=length)
-            out = E.char_compose(ids, params)
-            np.testing.assert_allclose(
-                out.data[0], char_oracle(ids, params), atol=1e-12
-            )
+            block = random_words(rng)
+            out = E.char_compose(block, params)
+            assert out.shape == (len(block), len(WIDTHS) * CHANNELS)
+            for row, ids in zip(out.data, block):
+                np.testing.assert_allclose(
+                    row, char_oracle(ids[ids != PAD_ID], params), rtol=0, atol=1e-12
+                )
+
+    def test_rows_independent_of_each_other(self, params, rng):
+        block = random_words(rng)
+        changed = block.copy()
+        changed[3, 0] = changed[3, 0] % (N_CHARS - 1) + 1
+        a = E.char_compose(block, params).data
+        b = E.char_compose(changed, params).data
+        assert not np.array_equal(a[3], b[3])
+        np.testing.assert_array_equal(np.delete(a, 3, axis=0), np.delete(b, 3, axis=0))
 
     def test_trailing_pad_ids_ignored(self, params):
-        params.char_table.data[PAD_ID] = 0.0
-        ids = np.array([3])
-        padded = np.array([3, PAD_ID, PAD_ID, PAD_ID])
-        a = E.char_compose(ids, params)
-        b = E.char_compose(padded, params)
+        a = E.char_compose(np.array([[3]]), params)
+        b = E.char_compose(np.array([[3, PAD_ID, PAD_ID, PAD_ID]]), params)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_empty_word_errors(self, params):
+        block = np.array([[2, 3], [PAD_ID, PAD_ID], [4, PAD_ID]])
         with pytest.raises(ValueError, match="empty word"):
-            E.char_compose(np.array([PAD_ID, PAD_ID]), params)
+            E.char_compose(block, params)
 
-    def test_grad_check_through_char_table(self, params):
-        ids = np.array([2, 5, 1, 3])
+    def test_block_gradients_match_words_alone(self, params, rng):
+        block = random_words(rng)
+        weights = rng.normal(size=(len(block), len(WIDTHS) * CHANNELS))
+        tensors = [params.char_table] + [t for wb in params.filters.values() for t in wb]
+
+        def grads(rows_of):
+            for t in tensors:
+                t.grad = None
+            with Graph() as g:
+                g.backward(weighted_sum(rows_of(), weights))
+            return [t.grad.copy() for t in tensors]
+
+        together = grads(lambda: E.char_compose(block, params))
+        alone = grads(
+            lambda: T.concat([E.char_compose(row[None], params) for row in block], axis=0)
+        )
+        for a, b in zip(together, alone):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+    def test_grad_check_through_char_table(self, params, rng):
+        block = random_words(rng, n_words=5)
+        weights = rng.normal(size=(len(block), len(WIDTHS) * CHANNELS))
 
         def f(table):
-            return T.sum_axis(
-                T.sum_axis(E.char_compose(ids, params), axis=1), axis=0
-            )
+            return weighted_sum(E.char_compose(block, params), weights)
 
         assert grad_check(f, params.char_table) < 1e-5
 
-    def test_grad_check_through_filters(self, params):
-        ids = np.array([2, 5, 1, 3])
+    def test_grad_check_through_filters(self, params, rng):
+        block = random_words(rng, n_words=5)
+        weights = rng.normal(size=(len(block), len(WIDTHS) * CHANNELS))
         for width, (weight, bias) in sorted(params.filters.items()):
+            bias.data[:] = rng.normal(0.0, 0.3, size=bias.shape)
 
             def f(_t):
-                return T.sum_axis(
-                    T.sum_axis(E.char_compose(ids, params), axis=1), axis=0
-                )
+                return weighted_sum(E.char_compose(block, params), weights)
 
             assert grad_check(f, weight) < 1e-5, f"width {width} weight"
             assert grad_check(f, bias) < 1e-5, f"width {width} bias"
@@ -113,23 +163,16 @@ class TestCharCompose:
             char_table=params.char_table,
             filters={1: params.filters[1]},
             word_table=params.word_table,
-            char_dim=CHAR_DIM,
         )
         ids = rng.integers(1, N_CHARS, size=6)
-        shuffled = rng.permutation(ids)
-        a = E.char_compose(ids, only1)
-        b = E.char_compose(shuffled, only1)
-        np.testing.assert_array_equal(a.data, b.data)
+        out = E.char_compose(np.stack([ids, rng.permutation(ids)]), only1)
+        np.testing.assert_array_equal(out.data[0], out.data[1])
 
 
-def sentence_ids(tokens_chars, n_words=N_WORDS):
+def sentence_ids(tokens_chars):
     """Build (word_ids, char_ids) from a list of char-id lists."""
-    word_ids = np.arange(1, len(tokens_chars) + 1, dtype=np.int64)
-    width = max(len(c) for c in tokens_chars)
-    char_ids = np.full((len(tokens_chars), width), PAD_ID, dtype=np.int64)
-    for i, chars in enumerate(tokens_chars):
-        char_ids[i, : len(chars)] = chars
-    return word_ids, char_ids
+    word_ids = np.arange(1, len(tokens_chars) + 1, dtype=np.int64) % N_WORDS
+    return word_ids, block_of(tokens_chars)
 
 
 class TestEmbedSentence:
@@ -185,3 +228,15 @@ class TestEmbedSentence:
             return T.sum_axis(T.sum_axis(e, axis=1), axis=0)
 
         assert grad_check(f, params.char_table) < 1e-5
+
+    def test_tape_records_independent_of_distinct_words(self, params, rng):
+        # 12-token blocks whose tokens cycle through 1, 2, 5 or 12 words.
+        records = []
+        for distinct in (1, 2, 5, 12):
+            words = [list(rng.integers(1, N_CHARS, size=i % 4 + 1)) for i in range(distinct)]
+            word_ids, char_ids = sentence_ids([words[i % distinct] for i in range(12)])
+            assert len(np.unique(char_ids, axis=0)) == distinct
+            with Graph() as g:
+                E.embed_sentence(word_ids, char_ids, params)
+            records.append(len(g))
+        assert len(set(records)) == 1, records

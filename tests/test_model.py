@@ -161,6 +161,7 @@ class TestModelForward:
         calls = []
         entry_points = (
             (EM, "embed_sentence"),
+            (EM, "char_compose"),
             (EN, "stacked_encode"),
             (CP, "compose"),
         )
@@ -173,7 +174,9 @@ class TestModelForward:
             monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(6)
         model.forward(toy_batch(rng, [(3, 2), (1, 4), (5, 5), (2, 2)]))
-        assert sorted(calls) == ["compose", "embed_sentence", "stacked_encode"]
+        assert sorted(calls) == [
+            "char_compose", "compose", "embed_sentence", "stacked_encode"
+        ]
 
     def test_ablated_models_run(self):
         rng = np.random.default_rng(4)
