@@ -199,6 +199,10 @@ def load_word_vectors(
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip().split(" ")
             if len(parts) <= 1:
+                if parts[0]:
+                    raise DataError(
+                        f"vectors {path}: line {lineno} has no space-separated values"
+                    )
                 continue
             token, values = parts[0], parts[1:]
             if token not in wanted and token not in lower_map:

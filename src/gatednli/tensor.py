@@ -110,11 +110,14 @@ class Graph:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into ``t.grad`` for reachable leaves.
 
-        Gradients are summed in place wherever the array is ours to write:
-        a leaf's ``.grad`` from its first (copied) contribution on, and an
-        intermediate's gradient from its second contribution on. A first
-        contribution may alias another op's gradient or be a read-only
-        broadcast view, so it is never written into.
+        For each input, a backward function returns None, its ``gout`` or
+        a view of it, or a new array it holds no other reference to. So a
+        leaf keeps its first gradient uncopied when that is not ``gout``,
+        owns its writeable data and occurs once in the returned tuple;
+        other first gradients (``add``'s ``(g, g)``, broadcast or sliced
+        views) are copied. Gradients are summed in place wherever the
+        array is ours to write: a leaf's ``.grad`` from its first
+        contribution on, an intermediate's from its second on.
         """
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -128,14 +131,18 @@ class Graph:
             gout = flowing.pop(id(out), None)
             if gout is None:
                 continue  # op output does not feed the loss
-            for t, g in zip(inputs, backward(gout)):
+            grads = backward(gout)
+            for t, g in zip(inputs, grads):
                 if g is None:
                     continue
                 if t.requires_grad:
-                    if t.grad is None:
-                        t.grad = g.copy()
-                    else:
+                    if t.grad is not None:
                         t.grad += g
+                    elif (g is not gout and g.flags.owndata and g.flags.writeable
+                          and sum(x is g for x in grads) == 1):
+                        t.grad = g
+                    else:
+                        t.grad = g.copy()
                 elif id(t) in self._tracked:
                     key = id(t)
                     prev = flowing.get(key)

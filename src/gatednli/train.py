@@ -3,12 +3,14 @@
 Training runs seeded shuffled minibatches under Adam with global-norm
 gradient clipping, one ``Model.forward`` call per minibatch, evaluates on
 the dev set once per epoch, and keeps the checkpoint with the best dev
-accuracy. ``predict`` is the one inference loop: evaluation, early
-stopping, the ``eval``, ``ensemble-eval`` and ``predict`` commands all
-score examples through it. It averages class probabilities over a list of
-models sharing one architecture, so a single model is an ensemble of one.
-Checkpoints are self-describing binary files that rebuild the exact model,
-bit for bit.
+accuracy; the weights are copied only for a new best. ``clip_global_norm``
+only measures the gradients, and ``Adam.step`` applies the clip factor in
+its one update pass, on both cores. ``predict`` is the one inference loop:
+evaluation, early stopping, the ``eval``, ``ensemble-eval`` and ``predict``
+commands all score examples through it. It averages class probabilities
+over a list of models sharing one architecture, so a single model is an
+ensemble of one. Checkpoints are self-describing binary files that
+rebuild the exact model, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import json
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +31,7 @@ from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
 INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
-ADAM_CHUNK = 16384  # values per slice of an Adam update; its scratch stays in cache
+ADAM_CHUNK = 32768  # values per Adam slice: a thread's slices and scratch fit its L2
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
 _DTYPE_F64 = 0
@@ -39,7 +42,8 @@ class NumericError(Exception):
 
 
 class DivergenceError(NumericError):
-    """Training diverged; carries the last checkpoint that was still good."""
+    """Training diverged; carries the best checkpoint so far, which is
+    None when the first epoch diverged."""
 
     def __init__(self, message: str, checkpoint: Optional["Checkpoint"]):
         super().__init__(message)
@@ -51,9 +55,11 @@ class Adam:
 
     A missing gradient counts as zero (the parameter sat out the forward
     pass); a non-finite gradient aborts the step before anything changes.
-    The update runs slice by slice through two small scratch buffers, in
-    the textbook formula's operation order, so it makes no full-size
-    temporaries and its results are bit for bit those of the formula.
+    Each slice is clipped in place (``g *= scale``), then updated through
+    two small scratch buffers in the textbook formula's operation order:
+    one pass, no full-size temporaries, results bit for bit the formula's
+    on the clipped gradients. A step of two or more full slices shares
+    them with one helper thread; they are disjoint, so no value changes.
     Parameters must be C-contiguous, as the update walks their flat views.
     """
 
@@ -76,69 +82,83 @@ class Adam:
                 raise ValueError(f"Adam: parameter {name} is not contiguous")
         self.m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
-        self._scratch = np.empty((2, ADAM_CHUNK))
+        self._scratch = np.empty((2, 2, ADAM_CHUNK))  # two buffers per thread
 
-    def _grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, tensor in self.named.items():
-            g = tensor.grad
-            if g is None:
-                g = np.zeros_like(tensor.data)
-            elif not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in {name}")
-            out[name] = g
-        return out
+    def step(self, max_norm: float = math.inf, norm: Optional[float] = None):
+        """g *= max_norm / norm if norm > max_norm;
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        p -= (lr / c1) m / (sqrt(v / c2) + eps).
 
-    def step(self):
-        """m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        p -= (lr / c1) m / (sqrt(v / c2) + eps)."""
-        grads = self._grads()
+        norm is the pre-clip norm ``clip_global_norm`` returns, computed
+        here when not given. A finite norm proves every entry finite; only
+        a non-finite one scans the gradients, and the first holding a NaN
+        or inf raises NumericError. Finite entries whose squares overflowed
+        are scaled by max_norm / inf = 0.
+        """
+        if norm is None:
+            norm = clip_global_norm(self.named)
+        if not math.isfinite(norm):
+            for name, t in self.named.items():
+                if t.grad is not None and not np.isfinite(t.grad).all():
+                    raise NumericError(f"non-finite gradient in {name}")
+        scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        lr_c1 = self.lr / c1
-        for name, tensor in self.named.items():
-            flat = [
-                a.reshape(-1)
-                for a in (self.m[name], self.v[name], grads[name], tensor.data)
-            ]
+        coefs = (scale, self.lr / (1.0 - self.beta1**self.t), 1.0 - self.beta2**self.t)
+        jobs = []
+        for name, t in self.named.items():
+            g = np.zeros_like(t.data) if t.grad is None else t.grad
+            flat = [a.reshape(-1) for a in (self.m[name], self.v[name], g, t.data)]
             for lo in range(0, flat[0].size, ADAM_CHUNK):
-                m, v, g, p = (a[lo : lo + ADAM_CHUNK] for a in flat)
-                s1, s2 = self._scratch[:, : m.size]
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=s1)
-                m += s1
-                v *= self.beta2
-                np.multiply(g, 1.0 - self.beta2, out=s1)
-                s1 *= g
-                v += s1
-                np.divide(v, c2, out=s1)
-                np.sqrt(s1, out=s1)
-                s1 += self.eps
-                np.multiply(m, lr_c1, out=s2)
-                s2 /= s1
-                p -= s2
+                jobs.append([a[lo : lo + ADAM_CHUNK] for a in flat])
+        if sum(job[0].size == ADAM_CHUNK for job in jobs) < 2:
+            return self._update(jobs, 0, *coefs)
+        done = []
+        helper = threading.Thread(
+            target=lambda: done.append(self._update(jobs[1::2], 1, *coefs))
+        )
+        helper.start()
+        self._update(jobs[::2], 0, *coefs)
+        helper.join()
+        if not done:
+            raise RuntimeError("Adam: the helper thread's slices failed")
+
+    def _update(self, jobs, thread: int, scale: float, lr_c1: float, c2: float):
+        """The clipped update of each (m, v, g, p) slice in jobs, through
+        the given thread's scratch buffers."""
+        for m, v, g, p in jobs:
+            s1, s2 = self._scratch[thread, :, : m.size]
+            if scale != 1.0:
+                g *= scale
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m += s1
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(v, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += self.eps
+            np.multiply(m, lr_c1, out=s2)
+            s2 /= s1
+            p -= s2
 
     def zero_grad(self):
         for tensor in self.named.values():
             tensor.grad = None
 
 
-def clip_global_norm(named: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint norm is at most max_norm.
+def clip_global_norm(named: dict[str, Tensor]) -> float:
+    """The joint L2 norm of the gradients before clipping; writes nothing.
 
-    Returns the pre-clip norm. Tensors without gradients are skipped.
+    Tensors without gradients are skipped. ``Adam.step`` takes this norm
+    and applies the clip factor inside its update pass.
     """
     total = 0.0
-    grads = [t.grad for t in named.values() if t.grad is not None]
-    for g in grads:
-        total += float(np.vdot(g, g))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
+    for t in named.values():
+        if t.grad is not None:
+            total += float(np.vdot(t.grad, t.grad))
+    return float(np.sqrt(total))
 
 
 class _NoDraws:
@@ -375,6 +395,7 @@ def _epoch_seed(base_seed: int, epoch: int) -> int:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
     vocab: Vocab,
@@ -385,8 +406,10 @@ def train(
 ) -> TrainResult:
     """Epochs of minibatch Adam with per-epoch dev selection.
 
-    Raises DivergenceError on a non-finite loss or gradient; the exception
-    carries the last end-of-epoch checkpoint (or the initial one).
+    Raises DivergenceError, carrying the best checkpoint so far (None in
+    epoch 1), on a non-finite loss or gradient; the explicit checks find
+    those, so numpy's overflow warnings are off. Weights are copied only
+    for a new best.
     """
     if not train_set:
         raise DataError("train: empty training set")
@@ -394,11 +417,7 @@ def train(
         raise DataError("train: empty dev set")
     say = log or (lambda _msg: None)
     adam = Adam(model.params.trainable(), lr=settings.lr)
-    last_good = Checkpoint.from_model(
-        model, vocab, {"epoch": 0, "dev_accuracy": 0.0, "seed": model.config.seed}
-    )
     best: Optional[Checkpoint] = None
-    best_acc = -1.0
     history: list[HistoryRow] = []
     for epoch in range(1, settings.epochs + 1):
         batches = batchify(
@@ -417,17 +436,14 @@ def train(
                 loss_value = float(loss.data[0])
                 if not np.isfinite(loss_value):
                     raise DivergenceError(
-                        f"loss became {loss_value} in epoch {epoch}", last_good
+                        f"loss became {loss_value} in epoch {epoch}", best
                     )
                 g.backward(loss)
             correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
-            clip_global_norm(adam.named, settings.clip_norm)
             try:
-                adam.step()
+                adam.step(settings.clip_norm, clip_global_norm(adam.named))
             except NumericError as err:
-                raise DivergenceError(
-                    f"epoch {epoch}: {err}", last_good
-                ) from err
+                raise DivergenceError(f"epoch {epoch}: {err}", best) from err
             adam.zero_grad()
             loss_sum += loss_value * batch.size
         train_loss = loss_sum / len(train_set)
@@ -440,15 +456,13 @@ def train(
             f"epoch {epoch}: train_loss {train_loss:.4f} "
             f"train_acc {train_acc:.3f} dev_acc {dev.accuracy:.3f}"
         )
-        meta = {
-            "epoch": epoch,
-            "dev_accuracy": dev.accuracy,
-            "seed": model.config.seed,
-        }
-        last_good = Checkpoint.from_model(model, vocab, meta)
-        if dev.accuracy > best_acc:
-            best_acc = dev.accuracy
-            best = last_good
+        if best is None or dev.accuracy > best.metadata["dev_accuracy"]:
+            meta = {
+                "epoch": epoch,
+                "dev_accuracy": dev.accuracy,
+                "seed": model.config.seed,
+            }
+            best = Checkpoint.from_model(model, vocab, meta)
         if settings.stop_train_acc is not None:
             # Stop on the weights being returned, not on the running
             # accuracy above, which mixes the epoch's successive updates.

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,50 @@ class TestExitCodes:
         )
         assert rc == 2
         assert f"{bad}: line 1" in capsys.readouterr().err
+
+
+    def test_tab_separated_vectors_are_data_error(
+        self, tmp_path, workdir, capsys
+    ):
+        text = (workdir / "vectors.txt").read_text()
+        bad = tmp_path / "vectors.txt"
+        bad.write_text(text.replace(" ", "\t"))
+        rc = C.main(
+            [
+                "train",
+                "--config",
+                str(workdir / "run.cfg"),
+                "--vectors-path",
+                str(bad),
+                "--checkpoint-path",
+                str(tmp_path / "model.ckpt"),
+            ]
+        )
+        assert rc == 2
+        assert f"{bad}: line 1 has no space-separated values" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_divergence_exits_3_and_writes_nothing(
+        self, tmp_path, workdir, capsys
+    ):
+        # One batch per epoch: epoch 1 takes a 1e300 step, epoch 2's loss
+        # is NaN. numpy's overflow warnings are errors here, so a forward
+        # pass that warns instead of leaving it to the explicit checks fails.
+        ckpt, history = tmp_path / "model.ckpt", tmp_path / "history.csv"
+        argv = ["train", "--config", str(workdir / "run.cfg"), "--lr", "1e300",
+                "--batch-size", "32", "--checkpoint-path", str(ckpt),
+                "--history-path", str(history)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = C.main(argv)
+        assert rc == 3
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if not l.startswith("# ")]
+        assert len(lines) == 2
+        assert lines[0].startswith("epoch 1: train_loss ")
+        assert lines[1] == "error: loss became nan in epoch 2"
+        assert captured.out == ""
+        assert not ckpt.exists() and not history.exists()
 
 
 class TestTrainedArtifacts:

@@ -209,6 +209,24 @@ class TestWordVectors:
         assert report == plain_report
         assert report.hits == 3
 
+    def test_tab_separated_line_rejected(self, tmp_path):
+        vocab = self.vocab("dog", "cat")
+        path = tmp_path / "tabs.txt"
+        path.write_text("dog 1.0 2.0\ncat\t0.5\t0.25\n")
+        with pytest.raises(D.DataError, match=f"{path}: line 2 has no space-separated"):
+            D.load_word_vectors(str(path), vocab, dim=2, seed=0)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        vocab = self.vocab("dog", "cat")
+        rows = [("dog", [1.0, 2.0]), ("cat", [-0.5, 3.25])]
+        plain, _ = D.load_word_vectors(vector_file(tmp_path, rows, dim=2), vocab, dim=2)
+        lines = (tmp_path / "vecs.txt").read_text().splitlines()
+        gappy = tmp_path / "gappy.txt"
+        gappy.write_text("\n" + lines[0] + "\n \t\n\n" + lines[1] + "\n\n")
+        table, report = D.load_word_vectors(str(gappy), vocab, dim=2)
+        assert np.array_equal(table, plain)
+        assert report.hits == 2
+
     def test_pad_row_is_zero(self, tmp_path):
         vocab = self.vocab("dog")
         path = vector_file(tmp_path, [("dog", [1.0, 2.0])], dim=2)

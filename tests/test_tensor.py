@@ -212,6 +212,144 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, (1.0 + 2.0 * t) * (1.0 - t * t))
 
 
+def spy_backward(graph, loss) -> list:
+    """Run graph.backward(loss) and return every gradient array that
+    flowed: each record's incoming gradient and each one it returned."""
+    seen = []
+
+    def spy(backward):
+        def wrapped(gout):
+            grads = backward(gout)
+            seen.append(gout)
+            seen.extend(g for g in grads if g is not None)
+            return grads
+
+        return wrapped
+
+    graph._records = [(out, ins, spy(bw)) for out, ins, bw in graph._records]
+    graph.backward(loss)
+    return seen
+
+
+def assert_private(leaf, seen):
+    """leaf.grad is at most one of the arrays that flowed, and shares
+    memory with none of the others."""
+    assert sum(g is leaf.grad for g in seen) <= 1
+    for g in seen:
+        assert g is leaf.grad or not np.shares_memory(leaf.grad, g)
+
+
+def add_sharing_a_fresh_array(a, b):
+    """add whose backward allocates one array and returns it for both
+    inputs, which the rule on fresh arrays allows."""
+    return T._apply(a.data + b.data, (a, b), lambda g: (g.copy(),) * 2)
+
+
+class TestFreshLeafGradients:
+    """Graph.backward keeps a leaf's first gradient without a copy only
+    when the backward function allocated it for that input alone."""
+
+    def test_fresh_gradient_kept_without_copy(self):
+        rng = np.random.default_rng(0)
+        w, x = rand((3, 4), rng), Tensor(rng.normal(size=(2, 3)))
+        with Graph() as g:
+            seen = spy_backward(g, T.sum_axis(T.sum_axis(T.matmul(x, w), 1), 0))
+        assert any(s is w.grad for s in seen)
+        np.testing.assert_allclose(w.grad, np.repeat(x.data.sum(0)[:, None], 4, 1))
+        assert_private(w, seen)
+
+    def test_add_of_a_leaf_to_itself(self):
+        w = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        c = Tensor([3.0, 5.0, 7.0])
+        with Graph() as g:
+            loss = T.sum_axis(T.mul(T.add(w, w), c), axis=0)
+            seen = spy_backward(g, loss)
+        np.testing.assert_array_equal(w.grad, [6.0, 10.0, 14.0])
+        assert_private(w, seen)
+
+    @pytest.mark.parametrize("add", [T.add, add_sharing_a_fresh_array])
+    def test_add_of_a_leaf_and_an_intermediate_used_again(self, add):
+        # add(w, h) hands w and h one array; w then gets a second
+        # contribution while h's gradient still waits for its other use.
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        v = Tensor([-1.0, 4.0], requires_grad=True)
+        c, d, e, f = (Tensor(a) for a in ([2.0, 3.0], [5.0, 7.0], [11.0, 13.0], [17.0, 19.0]))
+        with Graph() as g:
+            h = T.mul(v, c)
+            hd = T.sum_axis(T.mul(h, d), axis=0)
+            wf = T.sum_axis(T.mul(w, f), axis=0)
+            y = T.sum_axis(T.mul(add(w, h), e), axis=0)
+            seen = spy_backward(g, T.add(T.add(y, wf), hd))
+        np.testing.assert_array_equal(w.grad, e.data + f.data)
+        np.testing.assert_array_equal(v.grad, (e.data + d.data) * c.data)
+        assert_private(w, seen)
+        assert_private(v, seen)
+
+    def test_leaf_handed_its_ops_incoming_gradient(self):
+        # add(y, k) gives y and k one array; add(w, b) then passes it on to
+        # w unchanged (b is broadcast), and w gets another contribution
+        # while k's gradient still waits for its other use.
+        rng = np.random.default_rng(5)
+        w, b, v = rand((2, 3), rng), rand((3,), rng), rand((2, 3), rng)
+        c, d, e, f = (Tensor(rng.normal(size=(2, 3))) for _ in range(4))
+
+        def total(t):
+            return T.sum_axis(T.sum_axis(t, axis=1), axis=0)
+
+        with Graph() as g:
+            k = T.mul(v, c)
+            kd = total(T.mul(k, d))
+            wf = total(T.mul(w, f))
+            z = T.add(T.add(w, b), k)
+            seen = spy_backward(g, T.add(T.add(total(T.mul(z, e)), wf), kd))
+        np.testing.assert_allclose(w.grad, e.data + f.data, rtol=1e-15)
+        np.testing.assert_allclose(b.grad, e.data.sum(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(v.grad, (e.data + d.data) * c.data, rtol=1e-15)
+        for leaf in (w, b, v):
+            assert_private(leaf, seen)
+
+    @pytest.mark.parametrize("first", ["sum_axis", "concat"])
+    def test_leaf_reached_through_a_view(self, first):
+        # The view arrives first; mul(w, w) then adds into w.grad.
+        rng = np.random.default_rng(3)
+        w, other = rand((2, 3), rng), rand((1, 3), rng)
+        c = Tensor(rng.normal(size=(3, 3)))
+        with Graph() as g:
+            sq = T.sum_axis(T.sum_axis(T.mul(w, w), axis=1), axis=0)
+            if first == "sum_axis":
+                via = T.sum_axis(T.mul(T.sum_axis(w, axis=0), Tensor(c.data[0])), axis=0)
+                want = 2.0 * w.data + c.data[0]
+            else:
+                cat = T.concat([w, other], axis=0)
+                via = T.sum_axis(T.sum_axis(T.mul(cat, c), axis=1), axis=0)
+                want = 2.0 * w.data + c.data[:2]
+            seen = spy_backward(g, T.add(via, sq))
+        np.testing.assert_allclose(w.grad, want, rtol=1e-15)
+        assert w.grad.flags.writeable
+        assert_private(w, seen)
+        assert_private(other, seen)
+
+    def test_model_parameters_share_no_gradient_memory(self):
+        from test_model import toy_batch, toy_config, toy_model
+
+        from gatednli import classify as CL
+
+        model = toy_model(toy_config(n_layers=3))
+        batch = toy_batch(np.random.default_rng(1), ((3, 2), (5, 4), (2, 2)))
+        with Graph() as g:
+            probs, _ = model.forward(batch)
+            g.backward(CL.cross_entropy(probs, batch.labels))
+        grads = [
+            (name, t.grad)
+            for name, t in model.params.trainable().items()
+            if t.grad is not None
+        ]
+        assert len(grads) == len(model.params.trainable())
+        for i, (name, a) in enumerate(grads):
+            for other, b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b), (name, other)
+
+
 class TestGradCheck:
     def test_tanh_sum(self):
         rng = np.random.default_rng(0)

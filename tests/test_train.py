@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 import weakref
 
 import numpy as np
@@ -48,6 +49,29 @@ def tiny_setup(seed=3, **config_overrides):
     word_table = rng.normal(0, 0.3, size=(vocab.n_words, config.word_dim))
     model = Model.initialize(config, vocab.n_chars, word_table, rng)
     return model, vocab, train_set, dev_set
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so the two threads of an Adam
+    step interleave as finely as they can."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+def count_helper_threads(monkeypatch) -> list:
+    """Record each thread Adam starts; returns the list of starts."""
+    starts = []
+
+    class Counted(TR.threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(TR.threading, "Thread", Counted)
+    return starts
 
 
 class TestAdam:
@@ -97,11 +121,19 @@ class TestAdam:
         np.testing.assert_array_equal(q.data, [2.0])
         assert adam.t == 0
 
-    def test_bit_identical_to_textbook_formula(self):
-        # Shapes straddle the slice size; "c" sits out one step (no grad).
+    def test_bit_identical_to_textbook_formula(self, monkeypatch, fast_switching):
+        # Shapes straddle the slice size, and "d" alone is two full slices,
+        # so the helper thread runs; "c" sits out step 2 (no grad). Steps
+        # 2 and 3 clip, the formula then applies to g * scale.
+        starts = count_helper_threads(monkeypatch)
         rng = np.random.default_rng(12)
         chunk = TR.ADAM_CHUNK
-        shapes = {"a": (7,), "b": (3, chunk // 3 + 5), "c": (chunk + 1,)}
+        shapes = {
+            "a": (7,),
+            "b": (3, chunk // 3 + 5),
+            "c": (chunk + 1,),
+            "d": (2, chunk + 3),
+        }
         named = {
             k: Tensor(rng.normal(size=s), requires_grad=True)
             for k, s in shapes.items()
@@ -116,16 +148,79 @@ class TestAdam:
                 grads["c"] = np.zeros(shapes["c"])
             for k, t in named.items():
                 t.grad = None if (step == 2 and k == "c") else grads[k].copy()
-            adam.step()
+            norm = TR.clip_global_norm(named)
+            max_norm = math.inf if step == 1 else norm / 7.0
+            scale = max_norm / norm if step > 1 else 1.0
+            assert scale < 1.0 or step == 1
+            adam.step(max_norm, norm)
             c1 = 1.0 - adam.beta1**step
             c2 = 1.0 - adam.beta2**step
             for k in shapes:
-                g = grads[k]
+                g = grads[k] * scale if step > 1 else grads[k]
                 m[k] = adam.beta1 * m[k] + (1.0 - adam.beta1) * g
                 v[k] = adam.beta2 * v[k] + (1.0 - adam.beta2) * g * g
                 want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + adam.eps)
         for k, t in named.items():
             assert np.array_equal(t.data, want[k]), k
+        assert len(starts) == 3
+
+    def test_helper_thread_only_with_two_full_slices(self, monkeypatch):
+        starts = count_helper_threads(monkeypatch)
+        chunk = TR.ADAM_CHUNK
+        for sizes, threads in [
+            ((9239,), 0),  # the toy model's values, all in one slice
+            ((chunk - 1,) * 3, 0),  # three slices' worth, none of them full
+            ((chunk, 5), 0),
+            ((chunk, chunk), 1),
+            ((2 * chunk + 1,), 1),
+        ]:
+            starts.clear()
+            named = {
+                f"p{i}": Tensor(np.zeros(n), requires_grad=True)
+                for i, n in enumerate(sizes)
+            }
+            TR.Adam(named).step()
+            assert len(starts) == threads, sizes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("given_norm", [True, False])
+    def test_non_finite_in_later_slice_aborts_before_anything_changes(
+        self, bad, given_norm
+    ):
+        chunk = TR.ADAM_CHUNK
+        rng = np.random.default_rng(4)
+        named = {
+            "first": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+            "big": Tensor(rng.normal(size=2 * chunk + 9), requires_grad=True),
+        }
+        for t in named.values():
+            t.grad = rng.normal(size=t.data.shape)
+        named["big"].grad[chunk + 5] = bad
+        adam = TR.Adam(named, lr=0.1)
+        before = {k: (t.data.copy(), t.grad.copy()) for k, t in named.items()}
+        norm = TR.clip_global_norm(named) if given_norm else None
+        with pytest.raises(TR.NumericError, match="non-finite gradient in big"):
+            adam.step(1.0, norm)
+        assert adam.t == 0
+        for k, t in named.items():
+            data, grad = before[k]
+            assert np.array_equal(t.data, data), k
+            assert np.array_equal(t.grad, grad, equal_nan=True), k
+            assert not adam.m[k].any() and not adam.v[k].any(), k
+
+    def test_overflowing_norm_scales_to_zero(self):
+        # Every entry is finite, but the squares sum past the float64 range:
+        # the norm is inf, the clip factor max_norm / inf is 0, and the step
+        # goes ahead on zero gradients, with no error.
+        p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        p.grad = np.array([1e200, -1e200, 0.5])
+        adam = TR.Adam({"p": p}, lr=0.1)
+        norm = TR.clip_global_norm(adam.named)
+        assert norm == math.inf
+        adam.step(10.0, norm)
+        assert adam.t == 1
+        np.testing.assert_array_equal(p.grad, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_non_contiguous_parameter_rejected(self):
         p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
@@ -134,11 +229,16 @@ class TestAdam:
 
 
 class TestClipGlobalNorm:
+    """clip_global_norm returns the pre-clip norm and writes nothing;
+    Adam.step applies the clip factor to the gradients it updates with."""
+
     def test_small_gradients_untouched(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([3.0])
-        norm = TR.clip_global_norm({"p": p}, max_norm=10.0)
+        norm = TR.clip_global_norm({"p": p})
         assert norm == 3.0
+        np.testing.assert_array_equal(p.grad, [3.0])
+        TR.Adam({"p": p}).step(10.0, norm)
         np.testing.assert_array_equal(p.grad, [3.0])
 
     def test_large_gradients_scaled_to_max(self):
@@ -146,8 +246,11 @@ class TestClipGlobalNorm:
         b = Tensor(np.zeros(2), requires_grad=True)
         a.grad = np.array([30.0, 0.0])
         b.grad = np.array([0.0, 40.0])
-        norm = TR.clip_global_norm({"a": a, "b": b}, max_norm=10.0)
+        norm = TR.clip_global_norm({"a": a, "b": b})
         assert norm == 50.0
+        np.testing.assert_array_equal(a.grad, [30.0, 0.0])
+        np.testing.assert_array_equal(b.grad, [0.0, 40.0])
+        TR.Adam({"a": a, "b": b}).step(10.0, norm)
         np.testing.assert_allclose(a.grad, [6.0, 0.0])
         np.testing.assert_allclose(b.grad, [0.0, 8.0])
 
@@ -163,9 +266,12 @@ class TestClipGlobalNorm:
         before = {k: t.grad.copy() for k, t in named.items() if t.grad is not None}
         squares = np.concatenate([g.ravel() ** 2 for g in before.values()])
         expected = np.sqrt(math.fsum(squares))
-        norm = TR.clip_global_norm(named, max_norm=1.0)
+        norm = TR.clip_global_norm(named)
         assert abs(norm - expected) <= 1e-12 * expected
         assert named["frozen"].grad is None
+        for key, g in before.items():
+            np.testing.assert_array_equal(named[key].grad, g)
+        TR.Adam(named).step(1.0, norm)
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g * (1.0 / norm))
 
@@ -298,14 +404,32 @@ class TestTrainLoop:
         TR.train(model, vocab, train_set, dev_set, settings)
         assert model.params.embed.word_table.data.tobytes() == before
 
-    def test_divergence_carries_last_good_checkpoint(self):
+    def test_divergence_carries_last_good_checkpoint(self, monkeypatch):
+        # The last good checkpoint is the best one so far: none while
+        # epoch 1 runs, and after that a copy made only for a new best.
         model, vocab, train_set, dev_set = tiny_setup()
         model.params.classifier.w1.data[0, 0] = np.nan
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
-        with pytest.raises(TR.DivergenceError) as err:
+        with pytest.raises(TR.DivergenceError, match="epoch 1") as err:
             TR.train(model, vocab, train_set, dev_set, settings)
-        assert err.value.checkpoint is not None
-        assert err.value.checkpoint.metadata["epoch"] == 0
+        assert err.value.checkpoint is None
+
+        # One batch per epoch: epoch 1 takes a 1e300 step, epoch 2's loss
+        # is NaN.
+        copies = []
+        from_model = TR.Checkpoint.from_model.__func__
+        monkeypatch.setattr(
+            TR.Checkpoint,
+            "from_model",
+            classmethod(lambda cls, *a: copies.append(from_model(cls, *a)) or copies[-1]),
+        )
+        model, vocab, train_set, dev_set = tiny_setup()
+        settings = TR.TrainSettings(lr=1e300, batch_size=len(train_set), epochs=3)
+        with pytest.raises(TR.DivergenceError, match="loss became nan in epoch 2") as err:
+            TR.train(model, vocab, train_set, dev_set, settings)
+        assert len(copies) == 1
+        assert err.value.checkpoint is copies[0]
+        assert err.value.checkpoint.metadata["epoch"] == 1
 
     def test_empty_sets_rejected(self):
         model, vocab, train_set, dev_set = tiny_setup()
