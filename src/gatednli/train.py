@@ -15,6 +15,7 @@ rebuild the exact model, bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import math
@@ -84,19 +85,18 @@ class Adam:
         self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self._scratch = np.empty((2, 2, ADAM_CHUNK))  # two buffers per thread
 
-    def step(self, max_norm: float = math.inf, norm: Optional[float] = None):
+    def step(self, max_norm: float = math.inf):
         """g *= max_norm / norm if norm > max_norm;
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         p -= (lr / c1) m / (sqrt(v / c2) + eps).
 
-        norm is the pre-clip norm ``clip_global_norm`` returns, computed
-        here when not given. A finite norm proves every entry finite; only
-        a non-finite one scans the gradients, and the first holding a NaN
-        or inf raises NumericError. Finite entries whose squares overflowed
-        are scaled by max_norm / inf = 0.
+        norm is ``clip_global_norm``'s pre-clip norm; only a non-finite one
+        scans the gradients, and the first holding a NaN or inf raises
+        NumericError. Finite entries whose squares overflowed are scaled by
+        max_norm / inf = 0. The helper runs in a copy of the caller's context
+        (numpy's errstate); if it fails, the step is partly applied and raises.
         """
-        if norm is None:
-            norm = clip_global_norm(self.named)
+        norm = clip_global_norm(self.named)
         if not math.isfinite(norm):
             for name, t in self.named.items():
                 if t.grad is not None and not np.isfinite(t.grad).all():
@@ -112,13 +112,15 @@ class Adam:
                 jobs.append([a[lo : lo + ADAM_CHUNK] for a in flat])
         if sum(job[0].size == ADAM_CHUNK for job in jobs) < 2:
             return self._update(jobs, 0, *coefs)
-        done = []
+        done, ctx = [], contextvars.copy_context()
         helper = threading.Thread(
-            target=lambda: done.append(self._update(jobs[1::2], 1, *coefs))
+            target=lambda: done.append(ctx.run(self._update, jobs[1::2], 1, *coefs))
         )
         helper.start()
-        self._update(jobs[::2], 0, *coefs)
-        helper.join()
+        try:
+            self._update(jobs[::2], 0, *coefs)
+        finally:
+            helper.join()
         if not done:
             raise RuntimeError("Adam: the helper thread's slices failed")
 
@@ -151,8 +153,8 @@ class Adam:
 def clip_global_norm(named: dict[str, Tensor]) -> float:
     """The joint L2 norm of the gradients before clipping; writes nothing.
 
-    Tensors without gradients are skipped. ``Adam.step`` takes this norm
-    and applies the clip factor inside its update pass.
+    Tensors without gradients are skipped. ``Adam.step`` computes this
+    norm and applies the clip factor inside its update pass.
     """
     total = 0.0
     for t in named.values():
@@ -441,7 +443,7 @@ def train(
                 g.backward(loss)
             correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
             try:
-                adam.step(settings.clip_norm, clip_global_norm(adam.named))
+                adam.step(settings.clip_norm)
             except NumericError as err:
                 raise DivergenceError(f"epoch {epoch}: {err}", best) from err
             adam.zero_grad()
@@ -457,11 +459,7 @@ def train(
             f"train_acc {train_acc:.3f} dev_acc {dev.accuracy:.3f}"
         )
         if best is None or dev.accuracy > best.metadata["dev_accuracy"]:
-            meta = {
-                "epoch": epoch,
-                "dev_accuracy": dev.accuracy,
-                "seed": model.config.seed,
-            }
+            meta = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
             best = Checkpoint.from_model(model, vocab, meta)
         if settings.stop_train_acc is not None:
             # Stop on the weights being returned, not on the running

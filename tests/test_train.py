@@ -3,6 +3,8 @@
 import math
 import struct
 import sys
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -152,7 +154,7 @@ class TestAdam:
             max_norm = math.inf if step == 1 else norm / 7.0
             scale = max_norm / norm if step > 1 else 1.0
             assert scale < 1.0 or step == 1
-            adam.step(max_norm, norm)
+            adam.step(max_norm)
             c1 = 1.0 - adam.beta1**step
             c2 = 1.0 - adam.beta2**step
             for k in shapes:
@@ -183,10 +185,7 @@ class TestAdam:
             assert len(starts) == threads, sizes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("given_norm", [True, False])
-    def test_non_finite_in_later_slice_aborts_before_anything_changes(
-        self, bad, given_norm
-    ):
+    def test_non_finite_in_later_slice_aborts_before_anything_changes(self, bad):
         chunk = TR.ADAM_CHUNK
         rng = np.random.default_rng(4)
         named = {
@@ -198,9 +197,8 @@ class TestAdam:
         named["big"].grad[chunk + 5] = bad
         adam = TR.Adam(named, lr=0.1)
         before = {k: (t.data.copy(), t.grad.copy()) for k, t in named.items()}
-        norm = TR.clip_global_norm(named) if given_norm else None
         with pytest.raises(TR.NumericError, match="non-finite gradient in big"):
-            adam.step(1.0, norm)
+            adam.step(1.0)
         assert adam.t == 0
         for k, t in named.items():
             data, grad = before[k]
@@ -215,12 +213,44 @@ class TestAdam:
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         p.grad = np.array([1e200, -1e200, 0.5])
         adam = TR.Adam({"p": p}, lr=0.1)
-        norm = TR.clip_global_norm(adam.named)
-        assert norm == math.inf
-        adam.step(10.0, norm)
+        assert TR.clip_global_norm(adam.named) == math.inf
+        adam.step(10.0)
         assert adam.t == 1
         np.testing.assert_array_equal(p.grad, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
+
+    def test_helper_thread_keeps_callers_errstate(self, monkeypatch):
+        # g * g overflows in both threads' slices. Under the caller's
+        # errstate(over="ignore") neither may warn, even with warnings
+        # turned into errors, and the helper's slices are updated too.
+        starts = count_helper_threads(monkeypatch)
+        p = Tensor(np.zeros(2 * TR.ADAM_CHUNK), requires_grad=True)
+        p.grad = np.full(p.data.shape, 1e200)
+        adam = TR.Adam({"p": p}, lr=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                adam.step()
+        assert len(starts) == 1
+        assert np.isinf(adam.v["p"]).all()
+
+    def test_helper_joined_before_callers_error_propagates(self, monkeypatch):
+        update = TR.Adam._update
+        finished = []
+
+        def failing(self, jobs, thread, *coefs):
+            if thread == 0:
+                raise MemoryError("slice failed")
+            time.sleep(0.05)
+            update(self, jobs, thread, *coefs)
+            finished.append(thread)
+
+        monkeypatch.setattr(TR.Adam, "_update", failing)
+        p = Tensor(np.zeros(2 * TR.ADAM_CHUNK), requires_grad=True)
+        p.grad = np.ones(p.data.shape)
+        with pytest.raises(MemoryError, match="slice failed"):
+            TR.Adam({"p": p}).step()
+        assert finished == [1]
 
     def test_non_contiguous_parameter_rejected(self):
         p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
@@ -238,7 +268,7 @@ class TestClipGlobalNorm:
         norm = TR.clip_global_norm({"p": p})
         assert norm == 3.0
         np.testing.assert_array_equal(p.grad, [3.0])
-        TR.Adam({"p": p}).step(10.0, norm)
+        TR.Adam({"p": p}).step(10.0)
         np.testing.assert_array_equal(p.grad, [3.0])
 
     def test_large_gradients_scaled_to_max(self):
@@ -250,7 +280,7 @@ class TestClipGlobalNorm:
         assert norm == 50.0
         np.testing.assert_array_equal(a.grad, [30.0, 0.0])
         np.testing.assert_array_equal(b.grad, [0.0, 40.0])
-        TR.Adam({"a": a, "b": b}).step(10.0, norm)
+        TR.Adam({"a": a, "b": b}).step(10.0)
         np.testing.assert_allclose(a.grad, [6.0, 0.0])
         np.testing.assert_allclose(b.grad, [0.0, 8.0])
 
@@ -271,7 +301,7 @@ class TestClipGlobalNorm:
         assert named["frozen"].grad is None
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g)
-        TR.Adam(named).step(1.0, norm)
+        TR.Adam(named).step(1.0)
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g * (1.0 / norm))
 
