@@ -10,8 +10,8 @@ use_char. train, ablate and eval print the resolved keys as a banner, so
 identical banners imply identical outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(unreadable or malformed files), 3 numeric failure (divergence, failed
-gradient check).
+(unreadable or malformed files), 3 numeric failure (divergence,
+non-finite class probabilities, failed gradient check).
 """
 
 from __future__ import annotations
@@ -220,9 +220,11 @@ def _load_pipeline(config: RunConfig):
         oov_sigma=config.oov_sigma,
     )
     print(
-        f"# corpus: train {len(train_set)} dev {len(dev_set)}; vocab "
-        f"{vocab.n_words} words {vocab.n_chars} chars; vectors "
-        f"{report.hits} hits {report.misses} oov",
+        f"# corpus: train {len(train_set)} dev {len(dev_set)}, unlabeled "
+        f"skipped {train_report.skipped_unlabeled} and "
+        f"{dev_report.skipped_unlabeled}; vocab {vocab.n_words} words "
+        f"{vocab.n_chars} chars; vectors {report.hits} hits "
+        f"{report.hits_lowercase} lowercase hits {report.misses} oov",
         file=sys.stderr,
     )
     return train_set, dev_set, vocab, table
@@ -402,7 +404,7 @@ def gradcheck_all() -> dict[str, float]:
         for t in (xs, layer.w, layer.u, layer.b)
     )
 
-    # stacked encoder, on a ragged block of two sentences
+    # stacked encoder, on a ragged block of two sentences, for each gate
     enc_params = EN.init_encoder_params(4, 3, 2, rng)
     for fwd, bwd in enc_params.layers:
         for p in (fwd, bwd):
@@ -410,38 +412,30 @@ def gradcheck_all() -> dict[str, float]:
             p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
     e = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     mask = np.array([[1, 1, 0], [1, 1, 1]])
-    stack_weights = Tensor(rng.normal(size=(5, 24)))
+    stack_weights = Tensor(rng.normal(size=(5, 12)))
 
-    def f_stack(_t):
-        enc = EN.stacked_encode(e, mask, enc_params)
-        block = T.concat([enc.h, enc.gates_i, enc.gates_f, enc.gates_o], axis=1)
+    def f_stack(_t, gate):
+        enc = EN.stacked_encode(e, mask, enc_params, gate)
+        block = T.concat([enc.h, enc.gate], axis=1)
         return _scalarize(T.mul(block, stack_weights))
 
     errors["stacked-encoder"] = max(
-        grad_check(f_stack, e),
-        grad_check(f_stack, enc_params.layers[0][0].w),
-        grad_check(f_stack, enc_params.layers[1][1].u),
+        grad_check(lambda _t: f_stack(_t, gate), t)
+        for gate in EN.GateKind
+        for t in (e, enc_params.layers[0][0].w, enc_params.layers[1][1].u)
     )
 
     # gated attention, all three kinds, on a ragged block of two sentences
-    enc = EN.EncodedSentence(
-        h=Tensor(rng.normal(size=(5, 4)), requires_grad=True),
-        gates_i=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
-        gates_f=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
-        gates_o=Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True),
-        lengths=np.array([3, 2]),
-    )
-    for kind, gate_tensor in (
-        (CP.GateKind.INPUT, enc.gates_i),
-        (CP.GateKind.FORGET, enc.gates_f),
-        (CP.GateKind.OUTPUT, enc.gates_o),
-    ):
+    h = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    for kind in EN.GateKind:
+        gate = Tensor(rng.uniform(0.2, 0.8, (5, 4)), requires_grad=True)
+        enc = EN.EncodedSentence(h, gate, lengths=np.array([3, 2]))
 
-        def f_pool(_t, kind=kind):
+        def f_pool(_t, enc=enc, kind=kind):
             return _scalarize(CP.gated_attention_pool(enc, kind))
 
         errors[f"gated-attention-{kind.value}"] = max(
-            grad_check(f_pool, enc.h), grad_check(f_pool, gate_tensor)
+            grad_check(f_pool, h), grad_check(f_pool, gate)
         )
 
     # average and max pooling
@@ -451,7 +445,7 @@ def gradcheck_all() -> dict[str, float]:
     def f_max(_t):
         return _scalarize(CP.max_pool(enc))
 
-    errors["pooling"] = max(grad_check(f_avg, enc.h), grad_check(f_max, enc.h))
+    errors["pooling"] = max(grad_check(f_avg, h), grad_check(f_max, h))
 
     # classifier
     clf = CL.init_classifier_params(5, 4, rng)

@@ -1,44 +1,23 @@
 """Fixed-length sentence vectors from encoded states.
 
 Three pools over each sentence of an encoded ragged block: an attention
-pool whose position weights are the l2 norms of a chosen gate's
-activations, an average pool, and a coordinatewise max pool. Each reduces
-over the sentence's own rows only: the sums go through a constant (S, N)
-selector matrix, the max through one segment max. Their concatenation in
-the fixed order [gated; average; max] is the sentence vector handed to the
-classifier, one row per sentence.
+pool whose position weights are the l2 norms of the encoder's chosen gate
+(``GateKind``, re-exported here), an average pool, and a coordinatewise max
+pool. Each reduces over the sentence's own rows only: the sums go through a
+constant (S, N) selector matrix, the max through one segment max. Their
+concatenation in the fixed order [gated; average; max] is the sentence
+vector handed to the classifier, one row per sentence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
-
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncodedSentence
+from .encoder import EncodedSentence, GateKind
 from .tensor import Tensor
 
 WEIGHT_EPS = 1e-12
-
-
-class GateKind(Enum):
-    INPUT = "input"
-    FORGET = "forget"
-    OUTPUT = "output"
-
-
-@dataclass
-class SentenceVector:
-    """Pool outputs for S sentences, each (S, 2d); v concatenates them.
-    v_g is None when the attention pool is ablated away."""
-
-    v_g: Optional[Tensor]
-    v_a: Tensor
-    v_m: Tensor
-    v: Tensor
 
 
 def _segments(enc: EncodedSentence) -> tuple[np.ndarray, Tensor]:
@@ -51,17 +30,14 @@ def _segments(enc: EncodedSentence) -> tuple[np.ndarray, Tensor]:
 
 
 def _gate_scores(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """The vectors whose norms weight each position.
+    """The vectors whose norms weight each position: the encoder's gate.
 
     The forget variant scores a position by how much its forget gate lets
     go, so it uses the elementwise complement 1 - f.
     """
-    if kind is GateKind.INPUT:
-        return enc.gates_i
-    if kind is GateKind.OUTPUT:
-        return enc.gates_o
-    ones = Tensor(np.ones(enc.gates_f.shape))
-    return T.sub(ones, enc.gates_f)
+    if kind is not GateKind.FORGET:
+        return enc.gate
+    return T.sub(Tensor(np.ones(enc.gate.shape)), enc.gate)
 
 
 def attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
@@ -102,15 +78,12 @@ def max_pool(enc: EncodedSentence) -> Tensor:
 
 def compose(
     enc: EncodedSentence, kind: GateKind, use_gated: bool = True
-) -> SentenceVector:
-    """All pools concatenated; without the attention pool, v = [v_a; v_m]."""
+) -> Tensor:
+    """The (S, sentence_dim) sentence vectors [gated; average; max], or
+    [average; max] without the attention pool. kind names the gate the
+    encoder returned."""
     v_a = avg_pool(enc)
     v_m = max_pool(enc)
     if not use_gated:
-        return SentenceVector(
-            v_g=None, v_a=v_a, v_m=v_m, v=T.concat([v_a, v_m], axis=1)
-        )
-    v_g = gated_attention_pool(enc, kind)
-    return SentenceVector(
-        v_g=v_g, v_a=v_a, v_m=v_m, v=T.concat([v_g, v_a, v_m], axis=1)
-    )
+        return T.concat([v_a, v_m], axis=1)
+    return T.concat([gated_attention_pool(enc, kind), v_a, v_m], axis=1)

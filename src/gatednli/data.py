@@ -2,7 +2,8 @@
 
 The corpus format is SNLI/MultiNLI-style JSONL: one object per line
 with ``sentence1``, ``sentence2``, ``gold_label`` and optionally
-pre-tokenized ``sentence{1,2}_binary_parse`` fields plus a ``genre``.
+pre-tokenized ``sentence{1,2}_binary_parse`` fields; other fields, such as
+MultiNLI's ``genre``, are ignored.
 Word-vector files are text lines ``token v1 .. vD`` whose fields are
 separated by single spaces; trailing whitespace is ignored.
 """
@@ -36,7 +37,6 @@ class NLIExample:
     premise_tokens: list[str]
     hypothesis_tokens: list[str]
     label: Optional[int]  # index into LABELS; None only for prediction input
-    genre: Optional[str] = None
 
     def __post_init__(self):
         if not self.premise_tokens or not self.hypothesis_tokens:
@@ -48,7 +48,6 @@ class NLIExample:
 @dataclass
 class LoadReport:
     total_lines: int = 0
-    loaded: int = 0
     skipped_unlabeled: int = 0
     malformed: int = 0
 
@@ -103,10 +102,7 @@ def load_corpus(
                 label = None
             else:
                 label = LABEL_TO_ID[gold]
-            examples.append(
-                NLIExample(premise, hypothesis, label, record.get("genre"))
-            )
-            report.loaded += 1
+            examples.append(NLIExample(premise, hypothesis, label))
     if report.total_lines == 0:
         logger.warning("corpus %s is empty", path)
     elif report.malformed > 0.1 * report.total_lines:
@@ -120,7 +116,6 @@ def load_corpus(
 class Vocab:
     word_to_id: dict[str, int]
     char_to_id: dict[str, int]
-    pad_id: int = PAD_ID
     unk_id: int = UNK_ID
 
     @property

@@ -3,8 +3,9 @@
 The encoder runs a forward and a backward LSTM over each sentence and
 concatenates their states per position. Layers above the first receive the
 word embeddings concatenated with the previous layer's hidden states. The
-top layer's input, forget, and output gate activations are returned next to
-the hidden states so that pooling can weight positions by gate norms.
+top layer's activations of one gate, the one attention pooling weights
+positions by (``GateKind``), are returned next to the hidden states; no
+other gate block is joined.
 
 A call encodes a ragged block: the sentences' rows back to back, with their
 lengths, and no padding. Sentences never read each other's rows. Each
@@ -18,6 +19,7 @@ projection of all N rows is one (N, input_dim) @ W product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -45,19 +47,29 @@ class LstmParams:
         return self.u.shape[0]
 
 
+class GateKind(Enum):
+    """The gate whose norms weight the attention pool."""
+
+    INPUT = "input"
+    FORGET = "forget"
+    OUTPUT = "output"
+
+
+# Where each gate sits in lstm_layer's [h | i | f | o] output, in d-wide blocks.
+GATE_BLOCK = {GateKind.INPUT: 1, GateKind.FORGET: 2, GateKind.OUTPUT: 3}
+
+
 @dataclass
 class EncodedSentence:
-    """Top-layer states and gates for a ragged block of sentences.
+    """Top-layer states and one gate's activations for a ragged block of
+    sentences.
 
-    h and each gate matrix are (N, 2d) with the forward direction in the
-    first d columns; sentence s owns lengths[s] consecutive rows, in block
-    order.
+    h and gate are (N, 2d) with the forward direction in the first d
+    columns; sentence s owns lengths[s] consecutive rows, in block order.
     """
 
     h: Tensor
-    gates_i: Tensor
-    gates_f: Tensor
-    gates_o: Tensor
+    gate: Tensor
     lengths: np.ndarray
 
 
@@ -223,49 +235,33 @@ def lstm_layer(
     return T._apply(out.reshape(n, 4 * d), inputs, backward)
 
 
-def bilstm(
-    inputs: Tensor,
-    lengths: np.ndarray,
-    params_fwd: LstmParams,
-    params_bwd: LstmParams,
-) -> EncodedSentence:
-    """Both directions over a ragged block, concatenated per position."""
-    fwd = lstm_layer(inputs, lengths, params_fwd, reverse=False)
-    bwd = lstm_layer(inputs, lengths, params_bwd, reverse=True)
-    d = params_fwd.hidden_dim
-
-    def stack(k):
-        """Block k of [h | i | f | o], both directions side by side."""
-        return T.concat(
-            [
-                T.slice_axis(fwd, 1, k * d, (k + 1) * d),
-                T.slice_axis(bwd, 1, k * d, (k + 1) * d),
-            ],
-            axis=1,
-        )
-
-    return EncodedSentence(
-        h=stack(0),
-        gates_i=stack(1),
-        gates_f=stack(2),
-        gates_o=stack(3),
-        lengths=np.asarray(lengths),
+def _join(fwd: Tensor, bwd: Tensor, block: int, d: int) -> Tensor:
+    """One d-wide block of both directions' [h | i | f | o] outputs, side
+    by side."""
+    lo, hi = block * d, (block + 1) * d
+    return T.concat(
+        [T.slice_axis(fwd, 1, lo, hi), T.slice_axis(bwd, 1, lo, hi)], axis=1
     )
 
 
 def stacked_encode(
-    e: Tensor, mask: np.ndarray, params: EncoderParams
+    e: Tensor, mask: np.ndarray, params: EncoderParams, gate: GateKind
 ) -> EncodedSentence:
     """Stack of BiLSTMs over a ragged block; upper layers see [e; previous
     states].
 
     e holds the valid rows of the (S, L) 0/1 mask in row-major order, so
-    sentence s is mask[s].sum() consecutive rows. Only the top layer's
-    gates survive in the result.
+    sentence s is mask[s].sum() consecutive rows. Each layer joins its two
+    directions' hidden states; the top layer also joins the given gate's
+    activations, the only gate block anything reads.
     """
     lengths = np.asarray(mask).sum(axis=1)
-    enc = None
-    for k, (fwd, bwd) in enumerate(params.layers):
-        layer_in = e if k == 0 else T.concat([e, enc.h], axis=1)
-        enc = bilstm(layer_in, lengths, fwd, bwd)
-    return enc
+    layer_in = e
+    for k, (fwd_params, bwd_params) in enumerate(params.layers):
+        if k:
+            layer_in = T.concat([e, h], axis=1)
+        fwd = lstm_layer(layer_in, lengths, fwd_params, reverse=False)
+        bwd = lstm_layer(layer_in, lengths, bwd_params, reverse=True)
+        d = fwd_params.hidden_dim
+        h = _join(fwd, bwd, 0, d)
+    return EncodedSentence(h, _join(fwd, bwd, GATE_BLOCK[gate], d), lengths)

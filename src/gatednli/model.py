@@ -5,10 +5,12 @@ pairs; it is the one forward path behind training, evaluation, prediction
 and ensembles. The model allows no cross-sentence attention, so the
 batch's 2B sentences are embedded, encoded by the shared stacked BiLSTM and
 pooled together, as one ragged block of their valid tokens, with one call
-each; the (2B, ·) sentence vectors are then split into premises and
-hypotheses, expanded into matching features and classified. The
-configuration captures every architectural knob, including the ablation
-switches, so a checkpoint can rebuild the exact network.
+each. The encoder returns the top layer's states and the configured gate's
+activations; the pools turn them into one (2B, sentence_dim) tensor, whose
+rows are split into premises and hypotheses, expanded into matching
+features and classified. The configuration captures every architectural
+knob, including the ablation switches, so a checkpoint can rebuild the
+exact network.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from . import compose as CP
 from . import embed as EM
 from . import encoder as EN
 from . import tensor as T
-from .compose import GateKind
 from .data import Batch
 from .tensor import Tensor
 
-GATE_KINDS = tuple(k.value for k in GateKind)
+GATE_KINDS = tuple(k.value for k in EN.GateKind)
 
 
 @dataclass
@@ -73,8 +74,8 @@ class ModelConfig:
             raise ValueError("use_char and use_word cannot both be off")
 
     @property
-    def gate(self) -> GateKind:
-        return GateKind(self.gate_kind)
+    def gate(self) -> EN.GateKind:
+        return EN.GateKind(self.gate_kind)
 
     @property
     def char_out_dim(self) -> int:
@@ -187,8 +188,9 @@ class Model:
             use_char=self.config.use_char,
             use_word=self.config.use_word,
         )
-        enc = EN.stacked_encode(e, sentences.mask, self.params.encoder)
-        v = CP.compose(enc, self.config.gate, self.config.use_gated_att).v
+        gate = self.config.gate
+        enc = EN.stacked_encode(e, sentences.mask, self.params.encoder, gate)
+        v = CP.compose(enc, gate, self.config.use_gated_att)
         b = batch.size
         v_inp = CL.matching_features(
             T.slice_axis(v, 0, 0, b),

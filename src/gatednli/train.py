@@ -39,16 +39,7 @@ _DTYPE_F64 = 0
 
 
 class NumericError(Exception):
-    """A gradient or loss stopped being finite."""
-
-
-class DivergenceError(NumericError):
-    """Training diverged; carries the best checkpoint so far, which is
-    None when the first epoch diverged."""
-
-    def __init__(self, message: str, checkpoint: Optional["Checkpoint"]):
-        super().__init__(message)
-        self.checkpoint = checkpoint
+    """A loss, gradient or class probability is not finite."""
 
 
 class Adam:
@@ -318,6 +309,7 @@ class EvalResult:
     n: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict(
     models: Sequence[Model], examples: Sequence[NLIExample], vocab: Vocab
 ) -> np.ndarray:
@@ -326,7 +318,9 @@ def predict(
 
     The one inference loop: the examples go through ``Model.forward`` in
     unshuffled batches of ``INFER_BATCH`` pairs, each padded only when its
-    turn comes, so memory does not grow with the number of examples.
+    turn comes, so memory does not grow with the number of examples. A
+    probability that is not finite raises NumericError, naming the first
+    such example; that check finds overflow, so numpy's warnings are off.
     """
     if not examples:
         raise DataError("empty dataset")
@@ -337,7 +331,12 @@ def predict(
         total = np.zeros((batch.size, CL.N_CLASSES))
         for model in models:
             total += model.forward(batch)[0].data
-        out.append(total / len(models))
+        probs = total / len(models)
+        bad = ~np.isfinite(probs).all(axis=1)
+        if bad.any():
+            first = start + 1 + int(bad.argmax())
+            raise NumericError(f"class probabilities of example {first} are not finite")
+        out.append(probs)
     return np.concatenate(out)
 
 
@@ -408,10 +407,9 @@ def train(
 ) -> TrainResult:
     """Epochs of minibatch Adam with per-epoch dev selection.
 
-    Raises DivergenceError, carrying the best checkpoint so far (None in
-    epoch 1), on a non-finite loss or gradient; the explicit checks find
-    those, so numpy's overflow warnings are off. Weights are copied only
-    for a new best.
+    A non-finite loss, gradient or dev probability raises NumericError
+    naming the epoch; the explicit checks find those, so numpy's overflow
+    warnings are off. Weights are copied only for a new best.
     """
     if not train_set:
         raise DataError("train: empty training set")
@@ -421,56 +419,54 @@ def train(
     adam = Adam(model.params.trainable(), lr=settings.lr)
     best: Optional[Checkpoint] = None
     history: list[HistoryRow] = []
-    for epoch in range(1, settings.epochs + 1):
-        batches = batchify(
-            train_set,
-            settings.batch_size,
-            vocab,
-            seed=_epoch_seed(model.config.seed, epoch),
-            shuffle=True,
-        )
-        loss_sum = 0.0
-        correct = 0
-        for batch in batches:
-            with Graph() as g:
-                probs, _ = model.forward(batch)
-                loss = CL.cross_entropy(probs, batch.labels)
-                loss_value = float(loss.data[0])
-                if not np.isfinite(loss_value):
-                    raise DivergenceError(
-                        f"loss became {loss_value} in epoch {epoch}", best
-                    )
-                g.backward(loss)
-            correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
-            try:
+    try:
+        for epoch in range(1, settings.epochs + 1):
+            batches = batchify(
+                train_set,
+                settings.batch_size,
+                vocab,
+                seed=_epoch_seed(model.config.seed, epoch),
+                shuffle=True,
+            )
+            loss_sum = 0.0
+            correct = 0
+            for batch in batches:
+                with Graph() as g:
+                    probs, _ = model.forward(batch)
+                    loss = CL.cross_entropy(probs, batch.labels)
+                    loss_value = float(loss.data[0])
+                    if not np.isfinite(loss_value):
+                        raise NumericError(f"loss became {loss_value}")
+                    g.backward(loss)
+                correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
                 adam.step(settings.clip_norm)
-            except NumericError as err:
-                raise DivergenceError(f"epoch {epoch}: {err}", best) from err
-            adam.zero_grad()
-            loss_sum += loss_value * batch.size
-        train_loss = loss_sum / len(train_set)
-        train_acc = correct / len(train_set)
-        dev = evaluate_model([model], dev_set, vocab)
-        history.append(
-            HistoryRow(epoch=epoch, train_loss=train_loss, dev_acc=dev.accuracy)
-        )
-        say(
-            f"epoch {epoch}: train_loss {train_loss:.4f} "
-            f"train_acc {train_acc:.3f} dev_acc {dev.accuracy:.3f}"
-        )
-        if best is None or dev.accuracy > best.metadata["dev_accuracy"]:
-            meta = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
-            best = Checkpoint.from_model(model, vocab, meta)
-        if settings.stop_train_acc is not None:
-            # Stop on the weights being returned, not on the running
-            # accuracy above, which mixes the epoch's successive updates.
-            fit = evaluate_model([model], train_set, vocab).accuracy
-            if fit >= settings.stop_train_acc:
-                say(
-                    f"early stop: end-of-epoch train accuracy {fit:.3f} "
-                    f"reached target"
-                )
-                break
+                adam.zero_grad()
+                loss_sum += loss_value * batch.size
+            train_loss = loss_sum / len(train_set)
+            train_acc = correct / len(train_set)
+            dev = evaluate_model([model], dev_set, vocab)
+            history.append(
+                HistoryRow(epoch=epoch, train_loss=train_loss, dev_acc=dev.accuracy)
+            )
+            say(
+                f"epoch {epoch}: train_loss {train_loss:.4f} "
+                f"train_acc {train_acc:.3f} dev_acc {dev.accuracy:.3f}"
+            )
+            if best is None or dev.accuracy > best.metadata["dev_accuracy"]:
+                meta = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
+                best = Checkpoint.from_model(model, vocab, meta)
+            if settings.stop_train_acc is not None:
+                # Stop on the weights being returned, not on the running
+                # accuracy above, which mixes the epoch's successive updates.
+                fit = evaluate_model([model], train_set, vocab).accuracy
+                if fit >= settings.stop_train_acc:
+                    say(
+                        f"early stop: end-of-epoch train accuracy {fit:.3f} "
+                        f"reached target"
+                    )
+                    break
+    except NumericError as err:
+        raise NumericError(f"epoch {epoch}: {err}") from err
     return TrainResult(best=best, history=history, model=model)
 
 

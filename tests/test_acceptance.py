@@ -136,14 +136,8 @@ class TestAcceptance:
             two_d = 2 * int(rng.integers(1, 7))
             h = rng.normal(size=(n, two_d))
             gi, gf, go = rng.uniform(0.02, 0.98, size=(3, n, two_d))
-            enc = EncodedSentence(
-                Tensor(h.copy()),
-                Tensor(gi.copy()),
-                Tensor(gf.copy()),
-                Tensor(go.copy()),
-                np.array([n]),
-            )
             for kind, gates in ((GateKind.INPUT, gi), (GateKind.FORGET, gf), (GateKind.OUTPUT, go)):
+                enc = EncodedSentence(Tensor(h.copy()), Tensor(gates.copy()), np.array([n]))
                 got = CP.gated_attention_pool(enc, kind).data[0]
                 want = _pool_oracle(h, gates, kind is GateKind.FORGET)
                 worst = max(worst, float(np.abs(got - want).max()))
@@ -161,32 +155,26 @@ class TestAcceptance:
         rng = np.random.default_rng(11)
         h = rng.normal(size=(6, 10))
         flat = np.full((6, 10), 0.37)
-        enc = EncodedSentence(
-            Tensor(h),
-            Tensor(flat.copy()),
-            Tensor(flat.copy()),
-            Tensor(flat.copy()),
-            np.array([6]),
-        )
+        enc = EncodedSentence(Tensor(h), Tensor(flat.copy()), np.array([6]))
         v_a = CP.avg_pool(enc).data
         uniform_gap = max(
             float(np.abs(CP.gated_attention_pool(enc, kind).data - v_a).max())
             for kind in GateKind
         )
         h1 = rng.normal(size=(1, 10))
-        single = EncodedSentence(
-            Tensor(h1.copy()),
-            Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
-            Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
-            Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
-            np.array([1]),
-        )
+        singles = {
+            kind: EncodedSentence(
+                Tensor(h1.copy()),
+                Tensor(rng.uniform(0.1, 0.9, size=(1, 10))),
+                np.array([1]),
+            )
+            for kind in GateKind
+        }
+        single = singles[GateKind.INPUT]
         exact = all(
             _same_bits(pool.data, h1)
             for pool in (
-                CP.gated_attention_pool(single, GateKind.INPUT),
-                CP.gated_attention_pool(single, GateKind.FORGET),
-                CP.gated_attention_pool(single, GateKind.OUTPUT),
+                *(CP.gated_attention_pool(enc, kind) for kind, enc in singles.items()),
                 CP.avg_pool(single),
                 CP.max_pool(single),
             )

@@ -296,9 +296,10 @@ class TestExitCodes:
     def test_divergence_exits_3_and_writes_nothing(
         self, tmp_path, workdir, capsys
     ):
-        # One batch per epoch: epoch 1 takes a 1e300 step, epoch 2's loss
-        # is NaN. numpy's overflow warnings are errors here, so a forward
-        # pass that warns instead of leaving it to the explicit checks fails.
+        # One batch per epoch: epoch 1 takes a 1e300 step, after which every
+        # dev probability is NaN. numpy's overflow warnings are errors here,
+        # so a forward pass that warns instead of leaving it to the explicit
+        # checks fails.
         ckpt, history = tmp_path / "model.ckpt", tmp_path / "history.csv"
         argv = ["train", "--config", str(workdir / "run.cfg"), "--lr", "1e300",
                 "--batch-size", "32", "--checkpoint-path", str(ckpt),
@@ -309,11 +310,38 @@ class TestExitCodes:
         assert rc == 3
         captured = capsys.readouterr()
         lines = [l for l in captured.err.splitlines() if not l.startswith("# ")]
-        assert len(lines) == 2
-        assert lines[0].startswith("epoch 1: train_loss ")
-        assert lines[1] == "error: loss became nan in epoch 2"
+        assert lines == [
+            "error: epoch 1: class probabilities of example 1 are not finite"
+        ]
         assert captured.out == ""
         assert not ckpt.exists() and not history.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "ensemble-eval"])
+    def test_non_finite_probabilities_exit_3_and_write_nothing(
+        self, tmp_path, workdir, capsys, command
+    ):
+        # Finite weights whose forward overflows: every logit is +inf, so
+        # every probability is NaN.
+        ckpt = TR.Checkpoint.load(str(workdir / "model.ckpt"))
+        ckpt.tensors["classify.b2"][:] = 1e308
+        ckpt.tensors["classify.w_out"][:] = 1.0
+        bad = tmp_path / "overflow.ckpt"
+        ckpt.save(str(bad))
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--data", str(workdir / "dev.jsonl")]
+        if command == "ensemble-eval":
+            argv += ["--checkpoints", str(bad), str(bad)]
+        else:
+            argv += ["--checkpoint", str(bad)]
+        if command == "predict":
+            argv += ["--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C.main(argv) == 3
+        captured = capsys.readouterr()
+        assert "error: class probabilities of example 1 are not finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestTrainedArtifacts:
@@ -329,6 +357,28 @@ class TestTrainedArtifacts:
         err = capsys.readouterr().err
         assert "# seed = 1" in err
         assert "# hidden_dim = 3" in err
+
+    def test_corpus_line_counts_every_word_and_skipped_row(self, tmp_path, capsys):
+        # "The" is found only as "the": a lowercase hit, so hits, lowercase
+        # hits and oov add up to the 5 words; one training row is unlabeled.
+        rows = [
+            {"sentence1": "The dog runs", "sentence2": "A dog moves", "gold_label": "neutral"},
+            {"sentence1": "a cat", "sentence2": "a cat", "gold_label": "-"},
+        ]
+        (tmp_path / "train.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        (tmp_path / "dev.jsonl").write_text(json.dumps(rows[0]) + "\n")
+        (tmp_path / "vec.txt").write_text("the 1.0 2.0\ndog 0.5 0.5\n")
+        config = C.RunConfig(
+            train_path=str(tmp_path / "train.jsonl"),
+            dev_path=str(tmp_path / "dev.jsonl"),
+            vectors_path=str(tmp_path / "vec.txt"),
+            model=ModelConfig(word_dim=2),
+        )
+        C._load_pipeline(config)
+        assert capsys.readouterr().err.splitlines() == [
+            "# corpus: train 1 dev 1, unlabeled skipped 1 and 0; vocab 7 words "
+            "15 chars; vectors 1 hits 1 lowercase hits 3 oov"
+        ]
 
     def test_eval_prints_accuracy_and_confusion(self, workdir, capsys):
         rc = C.main(

@@ -11,22 +11,15 @@ from gatednli.tensor import Tensor, grad_check
 KINDS = (C.GateKind.INPUT, C.GateKind.FORGET, C.GateKind.OUTPUT)
 
 
-def make_enc(h, gi=None, gf=None, go=None, lengths=None, requires_grad=False):
-    """A ragged block; by default one sentence over all rows of h."""
+def make_enc(h, gate=None, lengths=None, requires_grad=False):
+    """A ragged block; by default one sentence over all rows of h, and
+    every gate activation 0.5."""
     h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-
-    def gate(g):
-        if g is None:
-            g = np.full(h.shape, 0.5)
-        return Tensor(np.asarray(g, dtype=float), requires_grad=requires_grad)
-
+    gate = np.full(h.shape, 0.5) if gate is None else np.asarray(gate, dtype=float)
     return EncodedSentence(
         h=Tensor(h, requires_grad=requires_grad),
-        gates_i=gate(gi),
-        gates_f=gate(gf),
-        gates_o=gate(go),
-        lengths=np.array([n] if lengths is None else lengths),
+        gate=Tensor(gate, requires_grad=requires_grad),
+        lengths=np.array([h.shape[0]] if lengths is None else lengths),
     )
 
 
@@ -46,7 +39,7 @@ class TestGatedAttention:
     def test_single_position_returns_that_state(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(1, 4))
-        enc = make_enc(h, gi=rng.uniform(0.1, 0.9, (1, 4)))
+        enc = make_enc(h, gate=rng.uniform(0.1, 0.9, (1, 4)))
         for kind in KINDS:
             np.testing.assert_array_equal(
                 C.gated_attention_pool(enc, kind).data, h
@@ -56,7 +49,7 @@ class TestGatedAttention:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(5, 6))
         row = rng.uniform(0.2, 0.8, size=6)
-        enc = make_enc(h, gi=np.tile(row, (5, 1)))
+        enc = make_enc(h, gate=np.tile(row, (5, 1)))
         v_g = C.gated_attention_pool(enc, C.GateKind.INPUT).data
         v_a = C.avg_pool(enc).data
         assert np.abs(v_g - v_a).max() < 1e-12
@@ -71,8 +64,8 @@ class TestGatedAttention:
                 "gf": rng.uniform(0.05, 0.95, (n, 6)),
                 "go": rng.uniform(0.05, 0.95, (n, 6)),
             }
-            enc = make_enc(h, **gates)
             for kind, key in zip(KINDS, ("gi", "gf", "go")):
+                enc = make_enc(h, gate=gates[key])
                 got = C.gated_attention_pool(enc, kind).data[0]
                 want = pool_oracle(h, gates[key], kind, n)
                 assert np.abs(got - want).max() < 1e-12
@@ -81,7 +74,7 @@ class TestGatedAttention:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(5, 4))
         gi = rng.uniform(0.1, 0.9, (5, 4))
-        enc = make_enc(h, gi=gi, lengths=[3, 2])
+        enc = make_enc(h, gate=gi, lengths=[3, 2])
         w = C.attention_weights(enc, C.GateKind.INPUT).data[:, 0]
         assert np.all(w >= 0.0)
         assert abs(w[:3].sum() - 1.0) < 1e-12
@@ -89,7 +82,7 @@ class TestGatedAttention:
         mutated = gi.copy()
         mutated[3:] = rng.uniform(0.1, 0.9, (2, 4))
         other = C.attention_weights(
-            make_enc(h, gi=mutated, lengths=[3, 2]), C.GateKind.INPUT
+            make_enc(h, gate=mutated, lengths=[3, 2]), C.GateKind.INPUT
         )
         np.testing.assert_array_equal(other.data[:3, 0], w[:3])
         assert not np.array_equal(other.data[3:, 0], w[3:])
@@ -99,9 +92,9 @@ class TestGatedAttention:
         lengths = [2, 1, 4, 4]
         h = rng.normal(size=(11, 6))
         gates = {k: rng.uniform(0.05, 0.95, (11, 6)) for k in ("gi", "gf", "go")}
-        block = make_enc(h, lengths=lengths, **gates)
         starts = np.cumsum([0] + lengths)
         for kind, key in zip(KINDS, ("gi", "gf", "go")):
+            block = make_enc(h, gate=gates[key], lengths=lengths)
             got = C.gated_attention_pool(block, kind).data
             assert got.shape == (4, 6)
             for s, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
@@ -114,31 +107,31 @@ class TestGatedAttention:
         rng = np.random.default_rng(14)
         h = rng.normal(size=(5, 4))
         gi = np.vstack([np.zeros((2, 4)), rng.uniform(0.2, 0.8, (3, 4))])
-        enc = make_enc(h, gi=gi, lengths=[2, 3], requires_grad=True)
+        enc = make_enc(h, gate=gi, lengths=[2, 3], requires_grad=True)
         with T.Graph() as g:
             v_g = C.gated_attention_pool(enc, C.GateKind.INPUT)
             g.backward(T.sum_axis(T.sum_axis(v_g, axis=1), axis=0))
         np.testing.assert_allclose(v_g.data[0], h[:2].mean(axis=0), atol=1e-15)
         want = pool_oracle(h[2:], gi[2:], C.GateKind.INPUT, 3)
         assert np.abs(v_g.data[1] - want).max() < 1e-12
-        np.testing.assert_array_equal(enc.gates_i.grad[:2], 0.0)
-        assert np.abs(enc.gates_i.grad[2:]).max() > 0.0
+        np.testing.assert_array_equal(enc.gate.grad[:2], 0.0)
+        assert np.abs(enc.gate.grad[2:]).max() > 0.0
 
     def test_gate_scale_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
         h = rng.normal(size=(4, 6))
         gi = rng.uniform(0.1, 0.9, (4, 6))
-        a = C.gated_attention_pool(make_enc(h, gi=gi), C.GateKind.INPUT).data
+        a = C.gated_attention_pool(make_enc(h, gate=gi), C.GateKind.INPUT).data
         b = C.gated_attention_pool(
-            make_enc(h, gi=3.7 * gi), C.GateKind.INPUT
+            make_enc(h, gate=3.7 * gi), C.GateKind.INPUT
         ).data
         assert np.abs(a - b).max() < 1e-12
 
     def test_all_zero_norms_fall_back_to_uniform(self):
         rng = np.random.default_rng(5)
         h = rng.normal(size=(3, 4))
-        enc = make_enc(h, gi=np.zeros((3, 4)), gf=np.ones((3, 4)))
-        for kind in (C.GateKind.INPUT, C.GateKind.FORGET):
+        for kind, gate in ((C.GateKind.INPUT, 0.0), (C.GateKind.FORGET, 1.0)):
+            enc = make_enc(h, gate=np.full((3, 4), gate))
             v_g = C.gated_attention_pool(enc, kind).data
             np.testing.assert_allclose(v_g, C.avg_pool(enc).data, atol=1e-15)
 
@@ -146,7 +139,7 @@ class TestGatedAttention:
         # one position with f close to 1 contributes almost nothing
         h = np.array([[10.0, 10.0], [1.0, 1.0]])
         gf = np.array([[0.999999, 0.999999], [0.0, 0.0]])
-        enc = make_enc(h, gf=gf)
+        enc = make_enc(h, gate=gf)
         v_g = C.gated_attention_pool(enc, C.GateKind.FORGET).data[0]
         np.testing.assert_allclose(v_g, [1.0, 1.0], atol=1e-4)
 
@@ -154,7 +147,7 @@ class TestGatedAttention:
         rng = np.random.default_rng(6)
         enc = make_enc(
             rng.normal(size=(3, 4)),
-            gi=rng.uniform(0.2, 0.8, (3, 4)),
+            gate=rng.uniform(0.2, 0.8, (3, 4)),
             requires_grad=True,
         )
 
@@ -163,7 +156,7 @@ class TestGatedAttention:
             return T.sum_axis(T.sum_axis(v, axis=1), axis=0)
 
         assert grad_check(f, enc.h) < 1e-5
-        assert grad_check(f, enc.gates_i) < 1e-5
+        assert grad_check(f, enc.gate) < 1e-5
 
 
 class TestAvgMaxPool:
@@ -220,28 +213,38 @@ class TestCompose:
     def test_concatenation_order_and_width(self):
         rng = np.random.default_rng(10)
         enc = make_enc(
-            rng.normal(size=(3, 4)), gi=rng.uniform(0.1, 0.9, (3, 4))
+            rng.normal(size=(3, 4)), gate=rng.uniform(0.1, 0.9, (3, 4))
         )
-        sv = C.compose(enc, C.GateKind.INPUT)
-        assert sv.v.shape == (1, 12)
-        np.testing.assert_array_equal(sv.v.data[:, 0:4], sv.v_g.data)
-        np.testing.assert_array_equal(sv.v.data[:, 4:8], sv.v_a.data)
-        np.testing.assert_array_equal(sv.v.data[:, 8:12], sv.v_m.data)
+        v = C.compose(enc, C.GateKind.INPUT).data
+        assert v.shape == (1, 12)
+        np.testing.assert_array_equal(
+            v[:, 0:4], C.gated_attention_pool(enc, C.GateKind.INPUT).data
+        )
+        np.testing.assert_array_equal(v[:, 4:8], C.avg_pool(enc).data)
+        np.testing.assert_array_equal(v[:, 8:12], C.max_pool(enc).data)
 
     def test_without_attention_pool(self):
         rng = np.random.default_rng(11)
         enc = make_enc(rng.normal(size=(3, 4)))
-        sv = C.compose(enc, C.GateKind.INPUT, use_gated=False)
-        assert sv.v_g is None
-        assert sv.v.shape == (1, 8)
-        np.testing.assert_array_equal(sv.v.data[:, 0:4], sv.v_a.data)
-        np.testing.assert_array_equal(sv.v.data[:, 4:8], sv.v_m.data)
+        v = C.compose(enc, C.GateKind.INPUT, use_gated=False).data
+        assert v.shape == (1, 8)
+        np.testing.assert_array_equal(v[:, 0:4], C.avg_pool(enc).data)
+        np.testing.assert_array_equal(v[:, 4:8], C.max_pool(enc).data)
 
     def test_single_position_all_pools_equal_state(self):
         rng = np.random.default_rng(12)
         h = rng.normal(size=(1, 6))
-        enc = make_enc(h, gi=rng.uniform(0.1, 0.9, (1, 6)))
-        sv = C.compose(enc, C.GateKind.INPUT)
-        np.testing.assert_array_equal(sv.v_g.data, h)
-        np.testing.assert_array_equal(sv.v_a.data, h)
-        np.testing.assert_array_equal(sv.v_m.data, h)
+        enc = make_enc(h, gate=rng.uniform(0.1, 0.9, (1, 6)))
+        for kind in KINDS:
+            np.testing.assert_array_equal(C.compose(enc, kind).data, np.tile(h, 3))
+
+    def test_pools_recorded_average_max_gated(self):
+        # The tape order fixes the order in which gradients are summed, so
+        # it stays average, max, then the attention pool.
+        rng = np.random.default_rng(15)
+        enc = make_enc(rng.normal(size=(4, 2)), lengths=[1, 3], requires_grad=True)
+        with T.Graph() as g:
+            C.compose(enc, C.GateKind.FORGET)
+        names = [backward.__qualname__.split(".")[0] for _, _, backward in g._records]
+        assert names[:3] == ["matmul", "_elementwise", "segment_max"]
+        assert "l2norm" in names[3:] and names[-1] == "concat"

@@ -36,8 +36,7 @@ class TestLoadCorpus:
         assert ex.premise_tokens == ["a", "dog", "runs", "fast"]
         assert ex.hypothesis_tokens == ["an", "animal", "moves"]
         assert D.LABELS[ex.label] == "entailment"
-        assert ex.genre == "fiction"
-        assert report.loaded == 1
+        assert report.total_lines == 1 and report.skipped_unlabeled == 0
 
     def test_dash_label_skipped_and_counted(self, tmp_path):
         rows = [GOOD_ROW, dict(GOOD_ROW, gold_label="-")]
@@ -125,7 +124,7 @@ class TestVocab:
         vocab = D.build_vocab(self.examples("a b c"))
         ids = sorted(vocab.word_to_id.values())
         assert ids == list(range(2, 2 + len(ids)))
-        assert vocab.pad_id != vocab.unk_id
+        assert D.PAD_ID != vocab.unk_id
 
     def test_all_chars_present(self):
         vocab = D.build_vocab(self.examples("ab ba"))
@@ -201,7 +200,7 @@ class TestWordVectors:
         rows = [("dog", [1.0, 2.0]), ("cat", [-0.5, 3.25]), ("emu", [0.0, 1e-3])]
         path = vector_file(tmp_path, rows, dim=2)
         plain, plain_report = D.load_word_vectors(path, vocab, dim=2, seed=0)
-        lines = open(path).read().splitlines()
+        lines = path.read_text().splitlines()
         spaced = tmp_path / "spaced.txt"
         spaced.write_text("".join(line + " \n" for line in lines[:2]) + lines[2] + " \t\r\n")
         table, report = D.load_word_vectors(str(spaced), vocab, dim=2, seed=0)

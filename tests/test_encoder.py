@@ -140,12 +140,23 @@ class TestFusedAgainstComposite:
         self.assert_agree(lengths, reverse, seed=sum(lengths) + 10 * reverse)
 
 
+def one_layer(pf, pb):
+    return E.EncoderParams(layers=[(pf, pb)])
+
+
+def mask_of(lengths):
+    """The (S, max length) 0/1 mask of a ragged block."""
+    return (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.int64)
+
+
 class TestBilstm:
+    """One layer of the stack: both directions, joined per position."""
+
     def test_single_position_matches_two_cells(self, rng):
         pf = random_params(4, D, rng)
         pb = random_params(4, D, rng)
         x = Tensor(rng.normal(size=(1, 4)))
-        enc = E.bilstm(x, [1], pf, pb)
+        enc = E.stacked_encode(x, mask_of([1]), one_layer(pf, pb), E.GateKind.INPUT)
         zeros = Tensor(np.zeros((1, D)))
         hf, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pf)
         hb, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pb)
@@ -155,43 +166,45 @@ class TestBilstm:
         pf = random_params(4, D, rng)
         pb = random_params(4, D, rng)
         x = rng.normal(size=(5, 4))
-        enc = E.bilstm(Tensor(x), [5], pf, pb)
-        rev = E.bilstm(Tensor(x[::-1].copy()), [5], pb, pf)
-        swapped = np.hstack([rev.h.data[:, D:], rev.h.data[:, :D]])
-        np.testing.assert_array_equal(enc.h.data, swapped[::-1])
+        for gate in E.GateKind:
+            enc = E.stacked_encode(Tensor(x), mask_of([5]), one_layer(pf, pb), gate)
+            rev = E.stacked_encode(
+                Tensor(x[::-1].copy()), mask_of([5]), one_layer(pb, pf), gate
+            )
+            for a, b in ((enc.h, rev.h), (enc.gate, rev.gate)):
+                swapped = np.hstack([b.data[:, D:], b.data[:, :D]])
+                np.testing.assert_array_equal(a.data, swapped[::-1])
 
     def test_companion_sentence_leaves_rows_unchanged(self, rng):
         # Sentence 1 of the block is rewritten; sentences 0 and 2 keep
         # their states and gates bit for bit.
-        pf = random_params(4, D, rng)
-        pb = random_params(4, D, rng)
+        params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
         x = rng.normal(size=(9, 4))
-        lengths = [3, 4, 2]
-        base = E.bilstm(Tensor(x), lengths, pf, pb)
+        mask = mask_of([3, 4, 2])
         mutated = x.copy()
         mutated[3:7] = rng.normal(size=(4, 4)) * 100.0
-        other = E.bilstm(Tensor(mutated), lengths, pf, pb)
         kept = np.r_[0:3, 7:9]
-        for attr in ("h", "gates_i", "gates_f", "gates_o"):
-            a, b = getattr(base, attr).data, getattr(other, attr).data
-            np.testing.assert_array_equal(a[kept], b[kept])
-            assert not np.array_equal(a[3:7], b[3:7])
+        for gate in E.GateKind:
+            base = E.stacked_encode(Tensor(x), mask, params, gate)
+            other = E.stacked_encode(Tensor(mutated), mask, params, gate)
+            for attr in ("h", "gate"):
+                a, b = getattr(base, attr).data, getattr(other, attr).data
+                np.testing.assert_array_equal(a[kept], b[kept])
+                assert not np.array_equal(a[3:7], b[3:7])
 
     def test_gates_strictly_inside_unit_interval(self, rng):
-        pf = random_params(4, D, rng)
-        pb = random_params(4, D, rng)
-        enc = E.bilstm(Tensor(rng.normal(size=(4, 4))), [4], pf, pb)
-        for g in (enc.gates_i, enc.gates_f, enc.gates_o):
-            assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
+        params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
+        x = Tensor(rng.normal(size=(4, 4)))
+        for gate in E.GateKind:
+            enc = E.stacked_encode(x, mask_of([4]), params, gate)
+            assert np.all(enc.gate.data > 0.0) and np.all(enc.gate.data < 1.0)
 
     def test_all_masked_errors(self, rng):
         # a sentence whose mask row is all zeros has no rows to encode
-        params = E.EncoderParams(
-            layers=[(random_params(4, D, rng), random_params(4, D, rng))]
-        )
+        params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
         mask = np.array([[1, 1], [0, 0]])
         with pytest.raises(ValueError, match="must be >= 1"):
-            E.stacked_encode(Tensor(np.zeros((2, 4))), mask, params)
+            E.stacked_encode(Tensor(np.zeros((2, 4))), mask, params, E.GateKind.INPUT)
 
 
 class TestStackedEncode:
@@ -201,29 +214,51 @@ class TestStackedEncode:
         assert params.layers[1][0].w.shape[0] == 5 + 2 * D
         assert params.layers[2][1].w.shape[0] == 5 + 2 * D
         mask = np.array([[1, 1, 1], [1, 0, 0]])
-        enc = E.stacked_encode(Tensor(rng.normal(size=(4, 5))), mask, params)
+        enc = E.stacked_encode(
+            Tensor(rng.normal(size=(4, 5))), mask, params, E.GateKind.INPUT
+        )
         assert enc.h.shape == (4, 2 * D)
-        assert enc.gates_i.shape == (4, 2 * D)
+        assert enc.gate.shape == (4, 2 * D)
         np.testing.assert_array_equal(enc.lengths, [3, 1])
 
     def test_single_layer_equals_bilstm(self, rng):
+        # h and the chosen gate are those blocks of the two directions'
+        # [h | i | f | o] outputs, forward first.
         params = E.init_encoder_params(4, D, 1, rng)
         e = Tensor(rng.normal(size=(3, 4)))
-        stacked = E.stacked_encode(e, np.ones((1, 3)), params)
-        flat = E.bilstm(e, [3], *params.layers[0])
-        np.testing.assert_array_equal(stacked.h.data, flat.h.data)
-        np.testing.assert_array_equal(stacked.gates_f.data, flat.gates_f.data)
+        fwd, bwd = (
+            E.lstm_layer(e, [3], p, reverse).data
+            for p, reverse in zip(params.layers[0], (False, True))
+        )
+        for gate, k in zip(E.GateKind, (1, 2, 3)):
+            stacked = E.stacked_encode(e, np.ones((1, 3)), params, gate)
+            np.testing.assert_array_equal(stacked.h.data, np.hstack([fwd[:, :D], bwd[:, :D]]))
+            block = np.s_[:, k * D : (k + 1) * D]
+            np.testing.assert_array_equal(stacked.gate.data, np.hstack([fwd[block], bwd[block]]))
+
+    def test_joins_only_states_and_the_top_gate(self, rng):
+        # Per layer: two lstm_layer records and one join (two slices and a
+        # concat) of h; a shortcut concat above layer 1; one gate join.
+        params = E.init_encoder_params(4, D, 3, rng)
+        with T.Graph() as g:
+            E.stacked_encode(
+                Tensor(rng.normal(size=(5, 4))), mask_of([2, 3]), params, E.GateKind.FORGET
+            )
+        assert len(g) == 3 * (2 + 3) + 2 + 3
 
     def test_shortcut_feeds_embeddings_and_prev_states(self, rng):
         # Replaying layer 2 by hand on [e; h1] must reproduce the stack.
         params = E.init_encoder_params(4, D, 2, rng)
         e = Tensor(rng.normal(size=(3, 4)))
-        stacked = E.stacked_encode(e, np.array([[1, 1], [1, 0]]), params)
-        h1 = E.bilstm(e, [2, 1], *params.layers[0]).h
-        manual = E.bilstm(
-            T.concat([e, h1], axis=1), [2, 1], *params.layers[1]
+        mask = np.array([[1, 1], [1, 0]])
+        gate = E.GateKind.OUTPUT
+        stacked = E.stacked_encode(e, mask, params, gate)
+        h1 = E.stacked_encode(e, mask, one_layer(*params.layers[0]), gate).h
+        manual = E.stacked_encode(
+            T.concat([e, h1], axis=1), mask, one_layer(*params.layers[1]), gate
         )
         np.testing.assert_array_equal(stacked.h.data, manual.h.data)
+        np.testing.assert_array_equal(stacked.gate.data, manual.gate.data)
 
     def test_companion_rows_do_not_leak_across_sentences(self, rng):
         # Two layers, so the shortcut input is covered too: rewriting the
@@ -231,14 +266,15 @@ class TestStackedEncode:
         params = E.init_encoder_params(4, D, 2, rng)
         e = rng.normal(size=(9, 4))
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
-        base = E.stacked_encode(Tensor(e), mask, params)
         mutated = e.copy()
         mutated[3:8] = rng.normal(size=(5, 4)) * 50.0
-        other = E.stacked_encode(Tensor(mutated), mask, params)
         kept = np.r_[0:3, 8:9]
-        for attr in ("h", "gates_i", "gates_f", "gates_o"):
-            a, b = getattr(base, attr).data, getattr(other, attr).data
-            np.testing.assert_array_equal(a[kept], b[kept])
+        for gate in E.GateKind:
+            base = E.stacked_encode(Tensor(e), mask, params, gate)
+            other = E.stacked_encode(Tensor(mutated), mask, params, gate)
+            for attr in ("h", "gate"):
+                a, b = getattr(base, attr).data, getattr(other, attr).data
+                np.testing.assert_array_equal(a[kept], b[kept])
 
     def test_forget_bias_initialized_to_one(self, rng):
         params = E.init_encoder_params(4, D, 1, rng)
@@ -263,14 +299,16 @@ class TestStackedEncode:
                 p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
         e = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         mask = np.array([[1, 1, 0], [1, 1, 1]])
-        weights = rng.normal(size=(5, 4 * 8))
+        weights = rng.normal(size=(5, 2 * 8))
 
-        def f(_t):
-            # reads the gates too, so a wrong gate backward cannot pass
-            enc = E.stacked_encode(e, mask, params)
-            block = T.concat([enc.h, enc.gates_i, enc.gates_f, enc.gates_o], axis=1)
-            return weighted_sum(block, weights)
+        for gate in E.GateKind:
 
-        assert grad_check(f, e) < 1e-4
-        assert grad_check(f, params.layers[0][0].w) < 1e-4
-        assert grad_check(f, params.layers[1][1].u) < 1e-4
+            def f(_t):
+                # reads the gate too, so a wrong gate backward cannot pass
+                enc = E.stacked_encode(e, mask, params, gate)
+                block = T.concat([enc.h, enc.gate], axis=1)
+                return weighted_sum(block, weights)
+
+            assert grad_check(f, e) < 1e-4, gate
+            assert grad_check(f, params.layers[0][0].w) < 1e-4, gate
+            assert grad_check(f, params.layers[1][1].u) < 1e-4, gate

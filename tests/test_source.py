@@ -41,3 +41,41 @@ def test_every_defined_name_is_used_in_src():
     )
     assert len(defs) > 100
     assert unused == []
+
+
+def _dataclass_fields():
+    """(class, field, file, line) for every annotated field of a class
+    decorated with ``dataclass`` in src/."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            out += [
+                (node.name, stmt.target.id, path.name, stmt.lineno)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return out
+
+
+def test_every_dataclass_field_is_read_in_src():
+    """No dataclass field in src/ is only written, passed to its
+    constructor, or read by tests: each is read as an attribute in src/."""
+    reads = {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = _dataclass_fields()
+    unread = sorted(
+        f"{file}:{line} {cls}.{name}"
+        for cls, name, file, line in found
+        if name not in reads
+    )
+    assert len(found) > 50
+    assert unread == []

@@ -76,7 +76,7 @@ class TestGeneration:
         path = str(tmp_path / "train.jsonl")
         S.write_corpus_jsonl(path, train)
         loaded, report = D.load_corpus(path)
-        assert report.loaded == 30
+        assert report.total_lines == 30
         assert loaded == train
 
 
