@@ -50,14 +50,15 @@ class ClassifierParams:
 
 
 def init_classifier_params(
-    input_dim: int, hidden_dim: int, rng, shortcut: bool = True
+    input_dim: int, hidden_dim: int, rng, shortcut: bool = True, dtype=np.float64
 ) -> ClassifierParams:
-    """Fan-in scaled Gaussian weights, zero biases."""
+    """Fan-in scaled Gaussian weights, zero biases; the weights are the
+    generator's float64 draws rounded to dtype."""
 
     def dense(n_in, n_out):
         w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
-        return Tensor(w, requires_grad=True), Tensor(
-            np.zeros(n_out), requires_grad=True
+        return Tensor(w.astype(dtype, copy=False), requires_grad=True), Tensor(
+            np.zeros(n_out, dtype), requires_grad=True
         )
 
     w1, b1 = dense(input_dim, hidden_dim)
@@ -108,9 +109,10 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
         raise ShapeError(f"cross_entropy: {labels.shape} labels for {n} rows")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label outside [0, {n_classes}) in {labels.tolist()}")
-    one_hot = Tensor(np.eye(n_classes)[labels])
+    dtype = probs.data.dtype
+    one_hot = Tensor(np.eye(n_classes, dtype=dtype)[labels])
     pick = T.sum_axis(T.mul(probs, one_hot), axis=1, keepdims=True)
-    floor = Tensor(np.full((n, 1), PROB_FLOOR))
+    floor = Tensor(np.full((n, 1), PROB_FLOOR, dtype))
     clamped = T.add(pick, T.relu(T.sub(floor, pick)))
-    losses = T.mul(T.log(clamped), Tensor(np.asarray(-1.0)))
+    losses = T.mul(T.log(clamped), Tensor(np.asarray(-1.0, dtype)))
     return T.div(T.sum_axis(losses, axis=0), float(n))

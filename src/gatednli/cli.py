@@ -204,7 +204,9 @@ def _require(config: RunConfig, *names: str):
 
 
 def _load_pipeline(config: RunConfig):
-    """Corpora, vocabulary over both splits, and the frozen vector table."""
+    """Corpora, vocabulary over both splits, and the frozen vector table,
+    in float32: the model takes its dtype, so training runs in float32. A
+    value beyond the float32 range is a data error."""
     train_set, train_report = load_corpus(config.train_path)
     dev_set, dev_report = load_corpus(config.dev_path)
     if not train_set:
@@ -219,6 +221,16 @@ def _load_pipeline(config: RunConfig):
         seed=config.model.seed,
         oov_sigma=config.oov_sigma,
     )
+    with np.errstate(over="ignore"):
+        table = table.astype(np.float32)
+    overflowed = ~np.isfinite(table).all(axis=1)
+    if overflowed.any():
+        wid = int(overflowed.argmax())
+        word = next((w for w, i in vocab.word_to_id.items() if i == wid), "<unk>")
+        raise DataError(
+            f"vectors {config.vectors_path}: the row of {word!r} has a value "
+            f"beyond the float32 range"
+        )
     print(
         f"# corpus: train {len(train_set)} dev {len(dev_set)}, unlabeled "
         f"skipped {train_report.skipped_unlabeled} and "

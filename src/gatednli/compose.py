@@ -26,7 +26,7 @@ def _segments(enc: EncodedSentence) -> tuple[np.ndarray, Tensor]:
     n_sentences = len(enc.lengths)
     seg = np.repeat(np.arange(n_sentences), enc.lengths)
     selector = np.arange(n_sentences)[:, None] == seg
-    return seg, Tensor(selector.astype(T.DTYPE))
+    return seg, Tensor(selector.astype(enc.h.data.dtype))
 
 
 def _gate_scores(enc: EncodedSentence, kind: GateKind) -> Tensor:
@@ -37,7 +37,7 @@ def _gate_scores(enc: EncodedSentence, kind: GateKind) -> Tensor:
     """
     if kind is not GateKind.FORGET:
         return enc.gate
-    return T.sub(Tensor(np.ones(enc.gate.shape)), enc.gate)
+    return T.sub(Tensor(np.ones_like(enc.gate.data)), enc.gate)
 
 
 def attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
@@ -50,7 +50,7 @@ def attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
     norms = T.l2norm(_gate_scores(enc, kind), axis=1, keepdims=True)
     vanished = (selector.data @ norms.data)[:, 0] < WEIGHT_EPS
     if vanished.any():
-        reset = vanished[seg][:, None].astype(T.DTYPE)
+        reset = vanished[seg][:, None].astype(norms.data.dtype)
         norms = T.add(T.mul(norms, Tensor(1.0 - reset)), Tensor(reset))
     denom = T.take_rows(T.matmul(selector, norms), seg)
     return T.div(norms, denom)
@@ -67,7 +67,7 @@ def gated_attention_pool(enc: EncodedSentence, kind: GateKind) -> Tensor:
 def avg_pool(enc: EncodedSentence) -> Tensor:
     """Mean of each sentence's hidden states."""
     _, selector = _segments(enc)
-    lengths = Tensor(np.asarray(enc.lengths, dtype=T.DTYPE)[:, None])
+    lengths = Tensor(np.asarray(enc.lengths, dtype=enc.h.data.dtype)[:, None])
     return T.div(T.matmul(selector, enc.h), lengths)
 
 

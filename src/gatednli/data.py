@@ -116,7 +116,6 @@ def load_corpus(
 class Vocab:
     word_to_id: dict[str, int]
     char_to_id: dict[str, int]
-    unk_id: int = UNK_ID
 
     @property
     def n_words(self) -> int:
@@ -127,10 +126,10 @@ class Vocab:
         return len(self.char_to_id) + 2
 
     def word_id(self, token: str) -> int:
-        return self.word_to_id.get(token, self.unk_id)
+        return self.word_to_id.get(token, UNK_ID)
 
     def char_id(self, ch: str) -> int:
-        return self.char_to_id.get(ch, self.unk_id)
+        return self.char_to_id.get(ch, UNK_ID)
 
     def to_json(self) -> dict:
         return {"words": self.word_to_id, "chars": self.char_to_id}

@@ -39,21 +39,23 @@ def init_embed_params(
     word_table: np.ndarray,
     rng: np.random.Generator,
 ) -> EmbedParams:
-    char_table = Tensor(rng.normal(0.0, 0.1, (n_chars, char_dim)), requires_grad=True)
+    """Gaussian char table and filters, zero biases, all in the word
+    table's dtype: the generator's float64 draws rounded to it."""
+    word = Tensor(word_table, requires_grad=False)
+    dtype = word.data.dtype
+
+    def draw(scale, shape):
+        values = rng.normal(0.0, scale, shape).astype(dtype, copy=False)
+        return Tensor(values, requires_grad=True)
+
+    char_table = draw(0.1, (n_chars, char_dim))
     filters: dict[int, tuple[Tensor, Tensor]] = {}
     for width in filter_widths:
         fan_in = width * char_dim
-        weight = Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, filter_channels)),
-            requires_grad=True,
-        )
-        bias = Tensor(np.zeros(filter_channels), requires_grad=True)
+        weight = draw(1.0 / np.sqrt(fan_in), (fan_in, filter_channels))
+        bias = Tensor(np.zeros(filter_channels, dtype), requires_grad=True)
         filters[width] = (weight, bias)
-    return EmbedParams(
-        char_table=char_table,
-        filters=filters,
-        word_table=Tensor(word_table, requires_grad=False),
-    )
+    return EmbedParams(char_table=char_table, filters=filters, word_table=word)
 
 
 def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
@@ -69,7 +71,8 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
     if not lengths.all():
         raise ValueError("char_compose: empty word")
     n_chars, char_dim = params.char_table.shape
-    table = T.concat([params.char_table, Tensor(np.zeros((1, char_dim)))], axis=0)
+    zero = Tensor(np.zeros((1, char_dim), params.char_table.data.dtype))
+    table = T.concat([params.char_table, zero], axis=0)
     rows = np.where(char_ids == PAD_ID, n_chars, char_ids)  # n_chars: the zero row
     padded = np.pad(rows, ((0, 0), (0, max(params.filters))), constant_values=n_chars)
 

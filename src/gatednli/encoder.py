@@ -73,12 +73,17 @@ class EncodedSentence:
     lengths: np.ndarray
 
 
-def init_lstm_params(input_dim: int, hidden_dim: int, rng) -> LstmParams:
-    """Gaussian weights, zero biases except a +1 forget-gate bias."""
+def init_lstm_params(
+    input_dim: int, hidden_dim: int, rng, dtype=np.float64
+) -> LstmParams:
+    """Gaussian weights, zero biases except a +1 forget-gate bias; the
+    weights are the generator's float64 draws rounded to dtype."""
     d4 = 4 * hidden_dim
-    w = rng.normal(0.0, LSTM_INIT_SIGMA, size=(input_dim, d4))
-    u = rng.normal(0.0, LSTM_INIT_SIGMA, size=(hidden_dim, d4))
-    b = np.zeros(d4)
+    w, u = (
+        rng.normal(0.0, LSTM_INIT_SIGMA, size=(rows, d4)).astype(dtype, copy=False)
+        for rows in (input_dim, hidden_dim)
+    )
+    b = np.zeros(d4, dtype)
     b[hidden_dim : 2 * hidden_dim] = FORGET_BIAS
     return LstmParams(
         w=Tensor(w, requires_grad=True),
@@ -104,7 +109,7 @@ class EncoderParams:
 
 
 def init_encoder_params(
-    embed_dim: int, hidden_dim: int, n_layers: int, rng
+    embed_dim: int, hidden_dim: int, n_layers: int, rng, dtype=np.float64
 ) -> EncoderParams:
     """Layer 1 reads embeddings; upper layers read [embedding; prev states]."""
     if n_layers < 1:
@@ -114,8 +119,8 @@ def init_encoder_params(
         input_dim = embed_dim if k == 0 else embed_dim + 2 * hidden_dim
         layers.append(
             (
-                init_lstm_params(input_dim, hidden_dim, rng),
-                init_lstm_params(input_dim, hidden_dim, rng),
+                init_lstm_params(input_dim, hidden_dim, rng, dtype),
+                init_lstm_params(input_dim, hidden_dim, rng, dtype),
             )
         )
     return EncoderParams(layers=layers)
@@ -167,11 +172,13 @@ def lstm_layer(
     b0 = sizes[0]
     prev_rows = b0 + np.arange(n) - np.repeat(np.r_[b0, sizes[:-1]], sizes)
     x = xs.data[rows]
-    pre = x @ w + b  # (n, 4d), overwritten step by step with the gates
+    # (n, 4d), overwritten step by step with the gates; every array this
+    # op allocates takes its dtype
+    pre = x @ w + b
     gates = pre.reshape(n, 4, d)  # [i, f, update, o]; update is tanh'd
-    h = np.zeros((b0 + n, d))
-    c = np.zeros((b0 + n, d))
-    tc = np.empty((n, d))  # tanh(c) after each packed row
+    h = np.zeros((b0 + n, d), pre.dtype)
+    c = np.zeros((b0 + n, d), pre.dtype)
+    tc = np.empty((n, d), pre.dtype)  # tanh(c) after each packed row
     lo = 0
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
         for bt in sizes:
@@ -189,7 +196,7 @@ def lstm_layer(
             np.tanh(c_t, out=tc[lo:hi])
             np.multiply(o, tc[lo:hi], out=h[b0 + lo : b0 + hi])
             lo = hi
-    out = np.empty((n, 4, d))
+    out = np.empty((n, 4, d), pre.dtype)
     out[rows, 0] = h[b0:]
     out[rows, 1:3] = gates[:, :2]
     out[rows, 3] = gates[:, 3]
@@ -202,7 +209,7 @@ def lstm_layer(
         # adds what flows back through c and h: k3 turns dc into the i, f
         # and update rows, k_o turns dh into the o row and k_c dh into dc.
         dpre = slope * np.concatenate(
-            [gout[:, 1:3], np.zeros((n, 1, d)), gout[:, 3:]], axis=1
+            [gout[:, 1:3], np.zeros((n, 1, d), pre.dtype), gout[:, 3:]], axis=1
         )
         k3 = np.stack(
             [upd * slope[:, 0], c[prev_rows] * slope[:, 1], i * (1.0 - upd * upd)],
@@ -213,8 +220,8 @@ def lstm_layer(
         flat = dpre.reshape(n, 4 * d)
         # What step t + 1 hands back to the first B_{t+1} rows of step t;
         # the rows past B_{t+1} are still zero when step t reads them.
-        dh_next = np.zeros((b0, d))
-        dc_next = np.zeros((b0, d))
+        dh_next = np.zeros((b0, d), pre.dtype)
+        dc_next = np.zeros((b0, d), pre.dtype)
         hi = n
         for bt in sizes[::-1]:
             lo = hi - bt

@@ -147,7 +147,10 @@ class Model:
     def initialize(
         cls, config: ModelConfig, n_chars: int, word_table: np.ndarray, rng
     ) -> "Model":
-        """Fresh parameters; word_table is copied in and stays frozen."""
+        """Fresh parameters in word_table's dtype (float32 or float64; any
+        other becomes float64), drawn from rng in float64 and rounded to
+        it, so both dtypes start from the same weights. word_table is
+        wrapped, not copied, and stays frozen."""
         if word_table.shape[1] != config.word_dim:
             raise ValueError(
                 f"word table dim {word_table.shape[1]} != "
@@ -161,11 +164,12 @@ class Model:
             word_table,
             rng,
         )
+        dtype = embed.word_table.data.dtype
         encoder = EN.init_encoder_params(
-            config.embed_dim, config.hidden_dim, config.n_layers, rng
+            config.embed_dim, config.hidden_dim, config.n_layers, rng, dtype
         )
         classifier = CL.init_classifier_params(
-            config.match_dim, config.mlp_hidden, rng, config.mlp_shortcut
+            config.match_dim, config.mlp_hidden, rng, config.mlp_shortcut, dtype
         )
         return cls(
             config=config,

@@ -1,4 +1,5 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float32 or float64 tensors with tape-based reverse-mode
+differentiation.
 
 Everything downstream (char CNN, BiLSTM encoder, attention pooling,
 classifier) is expressed in the primitive ops defined here.  A forward
@@ -8,6 +9,9 @@ the tape once in reverse and accumulates gradients into every
 
 Ops run fine with no active graph (pure forward, nothing recorded),
 which is how inference and the numeric side of ``grad_check`` work.
+Every op computes in its operands' dtype and allocates in it: a model
+built from float32 arrays trains and scores in float32, one built from
+float64 arrays (the gradient checks and the test oracles) in float64.
 Recording is per thread: an op only ever records onto the graph that its
 own thread entered. A fused op outside this module (the encoder's LSTM
 layer) records itself through ``_apply`` like the primitives here.
@@ -20,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-DTYPE = np.float64
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TensorError(Exception):
@@ -36,18 +40,22 @@ class GraphError(TensorError):
 
 
 class Tensor:
-    """A dense n-dimensional float64 array with an optional gradient slot."""
+    """A dense n-dimensional float32 or float64 array with an optional
+    gradient slot. Any other input is converted to float64."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data: np.ndarray = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        if data.dtype not in FLOAT_DTYPES:
+            data = data.astype(np.float64)
+        self.data: np.ndarray = data
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
-        # Fast construction for op outputs: data is already a DTYPE ndarray.
+        # Fast construction for op outputs: data is already a float ndarray.
         t = cls.__new__(cls)
         t.data = data
         t.requires_grad = False
@@ -364,9 +372,10 @@ def l2norm(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    """Elementwise a / b with broadcasting; b may be a python number."""
+    """Elementwise a / b with broadcasting; b may be a python number,
+    taken in a's dtype."""
     if not isinstance(b, Tensor):
-        b = Tensor(b)
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     return _elementwise(
         "div", a, b, lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
     )

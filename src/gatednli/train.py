@@ -35,7 +35,10 @@ INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
 ADAM_CHUNK = 32768  # values per Adam slice: a thread's slices and scratch fit its L2
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
-_DTYPE_F64 = 0
+# Each tensor's dtype code byte. Files written before float32 training
+# hold code 0 only.
+_DTYPE_CODES = {np.dtype("<f8"): 0, np.dtype("<f4"): 1}
+_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
 class NumericError(Exception):
@@ -74,7 +77,8 @@ class Adam:
                 raise ValueError(f"Adam: parameter {name} is not contiguous")
         self.m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
-        self._scratch = np.empty((2, 2, ADAM_CHUNK))  # two buffers per thread
+        dtype = np.result_type(np.float32, *(t.data for t in self.named.values()))
+        self._scratch = np.empty((2, 2, ADAM_CHUNK), dtype)  # two buffers per thread
 
     def step(self, max_norm: float = math.inf):
         """g *= max_norm / norm if norm > max_norm;
@@ -154,14 +158,17 @@ def clip_global_norm(named: dict[str, Tensor]) -> float:
     return float(np.sqrt(total))
 
 
+@dataclass
 class _NoDraws:
     """Stands in for the init's random generator when every drawn value
     is overwritten anyway: ``normal`` hands back an unfilled array of the
-    requested shape, so the skeleton costs allocations but no draws."""
+    requested shape in the model's dtype, so the skeleton costs
+    allocations but no draws and no casts."""
 
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.empty(size)
+    dtype: np.dtype
+
+    def normal(self, loc, scale, size):
+        return np.empty(size, self.dtype)
 
 
 @dataclass
@@ -189,11 +196,15 @@ class Checkpoint:
         )
 
     def build_model(self) -> Model:
-        """Skeleton of the saved architecture, then overwrite every tensor
-        with a copy of the stored values."""
-        placeholder = np.zeros((self.vocab.n_words, self.config.word_dim))
+        """Skeleton of the saved architecture in the stored dtype, then
+        overwrite every tensor with a copy of the stored values."""
+        dtypes = {arr.dtype for arr in self.tensors.values()}
+        if len(dtypes) > 1:
+            raise DataError(f"checkpoint tensors mix dtypes {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        placeholder = np.zeros((self.vocab.n_words, self.config.word_dim), dtype)
         model = Model.initialize(
-            self.config, self.vocab.n_chars, placeholder, _NoDraws()
+            self.config, self.vocab.n_chars, placeholder, _NoDraws(dtype)
         )
         named = model.params.named_tensors()
         missing = set(named) - set(self.tensors)
@@ -227,14 +238,16 @@ class Checkpoint:
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
             for name in sorted(self.tensors):
-                arr = np.ascontiguousarray(self.tensors[name], dtype="<f8")
+                arr = self.tensors[name]
+                f4 = arr.dtype == np.float32
+                arr = np.ascontiguousarray(arr, dtype="<f4" if f4 else "<f8")
                 name_b = name.encode("utf-8")
                 payload = arr.tobytes()
                 fh.write(struct.pack("<H", len(name_b)))
                 fh.write(name_b)
                 fh.write(struct.pack("<B", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(struct.pack("<B", _DTYPE_F64))
+                fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
                 fh.write(struct.pack("<Q", len(payload)))
                 fh.write(payload)
 
@@ -274,16 +287,17 @@ class Checkpoint:
             pos += 8 * ndim
             (dtype_code,) = struct.unpack_from("<B", view, pos)
             pos += 1
-            if dtype_code != _DTYPE_F64:
+            dtype = _CODE_DTYPES.get(dtype_code)
+            if dtype is None:
                 raise DataError(f"unknown dtype code {dtype_code} in {path}")
             (n_bytes,) = struct.unpack_from("<Q", view, pos)
             pos += 8
-            if n_bytes != 8 * math.prod(shape) or pos + n_bytes > len(view):
+            if n_bytes != dtype.itemsize * math.prod(shape) or pos + n_bytes > len(view):
                 raise DataError(
                     f"checkpoint {path}: tensor {name} needs {n_bytes} bytes "
                     f"for shape {shape}, {len(view) - pos} left"
                 )
-            arr = np.frombuffer(view[pos : pos + n_bytes], dtype="<f8")
+            arr = np.frombuffer(view[pos : pos + n_bytes], dtype=dtype)
             pos += n_bytes
             if not np.isfinite(arr).all():
                 raise DataError(
@@ -293,7 +307,7 @@ class Checkpoint:
             # raises glibc's mmap and trim thresholds, so the forward
             # pass's large temporaries reuse heap memory instead of being
             # mapped and unmapped on every batch (2x the page faults).
-            tensors[name] = arr.reshape(shape).astype(np.float64).copy()
+            tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("=")).copy()
         return cls(
             config=ModelConfig.from_dict(header["config"]),
             vocab=Vocab.from_json(header["vocab"]),
@@ -318,9 +332,11 @@ def predict(
 
     The one inference loop: the examples go through ``Model.forward`` in
     unshuffled batches of ``INFER_BATCH`` pairs, each padded only when its
-    turn comes, so memory does not grow with the number of examples. A
-    probability that is not finite raises NumericError, naming the first
-    such example; that check finds overflow, so numpy's warnings are off.
+    turn comes, so memory does not grow with the number of examples. The
+    models' rows are summed in float64 and each sum is renormalised, since
+    a float32 softmax sums to 1 only within about 1e-7. A probability that
+    is not finite raises NumericError, naming the first such example; that
+    check finds overflow, so numpy's warnings are off.
     """
     if not examples:
         raise DataError("empty dataset")
@@ -331,7 +347,7 @@ def predict(
         total = np.zeros((batch.size, CL.N_CLASSES))
         for model in models:
             total += model.forward(batch)[0].data
-        probs = total / len(models)
+        probs = total / total.sum(axis=1, keepdims=True)
         bad = ~np.isfinite(probs).all(axis=1)
         if bad.any():
             first = start + 1 + int(bad.argmax())

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -272,6 +273,58 @@ class TestExitCodes:
         assert f"{bad}: line 1" in capsys.readouterr().err
 
 
+    def test_vector_value_beyond_float32_is_data_error(
+        self, tmp_path, workdir, capsys
+    ):
+        # Finite in float64, the vector loader's dtype, but inf once the
+        # table is cast to float32 for training.
+        lines = (workdir / "vectors.txt").read_text().splitlines()
+        token, *values = lines[0].split(" ")
+        values[1] = "1e39"
+        bad = tmp_path / "vectors.txt"
+        bad.write_text("\n".join([" ".join([token, *values])] + lines[1:]) + "\n")
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--config", str(workdir / "run.cfg"),
+                "--vectors-path", str(bad), "--checkpoint-path", str(ckpt)]
+        assert C.main(argv) == 2
+        assert (
+            f"error: vectors {bad}: the row of {token!r} has a value beyond "
+            f"the float32 range"
+        ) in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("dtype-code-2", "unknown dtype code 2"),
+            ("float64-size", "needs"),  # 8 bytes a value for a float32 tensor
+            ("cut-payload", "needs"),
+        ],
+    )
+    def test_malformed_float32_tensor_is_data_error(
+        self, tmp_path, workdir, capsys, edit, message
+    ):
+        blob = bytearray((workdir / "model.ckpt").read_bytes())
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        pos = 16 + header_len  # the first tensor
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + name_len
+        ndim = blob[pos]
+        code_at = pos + 1 + 8 * ndim
+        (n_bytes,) = struct.unpack_from("<Q", blob, code_at + 1)
+        assert blob[code_at] == 1  # float32
+        if edit == "dtype-code-2":
+            blob[code_at] = 2
+        elif edit == "float64-size":
+            struct.pack_into("<Q", blob, code_at + 1, 2 * n_bytes)
+        else:
+            blob = blob[: code_at + 9 + n_bytes // 2]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        argv = ["eval", "--checkpoint", str(bad), "--data", str(workdir / "dev.jsonl")]
+        assert C.main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_tab_separated_vectors_are_data_error(
         self, tmp_path, workdir, capsys
     ):
@@ -321,9 +374,11 @@ class TestExitCodes:
         self, tmp_path, workdir, capsys, command
     ):
         # Finite weights whose forward overflows: every logit is +inf, so
-        # every probability is NaN.
+        # every probability is NaN. The largest finite value of the
+        # checkpoint's dtype (float32, as `gatednli train` writes it).
         ckpt = TR.Checkpoint.load(str(workdir / "model.ckpt"))
-        ckpt.tensors["classify.b2"][:] = 1e308
+        b2 = ckpt.tensors["classify.b2"]
+        b2[:] = np.finfo(b2.dtype).max
         ckpt.tensors["classify.w_out"][:] = 1.0
         bad = tmp_path / "overflow.ckpt"
         ckpt.save(str(bad))
@@ -350,6 +405,24 @@ class TestTrainedArtifacts:
         lines = (workdir / "history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,dev_acc"
         assert len(lines) == 3
+
+    def test_train_runs_in_float32_and_eval_loads_it_so(self, workdir):
+        ckpt = TR.Checkpoint.load(str(workdir / "model.ckpt"))
+        assert {arr.dtype for arr in ckpt.tensors.values()} == {np.dtype(np.float32)}
+        model, _ = TR.load_model(str(workdir / "model.ckpt"))
+        named = model.params.named_tensors().values()
+        assert {t.data.dtype for t in named} == {np.dtype(np.float32)}
+
+    def test_same_seed_float32_trainings_are_byte_identical(self, workdir, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            ckpt, history = tmp_path / f"{run}.ckpt", tmp_path / f"{run}.csv"
+            rc = C.main(["train", "--config", str(workdir / "run.cfg"),
+                         "--checkpoint-path", str(ckpt), "--history-path", str(history)])
+            assert rc == 0
+            outputs.append((ckpt.read_bytes(), history.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (workdir / "model.ckpt").read_bytes()
 
     def test_banner_reports_config_and_seed(self, workdir, capsys):
         rc = C.main(["train", "--config", str(workdir / "run.cfg")])

@@ -124,7 +124,7 @@ class TestVocab:
         vocab = D.build_vocab(self.examples("a b c"))
         ids = sorted(vocab.word_to_id.values())
         assert ids == list(range(2, 2 + len(ids)))
-        assert D.PAD_ID != vocab.unk_id
+        assert D.PAD_ID != D.UNK_ID
 
     def test_all_chars_present(self):
         vocab = D.build_vocab(self.examples("ab ba"))

@@ -321,7 +321,7 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(ckpt.tensors)
         for name, arr in ckpt.tensors.items():
             got = loaded.tensors[name]
-            assert got.dtype == np.float64
+            assert got.dtype == arr.dtype
             assert arr.tobytes() == got.tobytes(), name
 
     def test_rebuilt_model_predicts_identically(self, tmp_path):
