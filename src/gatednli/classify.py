@@ -52,14 +52,11 @@ class ClassifierParams:
 def init_classifier_params(
     input_dim: int, hidden_dim: int, rng, shortcut: bool = True, dtype=np.float64
 ) -> ClassifierParams:
-    """Fan-in scaled Gaussian weights, zero biases; the weights are the
-    generator's float64 draws rounded to dtype."""
+    """Fan-in scaled Gaussian weights, zero biases."""
 
     def dense(n_in, n_out):
-        w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out))
-        return Tensor(w.astype(dtype, copy=False), requires_grad=True), Tensor(
-            np.zeros(n_out, dtype), requires_grad=True
-        )
+        w = T.normal_param(rng, 1.0 / np.sqrt(n_in), (n_in, n_out), dtype)
+        return w, Tensor(np.zeros(n_out, dtype), requires_grad=True)
 
     w1, b1 = dense(input_dim, hidden_dim)
     dim2 = input_dim + hidden_dim if shortcut else hidden_dim

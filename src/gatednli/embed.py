@@ -40,19 +40,15 @@ def init_embed_params(
     rng: np.random.Generator,
 ) -> EmbedParams:
     """Gaussian char table and filters, zero biases, all in the word
-    table's dtype: the generator's float64 draws rounded to it."""
+    table's dtype."""
     word = Tensor(word_table, requires_grad=False)
     dtype = word.data.dtype
-
-    def draw(scale, shape):
-        values = rng.normal(0.0, scale, shape).astype(dtype, copy=False)
-        return Tensor(values, requires_grad=True)
-
-    char_table = draw(0.1, (n_chars, char_dim))
+    char_table = T.normal_param(rng, 0.1, (n_chars, char_dim), dtype)
     filters: dict[int, tuple[Tensor, Tensor]] = {}
     for width in filter_widths:
         fan_in = width * char_dim
-        weight = draw(1.0 / np.sqrt(fan_in), (fan_in, filter_channels))
+        scale = 1.0 / np.sqrt(fan_in)
+        weight = T.normal_param(rng, scale, (fan_in, filter_channels), dtype)
         bias = Tensor(np.zeros(filter_channels, dtype), requires_grad=True)
         filters[width] = (weight, bias)
     return EmbedParams(char_table=char_table, filters=filters, word_table=word)

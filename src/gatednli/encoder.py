@@ -76,20 +76,13 @@ class EncodedSentence:
 def init_lstm_params(
     input_dim: int, hidden_dim: int, rng, dtype=np.float64
 ) -> LstmParams:
-    """Gaussian weights, zero biases except a +1 forget-gate bias; the
-    weights are the generator's float64 draws rounded to dtype."""
+    """Gaussian weights, zero biases except a +1 forget-gate bias."""
     d4 = 4 * hidden_dim
-    w, u = (
-        rng.normal(0.0, LSTM_INIT_SIGMA, size=(rows, d4)).astype(dtype, copy=False)
-        for rows in (input_dim, hidden_dim)
-    )
+    w = T.normal_param(rng, LSTM_INIT_SIGMA, (input_dim, d4), dtype)
+    u = T.normal_param(rng, LSTM_INIT_SIGMA, (hidden_dim, d4), dtype)
     b = np.zeros(d4, dtype)
     b[hidden_dim : 2 * hidden_dim] = FORGET_BIAS
-    return LstmParams(
-        w=Tensor(w, requires_grad=True),
-        u=Tensor(u, requires_grad=True),
-        b=Tensor(b, requires_grad=True),
-    )
+    return LstmParams(w=w, u=u, b=Tensor(b, requires_grad=True))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class TensorError(Exception):
@@ -47,7 +47,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
-        if data.dtype not in FLOAT_DTYPES:
+        if data.dtype not in _FLOAT_DTYPES:
             data = data.astype(np.float64)
         self.data: np.ndarray = data
         self.requires_grad = requires_grad
@@ -172,6 +172,14 @@ def _apply(
         g._records.append((out, inputs, backward))
         g._tracked.add(id(out))
     return out
+
+
+def normal_param(rng, scale: float, shape, dtype) -> Tensor:
+    """A trainable tensor of N(0, scale^2) values: the generator's float64
+    draws rounded to dtype, so models of either dtype draw the same
+    stream and start from the same weights."""
+    values = rng.normal(0.0, scale, shape).astype(dtype, copy=False)
+    return Tensor(values, requires_grad=True)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

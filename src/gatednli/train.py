@@ -292,7 +292,8 @@ class Checkpoint:
                 raise DataError(f"unknown dtype code {dtype_code} in {path}")
             (n_bytes,) = struct.unpack_from("<Q", view, pos)
             pos += 8
-            if n_bytes != dtype.itemsize * math.prod(shape) or pos + n_bytes > len(view):
+            size = dtype.itemsize * math.prod(shape)
+            if n_bytes != size or pos + n_bytes > len(view):
                 raise DataError(
                     f"checkpoint {path}: tensor {name} needs {n_bytes} bytes "
                     f"for shape {shape}, {len(view) - pos} left"

@@ -272,7 +272,6 @@ class TestExitCodes:
         assert rc == 2
         assert f"{bad}: line 1" in capsys.readouterr().err
 
-
     def test_vector_value_beyond_float32_is_data_error(
         self, tmp_path, workdir, capsys
     ):
