@@ -397,23 +397,27 @@ def gradcheck_all() -> dict[str, float]:
         if t.requires_grad
     )
 
-    # fused LSTM layer, both directions, on a loss over h and the gates
-    layer = EN.LstmParams(
-        w=Tensor(rng.normal(0, 0.4, size=(2, 12)), requires_grad=True),
-        u=Tensor(rng.normal(0, 0.4, size=(3, 12)), requires_grad=True),
-        b=Tensor(rng.normal(0, 0.4, size=12), requires_grad=True),
+    # fused BiLSTM layer, both directions, on a loss over h and each gate
+    pair = tuple(
+        EN.LstmParams(
+            w=Tensor(rng.normal(0, 0.4, size=(2, 12)), requires_grad=True),
+            u=Tensor(rng.normal(0, 0.4, size=(3, 12)), requires_grad=True),
+            b=Tensor(rng.normal(0, 0.4, size=12), requires_grad=True),
+        )
+        for _ in range(2)
     )
     xs = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     layer_weights = Tensor(rng.normal(size=(4, 12)))
 
-    def f_layer(_t, reverse):
-        out = EN.lstm_layer(xs, [1, 3], layer, reverse)
-        return _scalarize(T.mul(out, layer_weights))
+    def f_layer(_t, gate):
+        h, g = EN.bilstm_layer(xs, [1, 3], pair, gate)
+        return _scalarize(T.mul(T.concat([h, g], axis=1), layer_weights))
 
+    layer_tensors = [xs] + [t for p in pair for t in (p.w, p.u, p.b)]
     errors["lstm-layer"] = max(
-        grad_check(lambda _t: f_layer(_t, reverse), t)
-        for reverse in (False, True)
-        for t in (xs, layer.w, layer.u, layer.b)
+        grad_check(lambda _t: f_layer(_t, gate), t)
+        for gate in EN.GateKind
+        for t in layer_tensors
     )
 
     # stacked encoder, on a ragged block of two sentences, for each gate

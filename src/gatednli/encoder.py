@@ -2,18 +2,17 @@
 
 The encoder runs a forward and a backward LSTM over each sentence and
 concatenates their states per position. Layers above the first receive the
-word embeddings concatenated with the previous layer's hidden states. The
-top layer's activations of one gate, the one attention pooling weights
-positions by (``GateKind``), are returned next to the hidden states; no
-other gate block is joined.
+word embeddings concatenated with the previous layer's hidden states. Only
+the top layer also returns a gate's activations: those of the one gate
+attention pooling weights positions by (``GateKind``).
 
 A call encodes a ragged block: the sentences' rows back to back, with their
-lengths, and no padding. Sentences never read each other's rows. Each
-(layer, direction) is one fused op, ``lstm_layer``, that runs the whole
-recurrence of the block in plain numpy, one GEMM per time step over the
-sentences still running, and records a single tape entry with an analytic
-backward pass. Weight matrices are stored input-side first, so the input
-projection of all N rows is one (N, input_dim) @ W product.
+lengths, and no padding. Sentences never read each other's rows. Each layer
+is one fused op, ``bilstm_layer``, that runs both directions' recurrences
+over the block in plain numpy, one GEMM per direction and time step over
+the sentences still running, and records one tape entry with an analytic
+backward pass (plus one for the top layer's gate). Weights are stored
+input-side first: all N rows' input projection is one (N, input_dim) @ W.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ class LstmParams:
     u: Tensor
     b: Tensor
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.u.shape[0]
-
 
 class GateKind(Enum):
     """The gate whose norms weight the attention pool."""
@@ -55,14 +50,14 @@ class GateKind(Enum):
     OUTPUT = "output"
 
 
-# Where each gate sits in lstm_layer's [h | i | f | o] output, in d-wide blocks.
-GATE_BLOCK = {GateKind.INPUT: 1, GateKind.FORGET: 2, GateKind.OUTPUT: 3}
+# Where each gate sits on the gate axis of bilstm_layer's [i, f, update, o].
+GATE_INDEX = {GateKind.INPUT: 0, GateKind.FORGET: 1, GateKind.OUTPUT: 3}
 
 
 @dataclass
 class EncodedSentence:
     """Top-layer states and one gate's activations for a ragged block of
-    sentences.
+    sentences: the top ``bilstm_layer``'s two outputs.
 
     h and gate are (N, 2d) with the forward direction in the first d
     columns; sentence s owns lengths[s] consecutive rows, in block order.
@@ -127,37 +122,43 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def lstm_layer(
-    xs: Tensor, lengths: np.ndarray, params: LstmParams, reverse: bool
-) -> Tensor:
-    """One direction of one layer over a ragged block, as one tape record.
+def bilstm_layer(
+    xs: Tensor,
+    lengths: np.ndarray,
+    params: tuple[LstmParams, LstmParams],
+    gate: GateKind | None = None,
+) -> tuple[Tensor, Tensor | None]:
+    """Both directions of one layer over a ragged block.
 
     xs holds the block's sentences back to back, lengths[s] rows for
-    sentence s. Returns an (N, 4d) block in the same row order, laid out
-    [h | i | f | o]: the hidden states and the input, forget and output
-    gate activations. The rows are gathered once into packed, time-major
-    order: sentences sorted longest first, so the B_t sentences still
-    running at step t are the first B_t of step t - 1, and each read back
-    to front when reverse is set. Every step is then one h[:B_t] @ u
-    product, after one GEMM for the input projection of all rows. The
-    backward pass is analytic BPTT: it takes gradients on h and on all
-    three gates, keeps only the recurrent product dpre @ u.T inside its
-    loop, and forms the input, weight and bias gradients afterwards with
-    one GEMM (or sum) each.
+    sentence s; params is the (forward, backward) pair. Returns the (N, 2d)
+    hidden states in the same row order, forward direction first, and the
+    given gate's activations in the same layout (None without a gate). The
+    rows are gathered once into packed, time-major order: sentences sorted
+    longest first, so the B_t still running at step t are the first B_t of
+    step t - 1, each read back to front in the backward direction. The
+    directions run as one recurrence over a leading direction axis, with
+    one h[:B_t] @ u product each and one set of elementwise calls a step.
+
+    The gate is a second tape record, on h: its backward hands its gradient
+    to h's and gives h a zero one, so h's backward runs even if nothing else
+    reads h. That backward is analytic BPTT: only dpre @ u.T stays in its
+    loop; the input, weight and bias gradients take one GEMM (or sum) each.
     """
-    w, u, b = params.w.data, params.u.data, params.b.data
-    if xs.ndim != 2 or xs.shape[1] != w.shape[0]:
-        raise T.ShapeError(f"lstm_layer: input {xs.shape} for weights {w.shape}")
+    ws, us = [p.w.data for p in params], [p.u.data for p in params]
+    if xs.ndim != 2 or any(xs.shape[1] != w.shape[0] for w in ws):
+        raise T.ShapeError(f"bilstm_layer: input {xs.shape} for weights {ws[0].shape}")
     lengths = np.asarray(lengths, dtype=np.int64)
-    n, d = xs.shape[0], u.shape[0]
+    n, d = xs.shape[0], us[0].shape[0]
     if not lengths.size or lengths.min() < 1 or lengths.sum() != n:
-        raise ValueError(f"lstm_layer: lengths {lengths} must be >= 1, sum {n}")
+        raise ValueError(f"bilstm_layer: lengths {lengths} must be >= 1, sum {n}")
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]
     starts = (np.cumsum(lengths) - lengths)[order]
     step = np.arange(lens[0])[:, None]
     running = step < lens  # (steps, S), row-major in packed order
-    rows = (starts + (lens - 1 - step if reverse else step))[running]
+    # (2, n): each direction's block row for each packed row
+    rows = np.stack([starts + step, starts + lens - 1 - step])[:, running]
     sizes = running.sum(axis=1)  # B_t
     # Everything below runs in packed order. State row b0 + r holds the
     # state after packed row r; rows below b0 hold the zero start state,
@@ -165,103 +166,113 @@ def lstm_layer(
     b0 = sizes[0]
     prev_rows = b0 + np.arange(n) - np.repeat(np.r_[b0, sizes[:-1]], sizes)
     x = xs.data[rows]
-    # (n, 4d), overwritten step by step with the gates; every array this
-    # op allocates takes its dtype
-    pre = x @ w + b
-    gates = pre.reshape(n, 4, d)  # [i, f, update, o]; update is tanh'd
-    h = np.zeros((b0 + n, d), pre.dtype)
-    c = np.zeros((b0 + n, d), pre.dtype)
-    tc = np.empty((n, d), pre.dtype)  # tanh(c) after each packed row
+    # (2, n, 4d), overwritten step by step with the gates; every array
+    # this op allocates takes its dtype
+    pre = np.empty((2, n, 4 * d), np.result_type(x, *ws))
+    for k, p in enumerate(params):
+        np.matmul(x[k], ws[k], out=pre[k])
+        pre[k] += p.b.data
+    gates = pre.reshape(2, n, 4, d)  # [i, f, update, o]; update is tanh'd
+    h = np.zeros((2, b0 + n, d), pre.dtype)
+    c = np.zeros((2, b0 + n, d), pre.dtype)
+    tc = np.empty((2, n, d), pre.dtype)  # tanh(c) after each packed row
     lo = 0
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
         for bt in sizes:
             hi, p = lo + bt, prev_rows[lo]
             if lo:  # the zero start state adds nothing
-                pre[lo:hi] += h[p : p + bt] @ u
-            g = gates[lo:hi]
-            i, f, upd, o = g.transpose(1, 0, 2)
+                for k in range(2):
+                    pre[k, lo:hi] += h[k, p : p + bt] @ us[k]
+            g = gates[:, lo:hi]
+            i, f, upd, o = g.transpose(2, 0, 1, 3)
             np.tanh(upd, out=upd)
-            _sigmoid(g[:, :2], out=g[:, :2])
+            _sigmoid(g[:, :, :2], out=g[:, :, :2])
             _sigmoid(o, out=o)
-            c_t = c[b0 + lo : b0 + hi]
-            np.multiply(f, c[p : p + bt], out=c_t)
+            c_t = c[:, b0 + lo : b0 + hi]
+            np.multiply(f, c[:, p : p + bt], out=c_t)
             c_t += i * upd
-            np.tanh(c_t, out=tc[lo:hi])
-            np.multiply(o, tc[lo:hi], out=h[b0 + lo : b0 + hi])
+            np.tanh(c_t, out=tc[:, lo:hi])
+            np.multiply(o, tc[:, lo:hi], out=h[:, b0 + lo : b0 + hi])
             lo = hi
-    out = np.empty((n, 4, d), pre.dtype)
-    out[rows, 0] = h[b0:]
-    out[rows, 1:3] = gates[:, :2]
-    out[rows, 3] = gates[:, 3]
+    cols = np.arange(2)[:, None]  # block.reshape(n, 2, d)[rows, cols] is packed
+
+    def unpack(packed):
+        block = np.empty((n, 2, d), pre.dtype)
+        block[rows, cols] = packed
+        return block.reshape(n, 2 * d)
+
+    j = GATE_INDEX.get(gate)
+    handed = []  # the gate's gradient, once the gate's backward has run
 
     def backward(gout):
-        gout = gout[rows].reshape(n, 4, d)
-        i, f, upd, o = gates.transpose(1, 0, 2)
+        i, f, upd, o = gates.transpose(2, 0, 1, 3)
         slope = gates * (1.0 - gates)  # sigmoid slopes; the update's is unused
-        # dpre starts with what the gate outputs receive directly; the loop
+        s_i, s_f, _, s_o = slope.transpose(2, 0, 1, 3)
+        # dpre starts with what the gate output receives directly; the loop
         # adds what flows back through c and h: k3 turns dc into the i, f
         # and update rows, k_o turns dh into the o row and k_c dh into dc.
-        dpre = slope * np.concatenate(
-            [gout[:, 1:3], np.zeros((n, 1, d), pre.dtype), gout[:, 3:]], axis=1
-        )
+        dpre = np.zeros_like(gates)
+        if handed:
+            dpre[:, :, j] = slope[:, :, j] * handed[0].reshape(n, 2, d)[rows, cols]
         k3 = np.stack(
-            [upd * slope[:, 0], c[prev_rows] * slope[:, 1], i * (1.0 - upd * upd)],
-            axis=1,
+            [upd * s_i, c[:, prev_rows] * s_f, i * (1.0 - upd * upd)], axis=2
         )
-        k_o = tc * slope[:, 3]
+        k_o = tc * s_o
         k_c = o * (1.0 - tc * tc)
-        flat = dpre.reshape(n, 4 * d)
+        flat = dpre.reshape(2, n, 4 * d)
+        gh = gout.reshape(n, 2, d)[rows, cols]
         # What step t + 1 hands back to the first B_{t+1} rows of step t;
         # the rows past B_{t+1} are still zero when step t reads them.
-        dh_next = np.zeros((b0, d), pre.dtype)
-        dc_next = np.zeros((b0, d), pre.dtype)
+        dh_next = np.zeros((2, b0, d), pre.dtype)
+        dc_next = np.zeros((2, b0, d), pre.dtype)
         hi = n
         for bt in sizes[::-1]:
             lo = hi - bt
-            dh = gout[lo:hi, 0] + dh_next[:bt]
-            dc = dh * k_c[lo:hi]
-            dc += dc_next[:bt]
-            dpre[lo:hi, :3] += k3[lo:hi] * dc[:, None]
-            dpre[lo:hi, 3] += dh * k_o[lo:hi]
+            dh = gh[:, lo:hi] + dh_next[:, :bt]
+            dc = dh * k_c[:, lo:hi]
+            dc += dc_next[:, :bt]
+            dpre[:, lo:hi, :3] += k3[:, lo:hi] * dc[:, :, None]
+            dpre[:, lo:hi, 3] += dh * k_o[:, lo:hi]
             if lo:  # nothing precedes the first step
-                np.multiply(dc, f[lo:hi], out=dc_next[:bt])
-                np.matmul(flat[lo:hi], u.T, out=dh_next[:bt])
+                np.multiply(dc, f[:, lo:hi], out=dc_next[:, :bt])
+                for k in range(2):
+                    np.matmul(flat[k, lo:hi], us[k].T, out=dh_next[k, :bt])
             hi = lo
-        dx = np.empty_like(x)
-        dx[rows] = flat @ w.T
-        return dx, x.T @ flat, h[prev_rows].T @ flat, flat.sum(axis=0)
+        dxs, dws = [], []
+        for k in range(2):
+            dxs.append(np.empty_like(x[k]))
+            dxs[k][rows[k]] = flat[k] @ ws[k].T
+            dws += [x[k].T @ flat[k], h[k, prev_rows].T @ flat[k], flat[k].sum(axis=0)]
+        # xs is listed twice, the backward direction's dx first, so the
+        # tape adds the two in the order of one record per direction
+        return (dxs[1], dxs[0], *dws)
 
-    inputs = (xs, params.w, params.u, params.b)
-    return T._apply(out.reshape(n, 4 * d), inputs, backward)
+    weights = tuple(t for p in params for t in (p.w, p.u, p.b))
+    h_t = T._apply(unpack(h[:, b0:]), (xs, xs) + weights, backward)
+    if gate is None:
+        return h_t, None
 
+    def gate_backward(gout):
+        handed.append(gout)
+        return (np.broadcast_to(np.zeros((), pre.dtype), h_t.shape),)
 
-def _join(fwd: Tensor, bwd: Tensor, block: int, d: int) -> Tensor:
-    """One d-wide block of both directions' [h | i | f | o] outputs, side
-    by side."""
-    lo, hi = block * d, (block + 1) * d
-    return T.concat(
-        [T.slice_axis(fwd, 1, lo, hi), T.slice_axis(bwd, 1, lo, hi)], axis=1
-    )
+    return h_t, T._apply(unpack(gates[:, :, j]), (h_t,), gate_backward)
 
 
 def stacked_encode(
     e: Tensor, mask: np.ndarray, params: EncoderParams, gate: GateKind
 ) -> EncodedSentence:
     """Stack of BiLSTMs over a ragged block; upper layers see [e; previous
-    states].
+    states], and only the top one returns the given gate's activations.
 
     e holds the valid rows of the (S, L) 0/1 mask in row-major order, so
-    sentence s is mask[s].sum() consecutive rows. Each layer joins its two
-    directions' hidden states; the top layer also joins the given gate's
-    activations, the only gate block anything reads.
+    sentence s is mask[s].sum() consecutive rows.
     """
     lengths = np.asarray(mask).sum(axis=1)
     layer_in = e
-    for k, (fwd_params, bwd_params) in enumerate(params.layers):
+    top = len(params.layers) - 1
+    for k, pair in enumerate(params.layers):
         if k:
             layer_in = T.concat([e, h], axis=1)
-        fwd = lstm_layer(layer_in, lengths, fwd_params, reverse=False)
-        bwd = lstm_layer(layer_in, lengths, bwd_params, reverse=True)
-        d = fwd_params.hidden_dim
-        h = _join(fwd, bwd, 0, d)
-    return EncodedSentence(h, _join(fwd, bwd, GATE_BLOCK[gate], d), lengths)
+        h, g = bilstm_layer(layer_in, lengths, pair, gate if k == top else None)
+    return EncodedSentence(h, g, lengths)

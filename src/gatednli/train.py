@@ -87,9 +87,10 @@ class Adam:
 
         norm is ``clip_global_norm``'s pre-clip norm; only a non-finite one
         scans the gradients, and the first holding a NaN or inf raises
-        NumericError. Finite entries whose squares overflowed are scaled by
-        max_norm / inf = 0. The helper runs in a copy of the caller's context
-        (numpy's errstate); if it fails, the step is partly applied and raises.
+        NumericError. Finite entries whose squares overflow even float64 (a
+        norm past about 1.3e154) are scaled by max_norm / inf = 0. The
+        helper runs in a copy of the caller's context (numpy's errstate);
+        if it fails, the step is partly applied and raises.
         """
         norm = clip_global_norm(self.named)
         if not math.isfinite(norm):
@@ -149,12 +150,17 @@ def clip_global_norm(named: dict[str, Tensor]) -> float:
     """The joint L2 norm of the gradients before clipping; writes nothing.
 
     Tensors without gradients are skipped. ``Adam.step`` computes this
-    norm and applies the clip factor inside its update pass.
+    norm and applies the clip factor inside its update pass. A float32
+    gradient whose squares overflow float32 is summed again in float64.
     """
     total = 0.0
     for t in named.values():
         if t.grad is not None:
-            total += float(np.vdot(t.grad, t.grad))
+            sq = float(np.vdot(t.grad, t.grad))
+            if sq == math.inf and t.grad.dtype != np.float64:
+                wide = t.grad.astype(np.float64)
+                sq = float(np.vdot(wide, wide))
+            total += sq
     return float(np.sqrt(total))
 
 

@@ -1,17 +1,18 @@
 """Composite LSTM reference, built from the autodiff core's primitives.
 
-This is the per-step recurrence the encoder ran before its fused
-``lstm_layer``: every gate slice, activation and state update is its own
+This is the per-step recurrence behind the encoder's fused
+``bilstm_layer``: every gate slice, activation and state update is its own
 tape record, and the backward pass is whatever the primitives compose to.
 The tests check the fused op against it, values and gradients alike,
-running the oracle on one sentence at a time. The elementwise sigmoid and
-tanh ops it needs live here, as only the oracle uses them.
+running the oracle on one sentence and one direction at a time. The
+elementwise sigmoid and tanh ops it needs live here, as only the oracle
+uses them.
 """
 
 import numpy as np
 
 from gatednli import tensor as T
-from gatednli.encoder import LstmParams
+from gatednli.encoder import GateKind, LstmParams
 from gatednli.tensor import Tensor
 
 
@@ -47,20 +48,36 @@ def lstm_cell(x_t, h_prev, c_prev, params: LstmParams):
     pre = T.add(
         T.add(T.matmul(x_t, params.w), T.matmul(h_prev, params.u)), params.b
     )
-    i, f, u, o = _split_gates(pre, params.hidden_dim)
+    i, f, u, o = _split_gates(pre, params.u.shape[0])
     c_t = T.add(T.mul(f, c_prev), T.mul(i, u))
     h_t = T.mul(o, tanh(c_t))
     return h_t, c_t, (i, f, o)
 
 
 def lstm_layer(xs, params: LstmParams, reverse: bool):
-    """The fused op's (n, 4d) [h | i | f | o] block for one sentence, step
-    by step."""
-    n, d = xs.shape[0], params.hidden_dim
+    """One direction over one sentence, step by step: the (n, d) hidden
+    states and, by GateKind, each gate's (n, d) activations."""
+    n, d = xs.shape[0], params.u.shape[0]
     h = Tensor(np.zeros((1, d)))
     c = Tensor(np.zeros((1, d)))
-    rows = [None] * n
+    hs, gates = [None] * n, {kind: [None] * n for kind in GateKind}
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        h, c, (i, f, o) = lstm_cell(T.slice_axis(xs, 0, t, t + 1), h, c, params)
-        rows[t] = T.concat([h, i, f, o], axis=1)
-    return T.concat(rows, axis=0)
+        h, c, ifo = lstm_cell(T.slice_axis(xs, 0, t, t + 1), h, c, params)
+        hs[t] = h
+        for kind, a in zip(GateKind, ifo):
+            gates[kind][t] = a
+    return T.concat(hs, 0), {k: T.concat(a, 0) for k, a in gates.items()}
+
+
+def bilstm_layer(xs, lengths, params, gate=None):
+    """The fused op's (h, gate) outputs for a ragged block, each sentence
+    and direction run alone; the gate is None without a gate kind."""
+    hs, gs, start = [], [], 0
+    for n in lengths:
+        x = T.slice_axis(xs, 0, start, start + n)
+        runs = [lstm_layer(x, p, rev) for p, rev in zip(params, (False, True))]
+        hs.append(T.concat([h for h, _ in runs], axis=1))
+        if gate is not None:
+            gs.append(T.concat([g[gate] for _, g in runs], axis=1))
+        start += n
+    return T.concat(hs, axis=0), T.concat(gs, axis=0) if gs else None

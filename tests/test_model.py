@@ -146,15 +146,17 @@ class TestModelForward:
         assert np.max(np.abs(in_first - alone)) < 1e-10
 
     @pytest.mark.parametrize("n_pairs", [1, 3, 8])
-    def test_one_lstm_record_per_layer_and_direction(self, n_pairs):
+    def test_one_lstm_record_per_layer(self, n_pairs):
+        # both directions of a layer in one record, plus the top gate's
         model = toy_model()
         rng = np.random.default_rng(n_pairs)
         lengths = [tuple(rng.integers(1, 6, size=2)) for _ in range(n_pairs)]
         with Graph() as g:
             model.forward(toy_batch(rng, lengths))
         names = [backward.__qualname__ for _, _, backward in g._records]
-        lstm = [name for name in names if name.startswith("lstm_layer.")]
-        assert len(lstm) == 2 * model.config.n_layers
+        lstm = [name for name in names if name.startswith("bilstm_layer.")]
+        assert lstm.count("bilstm_layer.<locals>.backward") == model.config.n_layers
+        assert len(lstm) == model.config.n_layers + 1
 
     def test_one_embed_encode_compose_call_per_forward(self, monkeypatch):
         model = toy_model()

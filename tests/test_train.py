@@ -219,6 +219,22 @@ class TestAdam:
         np.testing.assert_array_equal(p.grad, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
+    def test_float32_norm_past_float32_range_clips_as_float64(self):
+        # The squares of [1e19] * 4 overflow float32 but not float64: the
+        # norm is 2e19, not inf, and the float32 step moves each weight as
+        # the float64 step does, to float32 rounding.
+        moved = {}
+        for dtype in (np.float32, np.float64):
+            p = Tensor(np.zeros(4, dtype), requires_grad=True)
+            p.grad = np.full(4, 1e19, dtype)
+            adam = TR.Adam({"p": p})
+            norm = TR.clip_global_norm(adam.named)
+            np.testing.assert_allclose(norm, 2e19, rtol=1e-7)
+            adam.step(10.0)
+            moved[dtype] = p.data
+        np.testing.assert_allclose(moved[np.float64], -4e-4, rtol=1e-7)
+        np.testing.assert_allclose(moved[np.float32], moved[np.float64], rtol=1e-7)
+
     def test_helper_thread_keeps_callers_errstate(self, monkeypatch):
         # g * g overflows in both threads' slices. Under the caller's
         # errstate(over="ignore") neither may warn, even with warnings
