@@ -78,22 +78,22 @@ class TestLstmCell:
             E.bilstm_layer(Tensor(np.zeros((1, 5))), [1], pair)
 
     def test_grad_check_all_arguments(self, rng):
-        # Some weight gradients are near 1e-5, where the central difference
-        # is off by up to 2e-6 relative in round-off alone; the exact check
-        # is TestFusedAgainstComposite's, against the oracle.
+        # Some weight gradients are near 1e-5, where the default step's
+        # round-off alone reads about 2e-6 relative; a step of 5e-5 keeps
+        # both round-off and truncation under the bound.
         pair = random_pair(2, D, rng)
         x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         weights = rng.normal(size=(4, 4 * D))
         for gate in (None, *E.GateKind):
 
             def f(_t):
-                h, g = E.bilstm_layer(x, [1, 3], pair, gate)
+                h, g = E.bilstm_layer(x, [4], pair, gate)
                 if g is None:
                     return weighted_sum(h, weights[:, : 2 * D])
                 return weighted_sum(T.concat([h, g], axis=1), weights)
 
             for t in layer_tensors(x, pair):
-                assert grad_check(f, t) < 1e-5, (t.shape, gate)
+                assert grad_check(f, t, eps=5e-5) < 1e-6, (t.shape, gate)
 
     def test_one_tape_record(self, rng):
         # one for both directions' states, and one more for the gate
