@@ -95,7 +95,7 @@ def load_corpus(
                 logger.debug("skipping malformed line %d of %s", lineno, path)
                 continue
             gold = record.get("gold_label")
-            if gold not in LABEL_TO_ID:
+            if not isinstance(gold, str) or gold not in LABEL_TO_ID:
                 if require_label:
                     report.skipped_unlabeled += 1
                     continue
@@ -136,7 +136,17 @@ class Vocab:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Vocab":
-        return cls(dict(obj["words"]), dict(obj["chars"]))
+        """The stored tables. Each must map its entries to the integers
+        2 .. len + 1, one id each: the rows of its embedding table."""
+        vocab = cls(dict(obj["words"]), dict(obj["chars"]))
+        for kind, table in (("word", vocab.word_to_id), ("char", vocab.char_to_id)):
+            ids = list(table.values())
+            want = range(UNK_ID + 1, UNK_ID + 1 + len(ids))
+            if not all(type(i) is int for i in ids) or sorted(ids) != list(want):
+                raise ValueError(
+                    f"{kind} ids must be exactly {want.start}..{want.stop - 1}"
+                )
+        return vocab
 
 
 def build_vocab(examples: Sequence[NLIExample], min_count: int = 1) -> Vocab:

@@ -72,6 +72,8 @@ class ModelConfig:
             )
         if not self.use_char and not self.use_word:
             raise ValueError("use_char and use_word cannot both be off")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def gate(self) -> EN.GateKind:

@@ -10,7 +10,8 @@ evaluation, early stopping, the ``eval``, ``ensemble-eval`` and ``predict``
 commands all score examples through it. It averages class probabilities
 over a list of models sharing one architecture, so a single model is an
 ensemble of one. Checkpoints are self-describing binary files that
-rebuild the exact model, bit for bit.
+rebuild the exact model, bit for bit; a load reads one front to back,
+each tensor once, from the file into its own array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import contextvars
 import csv
 import json
 import math
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -240,81 +242,75 @@ class Checkpoint:
         ).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
             for name in sorted(self.tensors):
                 arr = self.tensors[name]
                 f4 = arr.dtype == np.float32
                 arr = np.ascontiguousarray(arr, dtype="<f4" if f4 else "<f8")
                 name_b = name.encode("utf-8")
-                payload = arr.tobytes()
-                fh.write(struct.pack("<H", len(name_b)))
-                fh.write(name_b)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-                fh.write(struct.pack("<Q", len(payload)))
-                fh.write(payload)
+                fh.write(struct.pack("<H", len(name_b)) + name_b)
+                fields = (arr.ndim, *arr.shape, _DTYPE_CODES[arr.dtype], arr.nbytes)
+                fh.write(struct.pack(f"<B{arr.ndim}QBQ", *fields))
+                fh.write(arr)  # the payload, from the array's own memory
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Read a checkpoint; any malformed content raises DataError."""
+        """Read a checkpoint front to back, each payload by ``readinto``
+        straight into its own array once its size is checked against its
+        shape and the bytes left; malformed content raises DataError."""
         try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
+            fh = open(path, "rb")
         except OSError as err:
             raise DataError(f"cannot read checkpoint {path}: {err}") from err
-        if blob[:8] != CHECKPOINT_MAGIC:
-            raise DataError(f"{path} is not a checkpoint file (bad magic)")
-        try:
-            return cls._parse(memoryview(blob), path)
-        except (struct.error, ValueError, KeyError, TypeError) as err:
-            raise DataError(f"malformed checkpoint {path}: {err}") from err
+        with fh:
+            if fh.read(8) != CHECKPOINT_MAGIC:
+                raise DataError(f"{path} is not a checkpoint file (bad magic)")
+            try:
+                return cls._read(fh, path)
+            except (struct.error, ValueError, KeyError, TypeError) as err:
+                raise DataError(f"malformed checkpoint {path}: {err}") from err
 
     @classmethod
-    def _parse(cls, view: memoryview, path: str) -> "Checkpoint":
-        (version,) = struct.unpack_from("<I", view, 8)
+    def _read(cls, fh, path: str) -> "Checkpoint":
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def field(fmt: str) -> tuple:
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        version, header_len = field("<II")
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack_from("<I", view, 12)
-        pos = 16
-        header = json.loads(bytes(view[pos : pos + header_len]))
-        pos += header_len
+        left = file_size - fh.tell()
+        if header_len > left:
+            raise DataError(
+                f"checkpoint {path}: header needs {header_len} bytes, {left} left"
+            )
+        header = json.loads(fh.read(header_len))
         tensors = {}
         for _ in range(header["n_tensors"]):
-            (name_len,) = struct.unpack_from("<H", view, pos)
-            pos += 2
-            name = bytes(view[pos : pos + name_len]).decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", view, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}Q", view, pos)
-            pos += 8 * ndim
-            (dtype_code,) = struct.unpack_from("<B", view, pos)
-            pos += 1
+            (name_len,) = field("<H")
+            name = fh.read(name_len).decode("utf-8")
+            (ndim,) = field("<B")
+            shape = field(f"<{ndim}Q")
+            (dtype_code,) = field("<B")
             dtype = _CODE_DTYPES.get(dtype_code)
             if dtype is None:
                 raise DataError(f"unknown dtype code {dtype_code} in {path}")
-            (n_bytes,) = struct.unpack_from("<Q", view, pos)
-            pos += 8
-            size = dtype.itemsize * math.prod(shape)
-            if n_bytes != size or pos + n_bytes > len(view):
+            (n_bytes,) = field("<Q")
+            left = file_size - fh.tell()
+            if n_bytes != dtype.itemsize * math.prod(shape) or n_bytes > left:
                 raise DataError(
                     f"checkpoint {path}: tensor {name} needs {n_bytes} bytes "
-                    f"for shape {shape}, {len(view) - pos} left"
+                    f"for shape {shape}, {left} left"
                 )
-            arr = np.frombuffer(view[pos : pos + n_bytes], dtype=dtype)
-            pos += n_bytes
+            arr = np.empty(shape, dtype)
+            if fh.readinto(arr) != n_bytes:
+                raise DataError(f"checkpoint {path}: tensor {name} is cut short")
             if not np.isfinite(arr).all():
                 raise DataError(
                     f"checkpoint {path}: tensor {name} has a non-finite value"
                 )
-            # The second copy is kept on purpose: freeing the first one
-            # raises glibc's mmap and trim thresholds, so the forward
-            # pass's large temporaries reuse heap memory instead of being
-            # mapped and unmapped on every batch (2x the page faults).
-            tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("=")).copy()
+            tensors[name] = arr.astype(dtype.newbyteorder("="), copy=False)
         return cls(
             config=ModelConfig.from_dict(header["config"]),
             vocab=Vocab.from_json(header["vocab"]),
@@ -389,10 +385,13 @@ class TrainSettings:
     stop_train_acc: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("lr", "clip_norm"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        target = self.stop_train_acc
+        if target is not None and not 0 <= target <= 1:
+            raise ValueError(f"stop_train_acc must be in [0, 1], got {target}")
         for name in ("batch_size", "epochs"):
             value = getattr(self, name)
             if value < 1:

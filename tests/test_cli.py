@@ -249,6 +249,22 @@ class TestExitCodes:
         assert "accuracy" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("word_id", [10**6, "x"], ids=["out-of-range", "not-int"])
+    def test_vocabulary_id_outside_its_table_is_data_error(
+        self, tmp_path, workdir, capsys, word_id
+    ):
+        ckpt = TR.Checkpoint.load(str(workdir / "model.ckpt"))
+        ckpt.vocab.word_to_id[next(iter(ckpt.vocab.word_to_id))] = word_id
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save(str(bad))
+        out = tmp_path / "out.jsonl"
+        argv = ["predict", "--checkpoint", str(bad), "--out", str(out)]
+        assert C.main(argv + ["--data", str(workdir / "dev.jsonl")]) == 2
+        last = ckpt.vocab.n_words - 1
+        expected = f"malformed checkpoint {bad}: word ids must be exactly 2..{last}"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_bad_vector_value_is_data_error(
         self, tmp_path, workdir, capsys, value
@@ -690,6 +706,10 @@ class TestUsageErrorsBeforeIO:
             ([], "min_count = 0\n", "min_count must be >= 1"),
             ([], "lr = 0\n", "lr must be positive"),
             (["--lr", "nan"], None, "lr must be positive"),
+            (["--lr", "inf"], None, "lr must be positive and finite, got inf"),
+            (["--stop-train-acc", "nan"], None, "stop_train_acc must be in [0, 1]"),
+            (["--stop-train-acc", "1.5"], None, "stop_train_acc must be in [0, 1]"),
+            (["--seed", "-1"], None, "seed must be >= 0, got -1"),
         ],
         ids=[
             "no-char-no-word",
@@ -702,6 +722,10 @@ class TestUsageErrorsBeforeIO:
             "min-count-0",
             "lr-0",
             "lr-nan",
+            "lr-inf",
+            "stop-train-acc-nan",
+            "stop-train-acc-1.5",
+            "seed-negative",
         ],
     )
     def test_invalid_architecture_with_absent_files(

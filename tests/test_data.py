@@ -1,6 +1,7 @@
 """Tests for corpus loading, vocabulary, word vectors, and batching."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ GOOD_ROW = {
     "gold_label": "entailment",
     "genre": "fiction",
 }
+# Gold labels that are no class: the dash, and values that are not strings.
+UNUSABLE_LABELS = ["-", ["neutral"], {"label": "neutral"}]
 
 
 class TestLoadCorpus:
@@ -39,10 +42,11 @@ class TestLoadCorpus:
         assert report.total_lines == 1 and report.skipped_unlabeled == 0
 
     def test_dash_label_skipped_and_counted(self, tmp_path):
-        rows = [GOOD_ROW, dict(GOOD_ROW, gold_label="-")]
+        rows = [GOOD_ROW] + [dict(GOOD_ROW, gold_label=g) for g in UNUSABLE_LABELS]
         examples, report = D.load_corpus(corpus_file(tmp_path, rows))
         assert len(examples) == 1
-        assert report.skipped_unlabeled == 1
+        assert report.skipped_unlabeled == len(UNUSABLE_LABELS)
+        assert report.malformed == 0
 
     def test_missing_label_skipped(self, tmp_path):
         row = {k: v for k, v in GOOD_ROW.items() if k != "gold_label"}
@@ -91,10 +95,10 @@ class TestLoadCorpus:
             D.load_corpus(tmp_path / "missing.jsonl")
 
     def test_unlabeled_kept_for_prediction(self, tmp_path):
-        rows = [dict(GOOD_ROW, gold_label="-")]
+        rows = [dict(GOOD_ROW, gold_label=g) for g in UNUSABLE_LABELS]
         examples, _ = D.load_corpus(corpus_file(tmp_path, rows), require_label=False)
-        assert len(examples) == 1
-        assert examples[0].label is None
+        assert len(examples) == len(UNUSABLE_LABELS)
+        assert all(ex.label is None for ex in examples)
 
 
 class TestVocab:
@@ -134,6 +138,21 @@ class TestVocab:
         vocab = D.build_vocab(self.examples("a b"))
         again = D.Vocab.from_json(vocab.to_json())
         assert again.word_to_id == vocab.word_to_id
+
+    @pytest.mark.parametrize(
+        "words, chars, message",
+        [
+            ({"a": 2, "b": 2}, {"a": 2}, "word ids must be exactly 2..3"),
+            ({"a": 2, "b": 4}, {"a": 2}, "word ids must be exactly 2..3"),
+            ({"a": 2.0}, {"a": 2}, "word ids must be exactly 2..2"),
+            ({"a": 2}, {"a": 1}, "char ids must be exactly 2..2"),
+            ({"a": 2}, {"a": True, "b": 3}, "char ids must be exactly 2..3"),
+        ],
+        ids=["duplicate", "gap", "float", "unk-id", "bool"],
+    )
+    def test_from_json_requires_every_row_once(self, words, chars, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            D.Vocab.from_json({"words": words, "chars": chars})
 
     def test_detokenize_roundtrip_in_vocab(self):
         vocab = D.build_vocab(self.examples("the dog runs"))

@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -379,6 +380,53 @@ class TestCheckpoint:
             cut.write_bytes(blob[:n])
             with pytest.raises(DataError):
                 TR.Checkpoint.load(str(cut))
+
+    def test_load_holds_no_whole_file_copy(self, tmp_path):
+        # Each payload goes from the file into its own array, so one load
+        # peaks at the tensors it returns, not at the file's bytes on top.
+        vocab = build_vocab([NLIExample(["a", "b"], ["b"], 0)])
+        config = tiny_config(
+            word_dim=32, hidden_dim=48, n_layers=2, mlp_hidden=64, filter_channels=16
+        )
+        table = np.zeros((vocab.n_words, 32), np.float32)
+        rng = np.random.default_rng(0)
+        model = Model.initialize(config, vocab.n_chars, table, rng)
+        path = str(tmp_path / "model.ckpt")
+        TR.Checkpoint.from_model(model, vocab).save(path)
+        tracemalloc.start()
+        try:
+            tensors = TR.Checkpoint.load(path).tensors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        loaded = sum(arr.nbytes for arr in tensors.values())
+        assert 0.8e6 < loaded < 1.2e6
+        assert peak <= 1.25 * loaded, peak / loaded
+
+    @pytest.mark.parametrize("part", ["header", "tensor"])
+    def test_size_claimed_beyond_the_file_is_data_error(self, tmp_path, part):
+        # A byte count far past the file's end (for a tensor, with a shape
+        # to match) must be refused before anything that size is allocated.
+        model, vocab, _, _ = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        TR.Checkpoint.from_model(model, vocab).save(str(path))
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        if part == "header":
+            claimed = 2**32 - 1
+            struct.pack_into("<I", blob, 12, claimed)
+        else:
+            pos = 16 + header_len  # the first tensor
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            pos += 2 + name_len
+            ndim = blob[pos]
+            assert ndim >= 1 and blob[pos + 1 + 8 * ndim] == 0  # float64
+            claimed = 8 * 2**40
+            struct.pack_into(f"<{ndim}Q", blob, pos + 1, *[1] * (ndim - 1), 2**40)
+            struct.pack_into("<Q", blob, pos + 2 + 8 * ndim, claimed)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"{part} .*needs {claimed} bytes"):
+            TR.Checkpoint.load(str(path))
 
     @pytest.mark.parametrize(
         "edit",
