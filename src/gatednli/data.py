@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,6 +53,15 @@ class LoadReport:
     malformed: int = 0
 
 
+@contextmanager
+def _utf8(what: str):
+    """Reading a text file that is not UTF-8 raises DataError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise DataError(f"{what} is not UTF-8: {err}") from err
+
+
 def _parse_tokens(parse: str) -> list[str]:
     return [tok for tok in parse.split() if tok not in ("(", ")")]
 
@@ -78,7 +88,7 @@ def load_corpus(
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    with fh:
+    with fh, _utf8(f"corpus {path}"):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -199,18 +209,18 @@ def load_word_vectors(
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read vectors {path}: {exc}") from exc
-    with fh:
+    with fh, _utf8(f"vectors {path}"):
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip().split(" ")
-            if len(parts) <= 1:
-                if parts[0]:
+            token, sep, rest = line.rstrip().partition(" ")
+            if not sep:
+                if token:
                     raise DataError(
                         f"vectors {path}: line {lineno} has no space-separated values"
                     )
                 continue
-            token, values = parts[0], parts[1:]
             if token not in wanted and token not in lower_map:
                 continue
+            values = rest.split(" ")  # only a wanted row pays for the split
             if len(values) != dim:
                 raise DataError(
                     f"vectors {path}: line {lineno} has {len(values)} values, expected {dim}"

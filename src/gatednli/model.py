@@ -15,7 +15,8 @@ exact network.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from .data import Batch
 from .tensor import Tensor
 
 GATE_KINDS = tuple(k.value for k in EN.GateKind)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -50,7 +55,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.filter_widths = tuple(int(w) for w in self.filter_widths)
+        # A checkpoint's header is JSON, so its values may be of any type.
+        # Each field takes its default's type; any integer but a bool (numpy's
+        # too) is kept as an int.
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            if want is int and _is_int(value):
+                setattr(self, f.name, int(value))
+            elif want is not tuple and type(value) is not want:
+                raise ValueError(f"{f.name} must be {want.__name__}, got {value!r}")
+        widths = self.filter_widths
+        if not isinstance(widths, (list, tuple)) or not all(map(_is_int, widths)):
+            raise ValueError(f"filter_widths must be integers, got {widths!r}")
+        self.filter_widths = tuple(int(w) for w in widths)
         dims = {
             "word_dim": self.word_dim,
             "char_dim": self.char_dim,

@@ -11,7 +11,9 @@ commands all score examples through it. It averages class probabilities
 over a list of models sharing one architecture, so a single model is an
 ensemble of one. Checkpoints are self-describing binary files that
 rebuild the exact model, bit for bit; a load reads one front to back,
-each tensor once, from the file into its own array.
+each tensor once, from the file into its own array, and ``load_model``
+builds the model around those arrays, so a served model holds one copy
+of its weights.
 """
 
 from __future__ import annotations
@@ -169,14 +171,14 @@ def clip_global_norm(named: dict[str, Tensor]) -> float:
 @dataclass
 class _NoDraws:
     """Stands in for the init's random generator when every drawn value
-    is overwritten anyway: ``normal`` hands back an unfilled array of the
-    requested shape in the model's dtype, so the skeleton costs
-    allocations but no draws and no casts."""
+    is replaced anyway: ``normal`` hands back a read-only zero view of the
+    requested shape in the model's dtype, so the skeleton costs no draws,
+    no casts and no memory."""
 
     dtype: np.dtype
 
     def normal(self, loc, scale, size):
-        return np.empty(size, self.dtype)
+        return np.broadcast_to(np.zeros((), self.dtype), size)
 
 
 @dataclass
@@ -203,17 +205,33 @@ class Checkpoint:
             metadata=dict(metadata or {}),
         )
 
-    def build_model(self) -> Model:
-        """Skeleton of the saved architecture in the stored dtype, then
-        overwrite every tensor with a copy of the stored values."""
+    def build_model(self, copy: bool = True) -> Model:
+        """The saved architecture around the stored values, in their dtype.
+
+        The skeleton holds shapes only; once the config fits the tensors
+        and every name and shape matches, each parameter's ``.data`` is
+        rebound to a C-contiguous array of the stored values: a copy, or
+        with ``copy=False`` the stored array itself where it already is
+        one, which hands this checkpoint's memory to the model.
+        """
         dtypes = {arr.dtype for arr in self.tensors.values()}
         if len(dtypes) > 1:
             raise DataError(f"checkpoint tensors mix dtypes {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-        placeholder = np.zeros((self.vocab.n_words, self.config.word_dim), dtype)
-        model = Model.initialize(
-            self.config, self.vocab.n_chars, placeholder, _NoDraws(dtype)
-        )
+        # Bound the skeleton by the file before building it: each of the
+        # config's sizes is a dimension of some tensor, and each layer and
+        # filter width owns tensors.
+        c = self.config
+        sizes = (c.word_dim, c.char_dim, c.filter_channels, c.hidden_dim, c.mlp_hidden)
+        largest = max((n for a in self.tensors.values() for n in a.shape), default=0)
+        owners = c.n_layers + len(c.filter_widths)
+        if max(sizes + c.filter_widths) > largest or owners > len(self.tensors):
+            raise DataError(
+                f"checkpoint config does not fit its {len(self.tensors)} tensors"
+            )
+        shape = (self.vocab.n_words, c.word_dim)
+        placeholder = np.broadcast_to(np.zeros((), dtype), shape)
+        model = Model.initialize(c, self.vocab.n_chars, placeholder, _NoDraws(dtype))
         named = model.params.named_tensors()
         missing = set(named) - set(self.tensors)
         extra = set(self.tensors) - set(named)
@@ -223,12 +241,14 @@ class Checkpoint:
                 f"missing {sorted(missing)}, extra {sorted(extra)}"
             )
         for name, arr in self.tensors.items():
-            if named[name].data.shape != arr.shape:
+            skeleton = named[name].data
+            if skeleton.shape != arr.shape:
                 raise DataError(
                     f"checkpoint tensor {name} has shape {arr.shape}, "
-                    f"expected {named[name].data.shape}"
+                    f"expected {skeleton.shape}"
                 )
-            named[name].data[:] = arr
+            take = np.array if copy else np.asarray  # asarray copies only if it must
+            named[name].data = take(arr, skeleton.dtype, order="C")
         return model
 
     def save(self, path: str):
@@ -501,11 +521,11 @@ def write_history(path: str, history: Sequence[HistoryRow]):
 
 
 def load_model(path: str) -> tuple[Model, Vocab]:
-    """The model and vocabulary of a checkpoint file. The checkpoint's own
-    copy of the tensors goes out of scope once the model is built, so it is
-    not held while the model scores."""
+    """The model and vocabulary of a checkpoint file. The model is built
+    around the arrays the file was read into, so it holds the one copy of
+    its weights; the checkpoint itself is dropped on return."""
     checkpoint = Checkpoint.load(path)
-    return checkpoint.build_model(), checkpoint.vocab
+    return checkpoint.build_model(copy=False), checkpoint.vocab
 
 
 def build_ensemble(

@@ -11,7 +11,7 @@ import pytest
 from gatednli import cli as C
 from gatednli import train as TR
 from gatednli.data import LABELS, DataError
-from gatednli.model import ModelConfig
+from gatednli.model import Model, ModelConfig
 
 # Every train and ablate setting with a non-default value as the config
 # file and the flag spell it; None marks a switch (flag without a value).
@@ -176,6 +176,22 @@ class TestConfigFile:
         assert C.resolve_config(args).model.filter_widths == (2, 4)
 
 
+# Checkpoint header config edits that cannot match the stored tensors, and
+# what the error says.
+BAD_CONFIGS = [
+    ("hidden_dim", 8.0, "malformed checkpoint"),
+    ("use_char", "no", "malformed checkpoint"),
+    ("filter_widths", "13", "malformed checkpoint"),
+    ("seed", 1.5, "malformed checkpoint"),
+    ("mlp_hidden", 10**13, "config does not fit"),
+    ("n_layers", 10**7, "config does not fit"),
+]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("Model.initialize was called")
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -208,7 +224,9 @@ class TestExitCodes:
         )
         assert rc == 1
 
-    def test_bad_checkpoint_is_data_error(self, tmp_path, workdir):
+    def test_bad_checkpoint_is_data_error(
+        self, tmp_path, workdir, capsys, monkeypatch
+    ):
         junk = tmp_path / "junk.ckpt"
         junk.write_bytes(b"not a checkpoint")
         rc = C.main(
@@ -221,6 +239,21 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+        # A header config that cannot match the stored tensors is refused
+        # before the model is built, so a huge size or layer count costs
+        # nothing.
+        monkeypatch.setattr(Model, "initialize", _never_called)
+        blob = (workdir / "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 12)
+        header = json.loads(blob[16 : 16 + header_len])
+        for key, value, message in BAD_CONFIGS:
+            config = dict(header["config"], **{key: value})
+            edited = json.dumps(dict(header, config=config)).encode()
+            head = blob[:12] + struct.pack("<I", len(edited)) + edited
+            junk.write_bytes(head + blob[16 + header_len :])
+            argv = ["eval", "--checkpoint", str(junk)]
+            assert C.main(argv + ["--data", str(workdir / "dev.jsonl")]) == 2, key
+            assert message in capsys.readouterr().err, key
 
     def test_truncated_checkpoints_are_data_errors(self, tmp_path, workdir):
         blob = (workdir / "model.ckpt").read_bytes()
@@ -339,6 +372,26 @@ class TestExitCodes:
         argv = ["eval", "--checkpoint", str(bad), "--data", str(workdir / "dev.jsonl")]
         assert C.main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_corpus_not_utf8_is_data_error(self, tmp_path, workdir, capsys):
+        bad = tmp_path / "dev.jsonl"
+        bad.write_bytes((workdir / "dev.jsonl").read_bytes() + b"\xff\xfe")
+        out = tmp_path / "out.jsonl"
+        argv = ["predict", "--checkpoint", str(workdir / "model.ckpt"),
+                "--data", str(bad), "--out", str(out)]
+        assert C.main(argv) == 2
+        assert f"error: corpus {bad} is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vectors_not_utf8_is_data_error(self, tmp_path, workdir, capsys):
+        bad = tmp_path / "vectors.txt"
+        bad.write_bytes((workdir / "vectors.txt").read_bytes() + b"\xff\xfe")
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--config", str(workdir / "run.cfg"),
+                "--vectors-path", str(bad), "--checkpoint-path", str(ckpt)]
+        assert C.main(argv) == 2
+        assert f"error: vectors {bad} is not UTF-8" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_tab_separated_vectors_are_data_error(
         self, tmp_path, workdir, capsys

@@ -169,6 +169,47 @@ def vector_file(tmp_path, rows, dim):
     return path
 
 
+def split_every_line(path, vocab, dim, seed=0, oov_sigma=0.1):
+    """Oracle: ``load_word_vectors`` as it was before it skipped unwanted
+    lines unsplit; every line is split into all of its fields."""
+    wanted = dict(vocab.word_to_id)
+    lower_map = {}
+    for w in wanted:
+        lower_map.setdefault(w.lower(), []).append(w)
+    raw_rows, lower_rows = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip().split(" ")
+            if len(parts) <= 1:
+                if parts[0]:
+                    raise D.DataError(f"line {lineno} has no space-separated values")
+                continue
+            token, values = parts[0], parts[1:]
+            if token not in wanted and token not in lower_map:
+                continue
+            assert len(values) == dim
+            row = np.array([float(v) for v in values], dtype=np.float64)
+            if token in wanted:
+                raw_rows.setdefault(token, row)
+            if token in lower_map:
+                lower_rows.setdefault(token, row)
+    rng = np.random.default_rng(seed)
+    table = np.zeros((vocab.n_words, dim), dtype=np.float64)
+    report = D.VectorReport()
+    table[D.UNK_ID] = rng.normal(0.0, oov_sigma, dim)
+    for word, wid in sorted(wanted.items(), key=lambda kv: kv[1]):
+        if word in raw_rows:
+            table[wid] = raw_rows[word]
+            report.hits += 1
+        elif word.lower() in lower_rows:
+            table[wid] = lower_rows[word.lower()]
+            report.hits_lowercase += 1
+        else:
+            table[wid] = rng.normal(0.0, oov_sigma, dim)
+            report.misses += 1
+    return table, report
+
+
 class TestWordVectors:
     def vocab(self, *words):
         sent = " ".join(words)
@@ -244,6 +285,34 @@ class TestWordVectors:
         table, report = D.load_word_vectors(str(gappy), vocab, dim=2)
         assert np.array_equal(table, plain)
         assert report.hits == 2
+
+    def test_matches_the_split_every_line_oracle(self, tmp_path):
+        # Raw hits (dog, twice: the first wins), lowercase hits (Cat, and
+        # Dog through dog), misses (emu, Yak), and unwanted lines: one of
+        # the wrong width, one with values that do not parse, one only
+        # upper case, one with an empty token.
+        vocab = self.vocab("dog", "Cat", "Dog", "emu", "Yak")
+        path = tmp_path / "vecs.txt"
+        path.write_text(
+            "zebra 1.0 2.0 3.0 4.0\n"
+            "dog 0.5 -1.25 3e-5\n"
+            "\n"
+            "cat 7.0 8.0 9.5 \n"
+            "gnu x y\n"
+            "dog 9.0 9.0 9.0\n"
+            "YAK 1.0 1.0 1.0\n"
+            " 2.0 2.0 2.0\n"
+            "ant 4.0\n"
+        )
+        table, report = D.load_word_vectors(str(path), vocab, dim=3, seed=7)
+        want_table, want_report = split_every_line(str(path), vocab, dim=3, seed=7)
+        assert table.tobytes() == want_table.tobytes()
+        assert report == want_report == D.VectorReport(1, 2, 2)
+        path.write_text("dog 0.5 -1.25 3e-5\nzebra\n")
+        with pytest.raises(D.DataError, match="line 2 has no space-separated"):
+            split_every_line(str(path), vocab, dim=3)
+        with pytest.raises(D.DataError, match="line 2 has no space-separated"):
+            D.load_word_vectors(str(path), vocab, dim=3)
 
     def test_pad_row_is_zero(self, tmp_path):
         vocab = self.vocab("dog")

@@ -94,6 +94,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="hidden_dim"):
             toy_config(hidden_dim=0)
 
+    def test_numpy_integers_kept_as_ints(self):
+        cfg = toy_config(hidden_dim=np.int64(8), filter_widths=[np.int32(1), 3])
+        assert type(cfg.hidden_dim) is int and cfg.hidden_dim == 8
+        assert cfg.filter_widths == (1, 3)
+        assert all(type(w) is int for w in cfg.filter_widths)
+
+    def test_wrong_value_types_rejected(self):
+        for bad in ({"hidden_dim": 8.0}, {"hidden_dim": True}, {"seed": 1.5},
+                    {"use_char": "no"}, {"gate_kind": 1},
+                    {"filter_widths": "13"}, {"filter_widths": [True]}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                toy_config(**bad)
+
     def test_signature_ignores_seed(self):
         assert toy_config(seed=1).signature() == toy_config(seed=2).signature()
         assert toy_config(hidden_dim=8).signature() != toy_config().signature()

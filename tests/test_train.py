@@ -403,6 +403,56 @@ class TestCheckpoint:
         assert 0.8e6 < loaded < 1.2e6
         assert peak <= 1.25 * loaded, peak / loaded
 
+    def test_load_model_holds_one_copy_of_the_weights(self, tmp_path):
+        # The model is built around the arrays the file was read into, so
+        # one load_model peaks at the stored tensors, not at twice them.
+        vocab = build_vocab([NLIExample(["a", "b"], ["b"], 0)])
+        config = tiny_config(
+            word_dim=32, hidden_dim=48, n_layers=2, mlp_hidden=64, filter_channels=16
+        )
+        table = np.zeros((vocab.n_words, 32), np.float32)
+        rng = np.random.default_rng(0)
+        model = Model.initialize(config, vocab.n_chars, table, rng)
+        ckpt = TR.Checkpoint.from_model(model, vocab)
+        stored = sum(arr.nbytes for arr in ckpt.tensors.values())
+        path = str(tmp_path / "model.ckpt")
+        ckpt.save(path)
+        del model, ckpt
+        tracemalloc.start()
+        try:
+            loaded, _ = TR.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8e6 < stored < 1.2e6
+        assert peak <= 1.25 * stored, peak / stored
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loaded_parameters_are_writeable_contiguous_stored_dtype(
+        self, tmp_path, dtype
+    ):
+        model, vocab, _, _ = tiny_setup()
+        ckpt = TR.Checkpoint.from_model(model, vocab)
+        ckpt.tensors = {k: v.astype(dtype) for k, v in ckpt.tensors.items()}
+        path = str(tmp_path / "model.ckpt")
+        ckpt.save(path)
+        loaded, _ = TR.load_model(path)
+        for name, t in loaded.params.named_tensors().items():
+            assert t.data.dtype == dtype, name
+            assert t.data.flags.writeable and t.data.flags.c_contiguous, name
+            assert t.data.tobytes() == ckpt.tensors[name].tobytes(), name
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_no_placeholder_survives_build(self, copy):
+        model, vocab, _, _ = tiny_setup()
+        ckpt = TR.Checkpoint.from_model(model, vocab)
+        built = ckpt.build_model(copy=copy).params.named_tensors()
+        assert set(built) == set(ckpt.tensors)
+        for name, t in built.items():
+            assert t.data.flags.writeable and t.data.flags.c_contiguous, name
+            assert t.data.tobytes() == ckpt.tensors[name].tobytes(), name
+            assert np.shares_memory(t.data, ckpt.tensors[name]) is not copy, name
+
     @pytest.mark.parametrize("part", ["header", "tensor"])
     def test_size_claimed_beyond_the_file_is_data_error(self, tmp_path, part):
         # A byte count far past the file's end (for a tensor, with a shape
