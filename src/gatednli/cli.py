@@ -35,6 +35,7 @@ from . import train as TR
 from .data import (
     LABELS,
     DataError,
+    _utf8,
     build_vocab,
     load_corpus,
     load_word_vectors,
@@ -130,7 +131,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     """key = value lines; [section] headers and # comments are skipped."""
     values: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh, _utf8(f"config {path}"):
             lines = fh.readlines()
     except OSError as err:
         raise DataError(f"cannot read config {path}: {err}") from err
@@ -465,11 +466,10 @@ def gradcheck_all() -> dict[str, float]:
 
     # classifier
     clf = CL.init_classifier_params(5, 4, rng)
-    v_inp = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+    v_inp = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 
     def f_clf(_t):
-        probs, _ = CL.mlp_forward(v_inp, clf)
-        return CL.cross_entropy(probs, 1)
+        return CL.cross_entropy(CL.mlp_forward(v_inp, clf), [1, 0, 2])
 
     errors["classifier"] = max(
         grad_check(f_clf, t)
@@ -493,8 +493,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     train_set, dev_set = SY.make_split(args.n_train, args.n_dev, args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.jsonl")
     dev_path = os.path.join(args.out_dir, "dev.jsonl")
     vec_path = os.path.join(args.out_dir, "vectors.txt")

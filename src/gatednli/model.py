@@ -195,8 +195,8 @@ class Model:
             params=ModelParams(embed=embed, encoder=encoder, classifier=classifier),
         )
 
-    def forward(self, batch: Batch) -> tuple[Tensor, Tensor]:
-        """(probs, logits), each (B, 3), for a padded batch of pairs.
+    def forward(self, batch: Batch) -> Tensor:
+        """The (B, 3) class logits of a padded batch of pairs.
 
         The batch's 2B sentences go through the embedding, the encoder and
         the pools as one ragged block, made of the valid cells alone, so

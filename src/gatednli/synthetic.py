@@ -112,6 +112,8 @@ def make_split(
     """Training draws from most nouns; dev premises use only nouns that
     never appear in training, so dev requires noun knowledge beyond the
     training examples themselves."""
+    if min(n_train, n_dev) < 1:
+        raise ValueError(f"n_train and n_dev must be >= 1, got {n_train}, {n_dev}")
     rng = np.random.default_rng(seed)
     train_nouns = {}
     dev_nouns = {}

@@ -13,8 +13,9 @@ Every op computes in its operands' dtype and allocates in it: a model
 built from float32 arrays trains and scores in float32, one built from
 float64 arrays (the gradient checks and the test oracles) in float64.
 Recording is per thread: an op only ever records onto the graph that its
-own thread entered. A fused op outside this module (the encoder's LSTM
-layer) records itself through ``_apply`` like the primitives here.
+own thread entered. The fused ops outside this module, the encoder's
+BiLSTM layer and the classifier's softmax cross-entropy, record themselves
+through ``_apply`` like the primitives here.
 """
 
 from __future__ import annotations
@@ -332,15 +333,13 @@ def take_rows(a: Tensor, ids) -> Tensor:
     return _apply(out, (a,), backward)
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def sum_axis(a: Tensor, axis: int) -> Tensor:
     _check_axis("sum_axis", a, axis)
     ad = a.data
-    out = ad.sum(axis=axis, keepdims=keepdims)
+    out = ad.sum(axis=axis)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, ad.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), ad.shape),)
 
     return _apply(out, (a,), backward)
 
@@ -379,39 +378,11 @@ def l2norm(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _apply(out, (a,), backward)
 
 
-def div(a: Tensor, b) -> Tensor:
-    """Elementwise a / b with broadcasting; b may be a python number,
-    taken in a's dtype."""
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+def div(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a / b with broadcasting."""
     return _elementwise(
         "div", a, b, lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
     )
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with the max-shift trick."""
-    ad = a.data
-    shifted = ad - ad.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _apply(out, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    with np.errstate(divide="ignore"):  # caller clamps; log(0) -> -inf
-        out = np.log(ad)
-
-    def backward(g):
-        return (g / ad,)
-
-    return _apply(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def predict(
         (batch,) = batchify(chunk, INFER_BATCH, vocab, seed=0, shuffle=False)
         total = np.zeros((batch.size, CL.N_CLASSES))
         for model in models:
-            total += model.forward(batch)[0].data
+            total += CL.probabilities(model.forward(batch).data)
         probs = total / total.sum(axis=1, keepdims=True)
         bad = ~np.isfinite(probs).all(axis=1)
         if bad.any():
@@ -474,13 +474,13 @@ def train(
             correct = 0
             for batch in batches:
                 with Graph() as g:
-                    probs, _ = model.forward(batch)
-                    loss = CL.cross_entropy(probs, batch.labels)
+                    logits = model.forward(batch)
+                    loss = CL.cross_entropy(logits, batch.labels)
                     loss_value = float(loss.data[0])
                     if not np.isfinite(loss_value):
                         raise NumericError(f"loss became {loss_value}")
                     g.backward(loss)
-                correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
+                correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
                 adam.step(settings.clip_norm)
                 adam.zero_grad()
                 loss_sum += loss_value * batch.size

@@ -393,6 +393,22 @@ class TestExitCodes:
         assert f"error: vectors {bad} is not UTF-8" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_config_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"epochs = 3\n# \xff\xfe\n")
+        assert C.main(["train", "--config", str(bad)]) == 2
+        assert f"error: config {bad} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts", [("-5", "3"), ("4", "0")], ids=["negative-train", "zero-dev"]
+    )
+    def test_synth_data_count_below_one_is_usage_error(self, tmp_path, counts):
+        out_dir = tmp_path / "synth"
+        argv = ["synth-data", "--out-dir", str(out_dir),
+                "--n-train", counts[0], "--n-dev", counts[1]]
+        assert C.main(argv) == 1
+        assert not out_dir.exists()
+
     def test_tab_separated_vectors_are_data_error(
         self, tmp_path, workdir, capsys
     ):

@@ -63,7 +63,7 @@ def toy_batch(rng, lengths=((3, 2),)):
 
 
 def probs_of(model, batch):
-    return model.forward(batch)[0].data
+    return CL.probabilities(model.forward(batch).data)
 
 
 class TestModelConfig:
@@ -231,8 +231,7 @@ class TestModelForward:
         labels = np.array([2, 0])
 
         def f(_t):
-            probs, _ = model.forward(batch)
-            return CL.cross_entropy(probs, labels)
+            return CL.cross_entropy(model.forward(batch), labels)
 
         checks = {
             "embed.char_table": model.params.embed.char_table,
@@ -250,8 +249,7 @@ class TestModelForward:
         rng = np.random.default_rng(9)
         batch = toy_batch(rng)
         with Graph() as g:
-            probs, _ = model.forward(batch)
-            g.backward(CL.cross_entropy(probs, batch.labels))
+            g.backward(CL.cross_entropy(model.forward(batch), batch.labels))
         for name, t in model.params.trainable().items():
             assert t.grad is not None, name
         assert model.params.embed.word_table.grad is None

@@ -649,13 +649,13 @@ class TestEvaluate:
 
 
 class _StubModel:
-    """Gives every pair of a batch the same probabilities."""
+    """Gives every pair of a batch the same probabilities, as logits."""
 
     def __init__(self, probs):
-        self._probs = np.asarray(probs)
+        self._logits = np.log(probs)
 
     def forward(self, batch):
-        return Tensor(np.tile(self._probs, (batch.size, 1))), None
+        return Tensor(np.tile(self._logits, (batch.size, 1)))
 
 
 class TestEnsemble:
