@@ -428,11 +428,10 @@ def gradcheck_all() -> dict[str, float]:
             p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
             p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
     e = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    mask = np.array([[1, 1, 0], [1, 1, 1]])
     stack_weights = Tensor(rng.normal(size=(5, 12)))
 
     def f_stack(_t, gate):
-        enc = EN.stacked_encode(e, mask, enc_params, gate)
+        enc = EN.stacked_encode(e, [2, 3], enc_params, gate)
         block = T.concat([enc.h, enc.gate], axis=1)
         return _scalarize(T.mul(block, stack_weights))
 
@@ -494,6 +493,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth_data(args) -> int:
     train_set, dev_set = SY.make_split(args.n_train, args.n_dev, args.seed)
+    SY.check_vector_dim(args.word_dim)  # before anything is written
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.jsonl")
     dev_path = os.path.join(args.out_dir, "dev.jsonl")

@@ -258,8 +258,9 @@ def load_word_vectors(
 def encode_sentence_ids(
     tokens: Sequence[str], vocab: Vocab, max_word_chars: int = MAX_WORD_CHARS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Token list -> (word_ids (L,), char_ids (L, C)) with C = longest
-    clipped word; char rows are padded with the pad id."""
+    """(word_ids (L,), char_ids (L, C)) of a token list: one sentence, or a
+    batch's sentences back to back. C is the longest clipped word; char
+    rows are padded with the pad id."""
     word_ids = np.array([vocab.word_id(t) for t in tokens], dtype=np.int64)
     clipped = [t[:max_word_chars] for t in tokens]
     width = max(len(t) for t in clipped)
@@ -271,41 +272,19 @@ def encode_sentence_ids(
 
 
 @dataclass
-class SideBatch:
-    """Sentences padded to one grid; mask row s is ones over sentence s's
-    tokens, then zeros."""
-
-    word_ids: np.ndarray  # (S, L_max) int64
-    char_ids: np.ndarray  # (S, L_max, C_max) int64
-    mask: np.ndarray      # (S, L_max) int64 in {0, 1}
-
-
-@dataclass
 class Batch:
-    sentences: SideBatch  # 2B rows: the B premises, then the B hypotheses
+    """A batch's 2B sentences as one ragged block of tokens, the B premises
+    first and then the B hypotheses; sentence s owns lengths[s] consecutive
+    rows, and no row is padding."""
+
+    word_ids: np.ndarray  # (N,) int64
+    char_ids: np.ndarray  # (N, C_max) int64, pad-id tails
+    lengths: np.ndarray  # (2B,) int64
     labels: np.ndarray  # (B,) int64
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-
-def _pack_sentences(
-    sentences: list[tuple[np.ndarray, np.ndarray]],
-) -> SideBatch:
-    """Pad (word_ids, char_ids) sentences to the longest one and word."""
-    b = len(sentences)
-    l_max = max(w.shape[0] for w, _ in sentences)
-    c_max = max(c.shape[1] for _, c in sentences)
-    word_ids = np.full((b, l_max), PAD_ID, dtype=np.int64)
-    char_ids = np.full((b, l_max, c_max), PAD_ID, dtype=np.int64)
-    mask = np.zeros((b, l_max), dtype=np.int64)
-    for i, (w, c) in enumerate(sentences):
-        n = w.shape[0]
-        word_ids[i, :n] = w
-        char_ids[i, :n, : c.shape[1]] = c
-        mask[i, :n] = 1
-    return SideBatch(word_ids, char_ids, mask)
 
 
 def batchify(
@@ -315,8 +294,8 @@ def batchify(
     seed: int,
     shuffle: bool = True,
 ) -> list[Batch]:
-    """Seeded shuffle, then fixed-size batches, each batch's premises and
-    hypotheses padded together to the batch's maxima."""
+    """Seeded shuffle, then fixed-size batches, each one ragged block of
+    its premises' and hypotheses' tokens."""
     if batch_size < 1:
         raise DataError(f"batchify: batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(examples))
@@ -325,10 +304,14 @@ def batchify(
     batches: list[Batch] = []
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start : start + batch_size]]
-        sentences = [encode_sentence_ids(ex.premise_tokens, vocab) for ex in chunk]
-        sentences += [encode_sentence_ids(ex.hypothesis_tokens, vocab) for ex in chunk]
+        sentences = [ex.premise_tokens for ex in chunk]
+        sentences += [ex.hypothesis_tokens for ex in chunk]
+        word_ids, char_ids = encode_sentence_ids(
+            [tok for s in sentences for tok in s], vocab
+        )
+        lengths = np.array([len(s) for s in sentences], dtype=np.int64)
         labels = np.array(
             [-1 if ex.label is None else ex.label for ex in chunk], dtype=np.int64
         )
-        batches.append(Batch(_pack_sentences(sentences), labels))
+        batches.append(Batch(word_ids, char_ids, lengths, labels))
     return batches

@@ -260,15 +260,15 @@ def bilstm_layer(
 
 
 def stacked_encode(
-    e: Tensor, mask: np.ndarray, params: EncoderParams, gate: GateKind
+    e: Tensor, lengths: np.ndarray, params: EncoderParams, gate: GateKind
 ) -> EncodedSentence:
     """Stack of BiLSTMs over a ragged block; upper layers see [e; previous
     states], and only the top one returns the given gate's activations.
 
-    e holds the valid rows of the (S, L) 0/1 mask in row-major order, so
-    sentence s is mask[s].sum() consecutive rows.
+    e holds the block's sentences back to back, lengths[s] rows for
+    sentence s.
     """
-    lengths = np.asarray(mask).sum(axis=1)
+    lengths = np.asarray(lengths, dtype=np.int64)
     layer_in = e
     top = len(params.layers) - 1
     for k, pair in enumerate(params.layers):

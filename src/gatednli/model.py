@@ -1,11 +1,11 @@
 """Full model assembly: configuration, parameter container, forward pass.
 
-``Model.forward`` scores a padded ``data.Batch`` of premise/hypothesis
-pairs; it is the one forward path behind training, evaluation, prediction
-and ensembles. The model allows no cross-sentence attention, so the
-batch's 2B sentences are embedded, encoded by the shared stacked BiLSTM and
-pooled together, as one ragged block of their valid tokens, with one call
-each. The encoder returns the top layer's states and the configured gate's
+``Model.forward`` scores a ``data.Batch`` of premise/hypothesis pairs; it
+is the one forward path behind training, evaluation, prediction and
+ensembles. The model allows no cross-sentence attention, so the batch's 2B
+sentences are embedded, encoded by the shared stacked BiLSTM and pooled
+together, as the batch's one ragged block of tokens, with one call each.
+The encoder returns the top layer's states and the configured gate's
 activations; the pools turn them into one (2B, sentence_dim) tensor, whose
 rows are split into premises and hypotheses, expanded into matching
 features and classified. The configuration captures every architectural
@@ -29,6 +29,7 @@ from .data import Batch
 from .tensor import Tensor
 
 GATE_KINDS = tuple(k.value for k in EN.GateKind)
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def _is_int(value) -> bool:
@@ -68,19 +69,16 @@ class ModelConfig:
         if not isinstance(widths, (list, tuple)) or not all(map(_is_int, widths)):
             raise ValueError(f"filter_widths must be integers, got {widths!r}")
         self.filter_widths = tuple(int(w) for w in widths)
-        dims = {
-            "word_dim": self.word_dim,
-            "char_dim": self.char_dim,
-            "filter_channels": self.filter_channels,
-            "hidden_dim": self.hidden_dim,
-            "n_layers": self.n_layers,
-            "mlp_hidden": self.mlp_hidden,
-        }
-        for name, value in dims.items():
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if not self.filter_widths or any(w < 1 for w in self.filter_widths):
-            raise ValueError(f"bad filter widths {self.filter_widths}")
+        dims = "word_dim char_dim filter_channels hidden_dim n_layers mlp_hidden"
+        sizes = [(name, getattr(self, name)) for name in dims.split()]
+        sizes += [("filter_widths", w) for w in self.filter_widths]
+        for name, value in sizes:
+            if not 1 <= value <= INT64_MAX:  # numpy sizes are int64
+                raise ValueError(
+                    f"{name} must be positive and at most {INT64_MAX}, got {value}"
+                )
+        if not self.filter_widths:
+            raise ValueError("filter_widths must not be empty")
         if len(set(self.filter_widths)) != len(self.filter_widths):
             raise ValueError(f"duplicate filter widths {self.filter_widths}")
         if self.gate_kind not in GATE_KINDS:
@@ -196,23 +194,21 @@ class Model:
         )
 
     def forward(self, batch: Batch) -> Tensor:
-        """The (B, 3) class logits of a padded batch of pairs.
+        """The (B, 3) class logits of a batch of pairs.
 
         The batch's 2B sentences go through the embedding, the encoder and
-        the pools as one ragged block, made of the valid cells alone, so
-        padded cells are never read. The classifier scores the B pairs.
+        the pools as the one ragged block of tokens the batch holds. The
+        classifier scores the B pairs.
         """
-        sentences = batch.sentences
-        valid = sentences.mask.astype(bool)
         e = EM.embed_sentence(
-            sentences.word_ids[valid],
-            sentences.char_ids[valid],
+            batch.word_ids,
+            batch.char_ids,
             self.params.embed,
             use_char=self.config.use_char,
             use_word=self.config.use_word,
         )
         gate = self.config.gate
-        enc = EN.stacked_encode(e, sentences.mask, self.params.encoder, gate)
+        enc = EN.stacked_encode(e, batch.lengths, self.params.encoder, gate)
         v = CP.compose(enc, gate, self.config.use_gated_att)
         b = batch.size
         v_inp = CL.matching_features(

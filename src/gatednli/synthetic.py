@@ -145,6 +145,12 @@ def write_corpus_jsonl(path: str, examples: Sequence[NLIExample]):
             )
 
 
+def check_vector_dim(dim: int):
+    """The structured vector layout needs MIN_VECTOR_DIM dimensions."""
+    if dim < MIN_VECTOR_DIM:
+        raise ValueError(f"vector dim must be >= {MIN_VECTOR_DIM}, got {dim}")
+
+
 def structured_vectors(
     world: World, dim: int, seed: int, noise_sigma: float = 0.05
 ) -> dict[str, np.ndarray]:
@@ -154,8 +160,7 @@ def structured_vectors(
     [4:7) verb-pair one-hot, [7] verb polarity, [8] subject flag. Every
     vector also carries small Gaussian noise so no two words collide.
     """
-    if dim < MIN_VECTOR_DIM:
-        raise ValueError(f"vector dim must be >= {MIN_VECTOR_DIM}, got {dim}")
+    check_vector_dim(dim)
     if len(world.categories) > 3 or len(world.verb_pairs) > 3:
         raise ValueError("vector layout supports at most 3 categories/pairs")
     rng = np.random.default_rng(seed)

@@ -205,14 +205,13 @@ class Checkpoint:
             metadata=dict(metadata or {}),
         )
 
-    def build_model(self, copy: bool = True) -> Model:
+    def build_model(self) -> Model:
         """The saved architecture around the stored values, in their dtype.
 
         The skeleton holds shapes only; once the config fits the tensors
         and every name and shape matches, each parameter's ``.data`` is
-        rebound to a C-contiguous array of the stored values: a copy, or
-        with ``copy=False`` the stored array itself where it already is
-        one, which hands this checkpoint's memory to the model.
+        rebound to the stored array itself (a C-contiguous copy only where
+        it is not one), which hands this checkpoint's memory to the model.
         """
         dtypes = {arr.dtype for arr in self.tensors.values()}
         if len(dtypes) > 1:
@@ -247,8 +246,7 @@ class Checkpoint:
                     f"checkpoint tensor {name} has shape {arr.shape}, "
                     f"expected {skeleton.shape}"
                 )
-            take = np.array if copy else np.asarray  # asarray copies only if it must
-            named[name].data = take(arr, skeleton.dtype, order="C")
+            named[name].data = np.asarray(arr, skeleton.dtype, order="C")
         return model
 
     def save(self, path: str):
@@ -354,7 +352,7 @@ def predict(
     the models; a single model is an ensemble of one.
 
     The one inference loop: the examples go through ``Model.forward`` in
-    unshuffled batches of ``INFER_BATCH`` pairs, each padded only when its
+    unshuffled batches of ``INFER_BATCH`` pairs, each built only when its
     turn comes, so memory does not grow with the number of examples. The
     models' rows are summed in float64 and each sum is renormalised, since
     a float32 softmax sums to 1 only within about 1e-7. A probability that
@@ -525,7 +523,7 @@ def load_model(path: str) -> tuple[Model, Vocab]:
     around the arrays the file was read into, so it holds the one copy of
     its weights; the checkpoint itself is dropped on return."""
     checkpoint = Checkpoint.load(path)
-    return checkpoint.build_model(copy=False), checkpoint.vocab
+    return checkpoint.build_model(), checkpoint.vocab
 
 
 def build_ensemble(

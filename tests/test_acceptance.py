@@ -1,13 +1,14 @@
 """System-level acceptance gate with pinned tolerances.
 
-Nine checks cover gradient fidelity, pooling semantics, masking, a scaled
-overfit run on the rule-generated corpus, ablation direction, ensembling,
-determinism, persistence, and embedding freezing. Each check prints one
+Nine checks cover gradient fidelity, pooling semantics, pair isolation, a
+scaled overfit run on the rule-generated corpus, ablation direction,
+ensembling, determinism, persistence, and embedding freezing. Each check prints one
 summary line (echoed after the run by the conftest hook) and fails loudly
 if its pinned bound is violated.
 """
 
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,35 +190,42 @@ class TestAcceptance:
         )
         assert ok
 
-    def test_4_masking_invariance(self, corpus, trained):
+    def test_4_pair_isolation(self, corpus, trained):
+        # A batch's pairs share one ragged block, but no pair may read
+        # another's tokens: overwriting the word ids of every sentence of
+        # the odd pairs, then of the even pairs, must leave the other
+        # pairs' logits bit for bit and change every overwritten pair's.
         model = trained.result.best.build_model()
         batches = batchify(
             corpus.dev_set[:24], 8, corpus.vocab, seed=0, shuffle=False
         )
 
-        mutated_cells = 0
-        ok = True
+        isolated = changed = True
+        mutated_tokens = 0
         for batch in batches:
-            before = model.forward(batch).data.copy()
-            side = batch.sentences
-            for b in range(2 * batch.size):
-                n = int(side.mask[b].sum())
-                side.word_ids[b, n:] = (
-                    side.word_ids[b, n:] + 3
-                ) % corpus.vocab.n_words
-                side.char_ids[b, n:, :] = (
-                    side.char_ids[b, n:, :] + 5
-                ) % corpus.vocab.n_chars
-                mutated_cells += side.word_ids.shape[1] - n
-            after = model.forward(batch).data
-            ok = ok and _same_bits(before, after)
-        ok = ok and mutated_cells > 0
+            before = model.forward(batch).data
+            pair_of_token = np.repeat(
+                np.arange(2 * batch.size) % batch.size, batch.lengths
+            )
+            for parity in (1, 0):
+                hit = pair_of_token % 2 == parity
+                word_ids = batch.word_ids.copy()
+                word_ids[hit] = (word_ids[hit] + 3) % corpus.vocab.n_words
+                mutated_tokens += int(hit.sum())
+                after = model.forward(replace(batch, word_ids=word_ids)).data
+                mutated = np.arange(batch.size) % 2 == parity
+                isolated = isolated and _same_bits(before[~mutated], after[~mutated])
+                changed = changed and bool(
+                    np.all(np.any(before[mutated] != after[mutated], axis=1))
+                )
+        ok = isolated and changed
         _report(
             4,
-            "masking invariance",
+            "pair isolation",
             ok,
-            f"logits bit-exact after mutating {mutated_cells} padded "
-            f"positions across {len(batches)} batches",
+            f"untouched pairs' logits bit-exact: {isolated}; every overwritten "
+            f"pair's logits changed: {changed}; {mutated_tokens} word ids "
+            f"overwritten across {len(batches)} batches",
         )
         assert ok
 

@@ -409,6 +409,13 @@ class TestExitCodes:
         assert C.main(argv) == 1
         assert not out_dir.exists()
 
+    def test_synth_data_small_word_dim_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "synth"
+        argv = ["synth-data", "--out-dir", str(out_dir), "--word-dim", "6"]
+        assert C.main(argv) == 1
+        assert "vector dim must be >= 9, got 6" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_tab_separated_vectors_are_data_error(
         self, tmp_path, workdir, capsys
     ):
@@ -761,6 +768,9 @@ class TestCliSurface:
         assert "# filter_widths = 1,2" in eval_lines
 
 
+AT_MOST_INT64 = f"must be positive and at most {2**63 - 1}"
+
+
 class TestUsageErrorsBeforeIO:
     @pytest.mark.parametrize(
         "flags, config_text, message",
@@ -779,6 +789,9 @@ class TestUsageErrorsBeforeIO:
             (["--stop-train-acc", "nan"], None, "stop_train_acc must be in [0, 1]"),
             (["--stop-train-acc", "1.5"], None, "stop_train_acc must be in [0, 1]"),
             (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+            # past numpy's int64, so the setting is named, not a traceback
+            (["--filter-widths", "4" * 25], None, f"filter_widths {AT_MOST_INT64}"),
+            (["--hidden-dim", "9" * 23], None, f"hidden_dim {AT_MOST_INT64}"),
         ],
         ids=[
             "no-char-no-word",
@@ -795,6 +808,8 @@ class TestUsageErrorsBeforeIO:
             "stop-train-acc-nan",
             "stop-train-acc-1.5",
             "seed-negative",
+            "filter-width-past-int64",
+            "hidden-dim-past-int64",
         ],
     )
     def test_invalid_architecture_with_absent_files(

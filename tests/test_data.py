@@ -341,15 +341,15 @@ class TestBatchify:
             D.NLIExample(["a", "b", "c"], ["x"], 0),
             D.NLIExample(["a", "b", "c", "d", "e"], ["x", "y"], 1),
         ]
-        batches = D.batchify(exs, 2, self.vocab_for(exs), seed=0, shuffle=False)
-        side = batches[0].sentences
-        # premises first, then hypotheses, in example order
-        lengths = side.mask.sum(axis=1).tolist()
-        assert lengths == [3, 5, 1, 2]
-        for b, n in enumerate(lengths):
-            assert side.mask[b, :n].tolist() == [1] * n
-            assert side.mask[b, n:].tolist() == [0] * (5 - n)
-            assert np.all(side.word_ids[b, n:] == D.PAD_ID)
+        vocab = self.vocab_for(exs)
+        (batch,) = D.batchify(exs, 2, vocab, seed=0, shuffle=False)
+        # premises first, then hypotheses, in example order, with each
+        # sentence's tokens back to back and no padding between them
+        assert batch.lengths.tolist() == [3, 5, 1, 2]
+        tokens = "a b c a b c d e x x y".split()
+        assert batch.word_ids.tolist() == [vocab.word_id(t) for t in tokens]
+        assert D.PAD_ID not in batch.word_ids
+        assert batch.char_ids.tolist() == [[vocab.char_id(t)] for t in tokens]
 
     def test_same_seed_same_order(self):
         exs = self.examples(17)
@@ -358,7 +358,8 @@ class TestBatchify:
         b2 = D.batchify(exs, 4, vocab, seed=9)
         for x, y in zip(b1, b2):
             assert np.array_equal(x.labels, y.labels)
-            assert np.array_equal(x.sentences.word_ids, y.sentences.word_ids)
+            assert np.array_equal(x.lengths, y.lengths)
+            assert np.array_equal(x.word_ids, y.word_ids)
 
     def test_different_seed_usually_differs(self):
         exs = self.examples(17)
@@ -371,7 +372,7 @@ class TestBatchify:
         exs = [D.NLIExample(["x" * 50], ["y"], 0)]
         vocab = self.vocab_for(exs)
         batches = D.batchify(exs, 1, vocab, seed=0)
-        assert batches[0].sentences.char_ids.shape[2] == D.MAX_WORD_CHARS
+        assert batches[0].char_ids.shape == (2, D.MAX_WORD_CHARS)
 
     def test_bad_batch_size(self):
         exs = self.examples(3)

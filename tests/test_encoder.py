@@ -172,11 +172,6 @@ def one_layer(pf, pb):
     return E.EncoderParams(layers=[(pf, pb)])
 
 
-def mask_of(lengths):
-    """The (S, max length) 0/1 mask of a ragged block."""
-    return (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.int64)
-
-
 class TestBilstm:
     """One layer of the stack: both directions, joined per position."""
 
@@ -184,7 +179,7 @@ class TestBilstm:
         pf = random_params(4, D, rng)
         pb = random_params(4, D, rng)
         x = Tensor(rng.normal(size=(1, 4)))
-        enc = E.stacked_encode(x, mask_of([1]), one_layer(pf, pb), E.GateKind.INPUT)
+        enc = E.stacked_encode(x, [1], one_layer(pf, pb), E.GateKind.INPUT)
         zeros = Tensor(np.zeros((1, D)))
         hf, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pf)
         hb, _, _ = lstm_oracle.lstm_cell(x, zeros, zeros, pb)
@@ -195,9 +190,9 @@ class TestBilstm:
         pb = random_params(4, D, rng)
         x = rng.normal(size=(5, 4))
         for gate in E.GateKind:
-            enc = E.stacked_encode(Tensor(x), mask_of([5]), one_layer(pf, pb), gate)
+            enc = E.stacked_encode(Tensor(x), [5], one_layer(pf, pb), gate)
             rev = E.stacked_encode(
-                Tensor(x[::-1].copy()), mask_of([5]), one_layer(pb, pf), gate
+                Tensor(x[::-1].copy()), [5], one_layer(pb, pf), gate
             )
             for a, b in ((enc.h, rev.h), (enc.gate, rev.gate)):
                 swapped = np.hstack([b.data[:, D:], b.data[:, :D]])
@@ -208,13 +203,13 @@ class TestBilstm:
         # their states and gates bit for bit.
         params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
         x = rng.normal(size=(9, 4))
-        mask = mask_of([3, 4, 2])
+        lengths = [3, 4, 2]
         mutated = x.copy()
         mutated[3:7] = rng.normal(size=(4, 4)) * 100.0
         kept = np.r_[0:3, 7:9]
         for gate in E.GateKind:
-            base = E.stacked_encode(Tensor(x), mask, params, gate)
-            other = E.stacked_encode(Tensor(mutated), mask, params, gate)
+            base = E.stacked_encode(Tensor(x), lengths, params, gate)
+            other = E.stacked_encode(Tensor(mutated), lengths, params, gate)
             for attr in ("h", "gate"):
                 a, b = getattr(base, attr).data, getattr(other, attr).data
                 np.testing.assert_array_equal(a[kept], b[kept])
@@ -224,15 +219,15 @@ class TestBilstm:
         params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
         x = Tensor(rng.normal(size=(4, 4)))
         for gate in E.GateKind:
-            enc = E.stacked_encode(x, mask_of([4]), params, gate)
+            enc = E.stacked_encode(x, [4], params, gate)
             assert np.all(enc.gate.data > 0.0) and np.all(enc.gate.data < 1.0)
 
     def test_all_masked_errors(self, rng):
-        # a sentence whose mask row is all zeros has no rows to encode
+        # a sentence of length 0, all of its positions masked, has no rows
+        # to encode
         params = one_layer(random_params(4, D, rng), random_params(4, D, rng))
-        mask = np.array([[1, 1], [0, 0]])
         with pytest.raises(ValueError, match="must be >= 1"):
-            E.stacked_encode(Tensor(np.zeros((2, 4))), mask, params, E.GateKind.INPUT)
+            E.stacked_encode(Tensor(np.zeros((2, 4))), [2, 0], params, E.GateKind.INPUT)
 
 
 class TestStackedEncode:
@@ -241,9 +236,8 @@ class TestStackedEncode:
         assert params.layers[0][0].w.shape[0] == 5
         assert params.layers[1][0].w.shape[0] == 5 + 2 * D
         assert params.layers[2][1].w.shape[0] == 5 + 2 * D
-        mask = np.array([[1, 1, 1], [1, 0, 0]])
         enc = E.stacked_encode(
-            Tensor(rng.normal(size=(4, 5))), mask, params, E.GateKind.INPUT
+            Tensor(rng.normal(size=(4, 5))), [3, 1], params, E.GateKind.INPUT
         )
         assert enc.h.shape == (4, 2 * D)
         assert enc.gate.shape == (4, 2 * D)
@@ -255,7 +249,7 @@ class TestStackedEncode:
         params = E.init_encoder_params(4, D, 1, rng)
         e = Tensor(rng.normal(size=(5, 4)))
         for gate in E.GateKind:
-            stacked = E.stacked_encode(e, mask_of([3, 2]), params, gate)
+            stacked = E.stacked_encode(e, [3, 2], params, gate)
             h, g = lstm_oracle.bilstm_layer(e, [3, 2], params.layers[0], gate)
             np.testing.assert_allclose(stacked.h.data, h.data, rtol=0, atol=1e-10)
             np.testing.assert_allclose(stacked.gate.data, g.data, rtol=0, atol=1e-10)
@@ -266,7 +260,7 @@ class TestStackedEncode:
         params = E.init_encoder_params(4, D, 3, rng)
         with T.Graph() as g:
             E.stacked_encode(
-                Tensor(rng.normal(size=(5, 4))), mask_of([2, 3]), params, E.GateKind.FORGET
+                Tensor(rng.normal(size=(5, 4))), [2, 3], params, E.GateKind.FORGET
             )
         assert len(g) == 3 + 2 + 1
 
@@ -274,12 +268,12 @@ class TestStackedEncode:
         # Replaying layer 2 by hand on [e; h1] must reproduce the stack.
         params = E.init_encoder_params(4, D, 2, rng)
         e = Tensor(rng.normal(size=(3, 4)))
-        mask = np.array([[1, 1], [1, 0]])
+        lengths = [2, 1]
         gate = E.GateKind.OUTPUT
-        stacked = E.stacked_encode(e, mask, params, gate)
-        h1 = E.stacked_encode(e, mask, one_layer(*params.layers[0]), gate).h
+        stacked = E.stacked_encode(e, lengths, params, gate)
+        h1 = E.stacked_encode(e, lengths, one_layer(*params.layers[0]), gate).h
         manual = E.stacked_encode(
-            T.concat([e, h1], axis=1), mask, one_layer(*params.layers[1]), gate
+            T.concat([e, h1], axis=1), lengths, one_layer(*params.layers[1]), gate
         )
         np.testing.assert_array_equal(stacked.h.data, manual.h.data)
         np.testing.assert_array_equal(stacked.gate.data, manual.gate.data)
@@ -289,13 +283,13 @@ class TestStackedEncode:
         # middle sentence leaves the others' states and gates bit for bit.
         params = E.init_encoder_params(4, D, 2, rng)
         e = rng.normal(size=(9, 4))
-        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 0]])
+        lengths = [3, 5, 1]
         mutated = e.copy()
         mutated[3:8] = rng.normal(size=(5, 4)) * 50.0
         kept = np.r_[0:3, 8:9]
         for gate in E.GateKind:
-            base = E.stacked_encode(Tensor(e), mask, params, gate)
-            other = E.stacked_encode(Tensor(mutated), mask, params, gate)
+            base = E.stacked_encode(Tensor(e), lengths, params, gate)
+            other = E.stacked_encode(Tensor(mutated), lengths, params, gate)
             for attr in ("h", "gate"):
                 a, b = getattr(base, attr).data, getattr(other, attr).data
                 np.testing.assert_array_equal(a[kept], b[kept])
@@ -322,14 +316,13 @@ class TestStackedEncode:
                 p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
                 p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
         e = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-        mask = np.array([[1, 1, 0], [1, 1, 1]])
         weights = rng.normal(size=(5, 2 * 8))
 
         for gate in E.GateKind:
 
             def f(_t):
                 # reads the gate too, so a wrong gate backward cannot pass
-                enc = E.stacked_encode(e, mask, params, gate)
+                enc = E.stacked_encode(e, [2, 3], params, gate)
                 block = T.concat([enc.h, enc.gate], axis=1)
                 return weighted_sum(block, weights)
 

@@ -8,7 +8,7 @@ from gatednli import compose as CP
 from gatednli import embed as EM
 from gatednli import encoder as EN
 from gatednli import tensor as T
-from gatednli.data import Batch, _pack_sentences
+from gatednli.data import Batch
 from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Graph, Tensor, grad_check
 
@@ -48,11 +48,16 @@ def toy_pair(rng, lp=3, lh=2):
 
 
 def pack(pairs):
-    """A padded batch of (p_word, p_char, h_word, h_char) pairs, labeled 0."""
-    premises = [(pw, pc) for pw, pc, _, _ in pairs]
-    hypotheses = [(hw, hc) for _, _, hw, hc in pairs]
+    """A batch of (p_word, p_char, h_word, h_char) pairs, labeled 0: the
+    premises' tokens, then the hypotheses', back to back, with char rows
+    widened to the widest word by pad-id tails."""
+    sides = [p[:2] for p in pairs] + [p[2:] for p in pairs]
+    width = max(c.shape[1] for _, c in sides)
+    chars = [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for _, c in sides]
     return Batch(
-        _pack_sentences(premises + hypotheses),
+        np.concatenate([w for w, _ in sides]),
+        np.concatenate(chars),
+        np.array([len(w) for w, _ in sides]),
         np.zeros(len(pairs), dtype=np.int64),
     )
 
@@ -150,8 +155,8 @@ class TestModelForward:
         # buckets (3 and 2), so they run in the same steps of the encoder.
         first = pack([pair, toy_pair(rng, 2, 3), toy_pair(rng, 6, 1)])
         second = pack([wide, toy_pair(rng, 2, 2), pair, toy_pair(rng, 3, 3)])
-        assert first.sentences.word_ids.shape != second.sentences.word_ids.shape
-        assert first.sentences.char_ids.shape[2] < second.sentences.char_ids.shape[2]
+        assert first.word_ids.shape != second.word_ids.shape
+        assert first.char_ids.shape[1] < second.char_ids.shape[1]
         alone = probs_of(model, pack([pair]))[0]
         in_first = probs_of(model, first)[0]
         in_second = probs_of(model, second)[2]
