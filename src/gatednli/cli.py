@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import Field, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence
 
@@ -252,6 +253,7 @@ def _train_once(config: RunConfig, train_set, dev_set, vocab, table):
         train_set,
         dev_set,
         config.optim,
+        config.checkpoint_path,
         log=lambda msg: print(msg, file=sys.stderr),
     )
 
@@ -262,12 +264,11 @@ def cmd_train(args) -> int:
     banner(config)
     train_set, dev_set, vocab, table = _load_pipeline(config)
     result = _train_once(config, train_set, dev_set, vocab, table)
-    result.best.save(config.checkpoint_path)
     print(f"# checkpoint written to {config.checkpoint_path}", file=sys.stderr)
     if config.history_path:
         TR.write_history(config.history_path, result.history)
         print(f"# history written to {config.history_path}", file=sys.stderr)
-    best = result.best.metadata
+    best = result.best
     print(f"best epoch {best['epoch']} dev_accuracy {best['dev_accuracy']:.4f}")
     return EXIT_OK
 
@@ -331,20 +332,24 @@ ABLATIONS: tuple[tuple[str, dict], ...] = (
 
 
 def run_ablations(config: RunConfig, log=None) -> list[tuple[str, float]]:
-    """Train the full model and the four single-component removals."""
+    """Train the full model and the four single-component removals; each
+    run's best checkpoint goes to a temporary directory removed on return."""
     say = log or (lambda _msg: None)
-    variants = [
-        (name, replace(config, model=replace(config.model, **overrides)))
-        for name, overrides in ABLATIONS
-    ]
-    train_set, dev_set, vocab, table = _load_pipeline(config)
-    rows = []
-    for name, variant in variants:
-        say(f"training {name}")
-        result = _train_once(variant, train_set, dev_set, vocab, table)
-        acc = result.best.metadata["dev_accuracy"]
-        say(f"{name}: dev_accuracy {acc:.4f}")
-        rows.append((name, acc))
+    with tempfile.TemporaryDirectory() as scratch:
+        ckpt = os.path.join(scratch, "model.ckpt")
+        variants = [
+            (name, replace(config, checkpoint_path=ckpt,
+                           model=replace(config.model, **overrides)))
+            for name, overrides in ABLATIONS
+        ]
+        train_set, dev_set, vocab, table = _load_pipeline(config)
+        rows = []
+        for name, variant in variants:
+            say(f"training {name}")
+            result = _train_once(variant, train_set, dev_set, vocab, table)
+            acc = result.best["dev_accuracy"]
+            say(f"{name}: dev_accuracy {acc:.4f}")
+            rows.append((name, acc))
     return rows
 
 

@@ -165,17 +165,16 @@ def bilstm_layer(
     # and a row's predecessor lies B_{t-1} rows up (b0 up at step 0).
     b0 = sizes[0]
     prev_rows = b0 + np.arange(n) - np.repeat(np.r_[b0, sizes[:-1]], sizes)
-    x = xs.data[rows]
     # (2, n, 4d), overwritten step by step with the gates; every array
-    # this op allocates takes its dtype
-    pre = np.empty((2, n, 4 * d), np.result_type(x, *ws))
+    # this op allocates takes its dtype. Each direction's rows are gathered
+    # only for its projection, and again for dW in the backward.
+    pre = np.empty((2, n, 4 * d), np.result_type(xs.data, *ws))
     for k, p in enumerate(params):
-        np.matmul(x[k], ws[k], out=pre[k])
+        np.matmul(xs.data[rows[k]], ws[k], out=pre[k])
         pre[k] += p.b.data
     gates = pre.reshape(2, n, 4, d)  # [i, f, update, o]; update is tanh'd
     h = np.zeros((2, b0 + n, d), pre.dtype)
     c = np.zeros((2, b0 + n, d), pre.dtype)
-    tc = np.empty((2, n, d), pre.dtype)  # tanh(c) after each packed row
     lo = 0
     with np.errstate(over="ignore"):  # exp overflow saturates to 0/1
         for bt in sizes:
@@ -191,8 +190,9 @@ def bilstm_layer(
             c_t = c[:, b0 + lo : b0 + hi]
             np.multiply(f, c[:, p : p + bt], out=c_t)
             c_t += i * upd
-            np.tanh(c_t, out=tc[:, lo:hi])
-            np.multiply(o, tc[:, lo:hi], out=h[:, b0 + lo : b0 + hi])
+            h_now = h[:, b0 + lo : b0 + hi]
+            np.tanh(c_t, out=h_now)
+            h_now *= o
             lo = hi
     cols = np.arange(2)[:, None]  # block.reshape(n, 2, d)[rows, cols] is packed
 
@@ -217,6 +217,7 @@ def bilstm_layer(
         k3 = np.stack(
             [upd * s_i, c[:, prev_rows] * s_f, i * (1.0 - upd * upd)], axis=2
         )
+        tc = np.tanh(c[:, b0:])  # recomputed, not kept from the forward
         k_o = tc * s_o
         k_c = o * (1.0 - tc * tc)
         flat = dpre.reshape(2, n, 4 * d)
@@ -240,9 +241,10 @@ def bilstm_layer(
             hi = lo
         dxs, dws = [], []
         for k in range(2):
-            dxs.append(np.empty_like(x[k]))
+            dxs.append(np.empty_like(xs.data))
             dxs[k][rows[k]] = flat[k] @ ws[k].T
-            dws += [x[k].T @ flat[k], h[k, prev_rows].T @ flat[k], flat[k].sum(axis=0)]
+            x_k = xs.data[rows[k]]
+            dws += [x_k.T @ flat[k], h[k, prev_rows].T @ flat[k], flat[k].sum(axis=0)]
         # xs is listed twice, the backward direction's dx first, so the
         # tape adds the two in the order of one record per direction
         return (dxs[1], dxs[0], *dws)

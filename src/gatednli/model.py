@@ -79,6 +79,12 @@ class ModelConfig:
                 )
         if not self.filter_widths:
             raise ValueError("filter_widths must not be empty")
+        for width in self.filter_widths:
+            if width * self.char_dim > INT64_MAX:  # a filter's fan-in
+                raise ValueError(
+                    f"filter_widths: width {width} times char_dim {self.char_dim} "
+                    f"must be at most {INT64_MAX}"
+                )
         if len(set(self.filter_widths)) != len(self.filter_widths):
             raise ValueError(f"duplicate filter widths {self.filter_widths}")
         if self.gate_kind not in GATE_KINDS:

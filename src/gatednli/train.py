@@ -3,9 +3,12 @@
 Training runs seeded shuffled minibatches under Adam with global-norm
 gradient clipping, one ``Model.forward`` call per minibatch, evaluates on
 the dev set once per epoch, and keeps the checkpoint with the best dev
-accuracy; the weights are copied only for a new best. ``clip_global_norm``
-only measures the gradients, and ``Adam.step`` applies the clip factor in
-its one update pass, on both cores. ``predict`` is the one inference loop:
+accuracy: each new best is written straight from the live weights to a
+temporary file next to the checkpoint path, which replaces the path only
+when training returns, so training holds one copy of the weights and a
+failed run writes nothing. ``clip_global_norm`` only measures the
+gradients, and ``Adam.step`` applies the clip factor in its one update
+pass, on both cores. ``predict`` is the one inference loop:
 evaluation, early stopping, the ``eval``, ``ensemble-eval`` and ``predict``
 commands all score examples through it. It averages class probabilities
 over a list of models sharing one architecture, so a single model is an
@@ -18,6 +21,7 @@ of its weights.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import csv
 import json
@@ -194,10 +198,9 @@ class Checkpoint:
     def from_model(
         cls, model: Model, vocab: Vocab, metadata: Optional[dict] = None
     ) -> "Checkpoint":
-        tensors = {
-            name: t.data.copy()
-            for name, t in model.params.named_tensors().items()
-        }
+        """The model's checkpoint around its live parameter arrays, not
+        copies: ``save`` writes the values they hold when it runs."""
+        tensors = {name: t.data for name, t in model.params.named_tensors().items()}
         return cls(
             config=model.config,
             vocab=vocab,
@@ -425,9 +428,14 @@ class HistoryRow:
 
 @dataclass
 class TrainResult:
-    best: Checkpoint
+    """The best epoch's checkpoint metadata (``epoch``, ``dev_accuracy``,
+    ``seed``), whose weights are in the checkpoint file ``train`` wrote;
+    the history; and the model with its final-epoch parameters, not
+    necessarily the best."""
+
+    best: dict
     history: list[HistoryRow]
-    model: Model  # final-epoch parameters, not necessarily the best
+    model: Model
 
 
 def _epoch_seed(base_seed: int, epoch: int) -> int:
@@ -443,13 +451,18 @@ def train(
     train_set: Sequence[NLIExample],
     dev_set: Sequence[NLIExample],
     settings: TrainSettings,
+    checkpoint_path: str,
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
-    """Epochs of minibatch Adam with per-epoch dev selection.
+    """Epochs of minibatch Adam with per-epoch dev selection; the best
+    epoch's checkpoint is at checkpoint_path when this returns.
 
-    A non-finite loss, gradient or dev probability raises NumericError
-    naming the epoch; the explicit checks find those, so numpy's overflow
-    warnings are off. Weights are copied only for a new best.
+    Each new best is saved from the live parameter arrays, with no copy,
+    over a temporary file next to checkpoint_path, which is moved onto the
+    path on return and removed on any exception, so a failed run leaves
+    the path as it was. A non-finite loss, gradient or dev probability
+    raises NumericError naming the epoch; the explicit checks find those,
+    so numpy's overflow warnings are off.
     """
     if not train_set:
         raise DataError("train: empty training set")
@@ -457,8 +470,9 @@ def train(
         raise DataError("train: empty dev set")
     say = log or (lambda _msg: None)
     adam = Adam(model.params.trainable(), lr=settings.lr)
-    best: Optional[Checkpoint] = None
+    best: Optional[dict] = None
     history: list[HistoryRow] = []
+    scratch = f"{checkpoint_path}.{os.urandom(8).hex()}.tmp"
     try:
         for epoch in range(1, settings.epochs + 1):
             batches = batchify(
@@ -492,9 +506,9 @@ def train(
                 f"epoch {epoch}: train_loss {train_loss:.4f} "
                 f"train_acc {train_acc:.3f} dev_acc {dev.accuracy:.3f}"
             )
-            if best is None or dev.accuracy > best.metadata["dev_accuracy"]:
-                meta = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
-                best = Checkpoint.from_model(model, vocab, meta)
+            if best is None or dev.accuracy > best["dev_accuracy"]:
+                best = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
+                Checkpoint.from_model(model, vocab, best).save(scratch)
             if settings.stop_train_acc is not None:
                 # Stop on the weights being returned, not on the running
                 # accuracy above, which mixes the epoch's successive updates.
@@ -505,8 +519,12 @@ def train(
                         f"reached target"
                     )
                     break
+        os.replace(scratch, checkpoint_path)
     except NumericError as err:
         raise NumericError(f"epoch {epoch}: {err}") from err
+    finally:  # the file is gone once moved; otherwise the run failed
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(scratch)
     return TrainResult(best=best, history=history, model=model)
 
 

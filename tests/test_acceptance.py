@@ -83,23 +83,24 @@ def _fresh_model(corpus, seed: int) -> Model:
     return Model.initialize(config, corpus.vocab.n_chars, corpus.table, rng)
 
 
-def _run_training(corpus, seed: int):
+def _run_training(corpus, seed: int, ckpt: str):
     model = _fresh_model(corpus, seed)
     word_bytes = model.params.embed.word_table.data.tobytes()
     settings = TR.TrainSettings(epochs=EPOCH_BUDGET, **TOY_OPTIM)
     start = time.monotonic()
     result = TR.train(
-        model, corpus.vocab, corpus.train_set, corpus.dev_set, settings
+        model, corpus.vocab, corpus.train_set, corpus.dev_set, settings, ckpt
     )
     wall = time.monotonic() - start
     return SimpleNamespace(
-        model=model, result=result, wall=wall, word_bytes_before=word_bytes
+        model=model, result=result, ckpt=ckpt, wall=wall, word_bytes_before=word_bytes
     )
 
 
 @pytest.fixture(scope="module")
-def trained(corpus):
-    return _run_training(corpus, seed=0)
+def trained(corpus, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("trained") / "model.ckpt"
+    return _run_training(corpus, seed=0, ckpt=str(ckpt))
 
 
 def _pool_oracle(h: np.ndarray, gates: np.ndarray, complement: bool):
@@ -195,7 +196,7 @@ class TestAcceptance:
         # another's tokens: overwriting the word ids of every sentence of
         # the odd pairs, then of the even pairs, must leave the other
         # pairs' logits bit for bit and change every overwritten pair's.
-        model = trained.result.best.build_model()
+        model, _ = TR.load_model(trained.ckpt)
         batches = batchify(
             corpus.dev_set[:24], 8, corpus.vocab, seed=0, shuffle=False
         )
@@ -233,10 +234,8 @@ class TestAcceptance:
         train_acc = TR.evaluate_model(
             [trained.model], corpus.train_set, corpus.vocab
         ).accuracy
-        best = trained.result.best
-        dev_acc = TR.evaluate_model(
-            [best.build_model()], corpus.dev_set, best.vocab
-        ).accuracy
+        best, best_vocab = TR.load_model(trained.ckpt)
+        dev_acc = TR.evaluate_model([best], corpus.dev_set, best_vocab).accuracy
         epochs = len(trained.result.history)
         ok = (
             train_acc >= TRAIN_ACC_FLOOR
@@ -286,7 +285,7 @@ class TestAcceptance:
         assert ok, rows
 
     def test_7_ensemble_averaging(self, corpus, trained):
-        ckpt = trained.result.best
+        ckpt = TR.Checkpoint.load(trained.ckpt)
         single = ckpt.build_model()
         twins = [ckpt.build_model(), ckpt.build_model()]
         five = [ckpt.build_model() for _ in range(5)]
@@ -313,7 +312,7 @@ class TestAcceptance:
         assert ok
 
     def test_8_determinism_and_persistence(self, corpus, trained, tmp_path):
-        rerun = _run_training(corpus, seed=0)
+        rerun = _run_training(corpus, seed=0, ckpt=str(tmp_path / "rerun.ckpt"))
         first = trained.model.params.named_tensors()
         second = rerun.model.params.named_tensors()
         params_identical = set(first) == set(second) and all(
@@ -324,9 +323,9 @@ class TestAcceptance:
         ] == [(r.epoch, r.train_loss, r.dev_acc) for r in rerun.result.history]
 
         path = tmp_path / "round_trip.ckpt"
-        trained.result.best.save(str(path))
+        saved = TR.Checkpoint.load(trained.ckpt)
+        saved.save(str(path))
         loaded = TR.Checkpoint.load(str(path))
-        saved = trained.result.best
         round_trip = (
             set(loaded.tensors) == set(saved.tensors)
             and all(
@@ -350,7 +349,7 @@ class TestAcceptance:
 
     def test_9_frozen_word_vectors(self, trained):
         after = trained.model.params.embed.word_table.data.tobytes()
-        stored = trained.result.best.tensors["embed.word_table"].tobytes()
+        stored = TR.Checkpoint.load(trained.ckpt).tensors["embed.word_table"].tobytes()
         ok = (
             after == trained.word_bytes_before
             and stored == trained.word_bytes_before

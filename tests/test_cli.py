@@ -460,6 +460,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert not ckpt.exists() and not history.exists()
 
+    def test_checkpoint_in_missing_directory_fails_at_first_best(
+        self, tmp_path, workdir, capsys
+    ):
+        # Epoch 1 is always a new best, and its checkpoint is written then,
+        # so the run stops before epoch 2, with no history.
+        ckpt, history = tmp_path / "absent" / "model.ckpt", tmp_path / "history.csv"
+        argv = ["train", "--config", str(workdir / "run.cfg"), "--epochs", "3",
+                "--checkpoint-path", str(ckpt), "--history-path", str(history)]
+        assert C.main(argv) == 2
+        captured = capsys.readouterr()
+        epochs = [l for l in captured.err.splitlines() if l.startswith("epoch ")]
+        assert len(epochs) == 1 and epochs[0].startswith("epoch 1:")
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["eval", "predict", "ensemble-eval"])
     def test_non_finite_probabilities_exit_3_and_write_nothing(
         self, tmp_path, workdir, capsys, command
@@ -792,6 +808,8 @@ class TestUsageErrorsBeforeIO:
             # past numpy's int64, so the setting is named, not a traceback
             (["--filter-widths", "4" * 25], None, f"filter_widths {AT_MOST_INT64}"),
             (["--hidden-dim", "9" * 23], None, f"hidden_dim {AT_MOST_INT64}"),
+            # fits int64, but its fan-in with the default char_dim of 15 does not
+            (["--filter-widths", str(2**62)], None, f"filter_widths: width {2**62}"),
         ],
         ids=[
             "no-char-no-word",
@@ -810,6 +828,7 @@ class TestUsageErrorsBeforeIO:
             "seed-negative",
             "filter-width-past-int64",
             "hidden-dim-past-int64",
+            "filter-fan-in-past-int64",
         ],
     )
     def test_invalid_architecture_with_absent_files(

@@ -112,15 +112,16 @@ def test_float32_weights_round_the_float64_draws():
         np.testing.assert_array_equal(narrow[name].data, t.data.astype(np.float32))
 
 
-def test_float32_scores_and_trains_within_tolerance_of_float64():
+def test_float32_scores_and_trains_within_tolerance_of_float64(tmp_path):
     vocab, train_set, dev_set = corpus()
     wide, narrow = model_in(np.float64, vocab), model_in(np.float32, vocab)
     gap = np.abs(TR.predict([wide], dev_set, vocab) - TR.predict([narrow], dev_set, vocab))
     assert gap.max() <= PROB_TOL
     # One batch per epoch: the epoch-1 loss scores the initial weights.
     settings = TR.TrainSettings(lr=1e-3, batch_size=len(train_set), epochs=2)
+    ckpt = str(tmp_path / "model.ckpt")
     losses = [
-        [row.train_loss for row in TR.train(m, vocab, train_set, dev_set, settings).history]
+        [row.train_loss for row in TR.train(m, vocab, train_set, dev_set, settings, ckpt).history]
         for m in (wide, narrow)
     ]
     assert abs(losses[0][0] - losses[1][0]) <= LOSS_TOL
