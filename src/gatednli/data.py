@@ -256,13 +256,13 @@ def load_word_vectors(
 
 
 def encode_sentence_ids(
-    tokens: Sequence[str], vocab: Vocab, max_word_chars: int = MAX_WORD_CHARS
+    tokens: Sequence[str], vocab: Vocab
 ) -> tuple[np.ndarray, np.ndarray]:
     """(word_ids (L,), char_ids (L, C)) of a token list: one sentence, or a
     batch's sentences back to back. C is the longest clipped word; char
     rows are padded with the pad id."""
     word_ids = np.array([vocab.word_id(t) for t in tokens], dtype=np.int64)
-    clipped = [t[:max_word_chars] for t in tokens]
+    clipped = [t[:MAX_WORD_CHARS] for t in tokens]
     width = max(len(t) for t in clipped)
     char_ids = np.full((len(tokens), width), PAD_ID, dtype=np.int64)
     for i, tok in enumerate(clipped):

@@ -125,9 +125,8 @@ class ModelConfig:
 
     def signature(self) -> dict:
         """Architecture identity; seed excluded so ensemble members match."""
-        d = asdict(self)
-        d.pop("seed")
-        d["filter_widths"] = list(self.filter_widths)
+        d = self.to_dict()
+        del d["seed"]
         return d
 
     def to_dict(self) -> dict:

@@ -279,15 +279,10 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError(
             f"concat: shapes {[p.shape for p in parts]} along axis {axis}"
         ) from None
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(moved[offsets[i]:offsets[i + 1]], 0, axis)
-            for i in range(len(sizes))
-        )
+        return tuple(np.split(g, cuts, axis=axis))
 
     return _apply(out, tuple(parts), backward)
 

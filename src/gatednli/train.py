@@ -8,27 +8,25 @@ temporary file next to the checkpoint path, which replaces the path only
 when training returns, so training holds one copy of the weights and a
 failed run writes nothing. ``clip_global_norm`` only measures the
 gradients, and ``Adam.step`` applies the clip factor in its one update
-pass, on both cores. ``predict`` is the one inference loop:
-evaluation, early stopping, the ``eval``, ``ensemble-eval`` and ``predict``
-commands all score examples through it. It averages class probabilities
-over a list of models sharing one architecture, so a single model is an
-ensemble of one. Checkpoints are self-describing binary files that
-rebuild the exact model, bit for bit; a load reads one front to back,
-each tensor once, from the file into its own array, and ``load_model``
-builds the model around those arrays, so a served model holds one copy
-of its weights.
+pass, slice by slice on the calling thread. ``predict`` is the one
+inference loop: evaluation, early stopping, the ``eval``,
+``ensemble-eval`` and ``predict`` commands all score examples through
+it. It averages class probabilities over a list of models sharing one
+architecture, so a single model is an ensemble of one. Checkpoints are
+self-describing binary files that rebuild the exact model, bit for bit;
+a load reads one front to back, each tensor once, from the file into its
+own array, and ``load_model`` builds the model around those arrays, so a
+served model holds one copy of its weights.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import csv
 import json
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +38,7 @@ from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
 INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
-ADAM_CHUNK = 32768  # values per Adam slice: a thread's slices and scratch fit its L2
+ADAM_SLICE_BYTES = 262144  # per array in an Adam slice: 65,536 float32 or 32,768 float64
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
 # Each tensor's dtype code byte. Files written before float32 training
@@ -58,12 +56,13 @@ class Adam:
 
     A missing gradient counts as zero (the parameter sat out the forward
     pass); a non-finite gradient aborts the step before anything changes.
-    Each slice is clipped in place (``g *= scale``), then updated through
-    two small scratch buffers in the textbook formula's operation order:
-    one pass, no full-size temporaries, results bit for bit the formula's
-    on the clipped gradients. A step of two or more full slices shares
-    them with one helper thread; they are disjoint, so no value changes.
-    Parameters must be C-contiguous, as the update walks their flat views.
+    The update walks each parameter in slices of ``ADAM_SLICE_BYTES`` per
+    array, on the calling thread. Each slice is clipped in place
+    (``g *= scale``), then updated through two scratch buffers of one slice
+    in the textbook formula's operation order: one pass, no full-size
+    temporaries, results bit for bit the formula's on the clipped
+    gradients. Parameters must be C-contiguous, as the update walks their
+    flat views.
     """
 
     def __init__(
@@ -86,7 +85,7 @@ class Adam:
         self.m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         dtype = np.result_type(np.float32, *(t.data for t in self.named.values()))
-        self._scratch = np.empty((2, 2, ADAM_CHUNK), dtype)  # two buffers per thread
+        self._scratch = np.empty((2, ADAM_SLICE_BYTES // dtype.itemsize), dtype)
 
     def step(self, max_norm: float = math.inf):
         """g *= max_norm / norm if norm > max_norm;
@@ -96,9 +95,7 @@ class Adam:
         norm is ``clip_global_norm``'s pre-clip norm; only a non-finite one
         scans the gradients, and the first holding a NaN or inf raises
         NumericError. Finite entries whose squares overflow even float64 (a
-        norm past about 1.3e154) are scaled by max_norm / inf = 0. The
-        helper runs in a copy of the caller's context (numpy's errstate);
-        if it fails, the step is partly applied and raises.
+        norm past about 1.3e154) are scaled by max_norm / inf = 0.
         """
         norm = clip_global_norm(self.named)
         if not math.isfinite(norm):
@@ -107,47 +104,30 @@ class Adam:
                     raise NumericError(f"non-finite gradient in {name}")
         scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
         self.t += 1
-        coefs = (scale, self.lr / (1.0 - self.beta1**self.t), 1.0 - self.beta2**self.t)
-        jobs = []
+        lr_c1 = self.lr / (1.0 - self.beta1**self.t)
+        c2 = 1.0 - self.beta2**self.t
+        size = self._scratch.shape[1]
         for name, t in self.named.items():
-            g = np.zeros_like(t.data) if t.grad is None else t.grad
-            flat = [a.reshape(-1) for a in (self.m[name], self.v[name], g, t.data)]
-            for lo in range(0, flat[0].size, ADAM_CHUNK):
-                jobs.append([a[lo : lo + ADAM_CHUNK] for a in flat])
-        if sum(job[0].size == ADAM_CHUNK for job in jobs) < 2:
-            return self._update(jobs, 0, *coefs)
-        done, ctx = [], contextvars.copy_context()
-        helper = threading.Thread(
-            target=lambda: done.append(ctx.run(self._update, jobs[1::2], 1, *coefs))
-        )
-        helper.start()
-        try:
-            self._update(jobs[::2], 0, *coefs)
-        finally:
-            helper.join()
-        if not done:
-            raise RuntimeError("Adam: the helper thread's slices failed")
-
-    def _update(self, jobs, thread: int, scale: float, lr_c1: float, c2: float):
-        """The clipped update of each (m, v, g, p) slice in jobs, through
-        the given thread's scratch buffers."""
-        for m, v, g, p in jobs:
-            s1, s2 = self._scratch[thread, :, : m.size]
-            if scale != 1.0:
-                g *= scale
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s1)
-            m += s1
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s1)
-            s1 *= g
-            v += s1
-            np.divide(v, c2, out=s1)
-            np.sqrt(s1, out=s1)
-            s1 += self.eps
-            np.multiply(m, lr_c1, out=s2)
-            s2 /= s1
-            p -= s2
+            grad = np.zeros_like(t.data) if t.grad is None else t.grad
+            flat = [a.reshape(-1) for a in (self.m[name], self.v[name], grad, t.data)]
+            for lo in range(0, t.data.size, size):
+                m, v, g, p = (a[lo : lo + size] for a in flat)
+                s1, s2 = self._scratch[:, : m.size]
+                if scale != 1.0:
+                    g *= scale
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=s1)
+                m += s1
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(v, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += self.eps
+                np.multiply(m, lr_c1, out=s2)
+                s2 /= s1
+                p -= s2
 
     def zero_grad(self):
         for tensor in self.named.values():
@@ -444,6 +424,17 @@ def _epoch_seed(base_seed: int, epoch: int) -> int:
     )
 
 
+@contextlib.contextmanager
+def _writing(checkpoint_path: str):
+    """Raises an OSError as DataError naming checkpoint_path, not the
+    temporary file beside it that the OS's message names."""
+    try:
+        yield
+    except OSError as err:
+        reason = err.strerror or err
+        raise DataError(f"cannot write checkpoint {checkpoint_path}: {reason}") from err
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Model,
@@ -460,9 +451,10 @@ def train(
     Each new best is saved from the live parameter arrays, with no copy,
     over a temporary file next to checkpoint_path, which is moved onto the
     path on return and removed on any exception, so a failed run leaves
-    the path as it was. A non-finite loss, gradient or dev probability
-    raises NumericError naming the epoch; the explicit checks find those,
-    so numpy's overflow warnings are off.
+    the path as it was; a failed write raises DataError naming the path.
+    A non-finite loss, gradient or dev probability raises NumericError
+    naming the epoch; the explicit checks find those, so numpy's overflow
+    warnings are off.
     """
     if not train_set:
         raise DataError("train: empty training set")
@@ -508,7 +500,8 @@ def train(
             )
             if best is None or dev.accuracy > best["dev_accuracy"]:
                 best = dict(epoch=epoch, dev_accuracy=dev.accuracy, seed=model.config.seed)
-                Checkpoint.from_model(model, vocab, best).save(scratch)
+                with _writing(checkpoint_path):
+                    Checkpoint.from_model(model, vocab, best).save(scratch)
             if settings.stop_train_acc is not None:
                 # Stop on the weights being returned, not on the running
                 # accuracy above, which mixes the epoch's successive updates.
@@ -519,7 +512,8 @@ def train(
                         f"reached target"
                     )
                     break
-        os.replace(scratch, checkpoint_path)
+        with _writing(checkpoint_path):
+            os.replace(scratch, checkpoint_path)
     except NumericError as err:
         raise NumericError(f"epoch {epoch}: {err}") from err
     finally:  # the file is gone once moved; otherwise the run failed

@@ -475,6 +475,24 @@ class TestExitCodes:
         assert "No such file or directory" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+        # The message names the path given, not the temporary file beside it.
+        assert f"cannot write checkpoint {ckpt}:" in captured.err
+        assert ".tmp" not in captured.err
+
+    def test_checkpoint_path_that_is_a_directory_fails_naming_it(
+        self, tmp_path, workdir, capsys
+    ):
+        # The temporary file beside the path is written; moving it onto a
+        # directory fails once training is over, and the file is removed.
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.mkdir()
+        argv = ["train", "--config", str(workdir / "run.cfg"), "--epochs", "1",
+                "--checkpoint-path", str(ckpt), "--history-path", str(tmp_path / "h.csv")]
+        assert C.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write checkpoint {ckpt}: Is a directory" in err
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == [ckpt] and list(ckpt.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["eval", "predict", "ensemble-eval"])
     def test_non_finite_probabilities_exit_3_and_write_nothing(

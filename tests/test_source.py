@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gatednli"
@@ -79,3 +80,26 @@ def test_every_dataclass_field_is_read_in_src():
     )
     assert len(found) > 50
     assert unread == []
+
+
+def test_imports_are_numpy_stdlib_or_package_modules():
+    """The only runtime dependency is numpy: every import in src/ is
+    relative, numpy, or a module of the standard library."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    imported, outside = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += len(names)
+            outside += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert imported > 10
+    assert outside == []

@@ -2,8 +2,6 @@
 
 import math
 import struct
-import sys
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -61,29 +59,6 @@ def tiny_setup(seed=3, dtype=np.float64, **config_overrides):
     return model, vocab, train_set, dev_set
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads every microsecond, so the two threads of an Adam
-    step interleave as finely as they can."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(old)
-
-
-def count_helper_threads(monkeypatch) -> list:
-    """Record each thread Adam starts; returns the list of starts."""
-    starts = []
-
-    class Counted(TR.threading.Thread):
-        def start(self):
-            starts.append(self)
-            super().start()
-
-    monkeypatch.setattr(TR.threading, "Thread", Counted)
-    return starts
-
-
 class TestAdam:
     def test_zero_grads_change_nothing(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -131,78 +106,62 @@ class TestAdam:
         np.testing.assert_array_equal(q.data, [2.0])
         assert adam.t == 0
 
-    def test_bit_identical_to_textbook_formula(self, monkeypatch, fast_switching):
-        # Shapes straddle the slice size, and "d" alone is two full slices,
-        # so the helper thread runs; "c" sits out step 2 (no grad). Steps
-        # 2 and 3 clip, the formula then applies to g * scale.
-        starts = count_helper_threads(monkeypatch)
-        rng = np.random.default_rng(12)
-        chunk = TR.ADAM_CHUNK
-        shapes = {
-            "a": (7,),
-            "b": (3, chunk // 3 + 5),
-            "c": (chunk + 1,),
-            "d": (2, chunk + 3),
-        }
-        named = {
-            k: Tensor(rng.normal(size=s), requires_grad=True)
-            for k, s in shapes.items()
-        }
-        want = {k: t.data.copy() for k, t in named.items()}
-        m = {k: np.zeros(s) for k, s in shapes.items()}
-        v = {k: np.zeros(s) for k, s in shapes.items()}
-        adam = TR.Adam(named, lr=3e-3)
-        for step in range(1, 4):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            if step == 2:
-                grads["c"] = np.zeros(shapes["c"])
-            for k, t in named.items():
-                t.grad = None if (step == 2 and k == "c") else grads[k].copy()
-            norm = TR.clip_global_norm(named)
-            max_norm = math.inf if step == 1 else norm / 7.0
-            scale = max_norm / norm if step > 1 else 1.0
-            assert scale < 1.0 or step == 1
-            adam.step(max_norm)
-            c1 = 1.0 - adam.beta1**step
-            c2 = 1.0 - adam.beta2**step
-            for k in shapes:
-                g = grads[k] * scale if step > 1 else grads[k]
-                m[k] = adam.beta1 * m[k] + (1.0 - adam.beta1) * g
-                v[k] = adam.beta2 * v[k] + (1.0 - adam.beta2) * g * g
-                want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + adam.eps)
-        for k, t in named.items():
-            assert np.array_equal(t.data, want[k]), k
-        assert len(starts) == 3
+    def test_bit_identical_to_textbook_formula(self):
+        # In each dtype, shapes straddle the slice size and "d" is two full
+        # slices plus a tail; "c" sits out step 2 (no grad). Steps 2 and 3
+        # clip, the formula then applies to g * scale.
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(12)
+            n = TR.ADAM_SLICE_BYTES // np.dtype(dtype).itemsize
+            shapes = {"a": (7,), "b": (3, n // 3 + 5), "c": (n + 1,), "d": (2, n + 3)}
 
-    def test_helper_thread_only_with_two_full_slices(self, monkeypatch):
-        starts = count_helper_threads(monkeypatch)
-        chunk = TR.ADAM_CHUNK
-        for sizes, threads in [
-            ((9239,), 0),  # the toy model's values, all in one slice
-            ((chunk - 1,) * 3, 0),  # three slices' worth, none of them full
-            ((chunk, 5), 0),
-            ((chunk, chunk), 1),
-            ((2 * chunk + 1,), 1),
-        ]:
-            starts.clear()
-            named = {
-                f"p{i}": Tensor(np.zeros(n), requires_grad=True)
-                for i, n in enumerate(sizes)
-            }
-            TR.Adam(named).step()
-            assert len(starts) == threads, sizes
+            def draw(shape):
+                return rng.normal(size=shape).astype(dtype)
+
+            named = {k: Tensor(draw(s), requires_grad=True) for k, s in shapes.items()}
+            want = {k: t.data.copy() for k, t in named.items()}
+            m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+            v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+            adam = TR.Adam(named, lr=3e-3)
+            assert adam._scratch.shape == (2, n)
+            for step in range(1, 4):
+                grads = {k: draw(s) for k, s in shapes.items()}
+                if step == 2:
+                    grads["c"] = np.zeros(shapes["c"], dtype)
+                for k, t in named.items():
+                    t.grad = None if (step == 2 and k == "c") else grads[k].copy()
+                norm = TR.clip_global_norm(named)
+                max_norm = math.inf if step == 1 else norm / 7.0
+                scale = max_norm / norm if step > 1 else 1.0
+                assert scale < 1.0 or step == 1
+                adam.step(max_norm)
+                c1 = 1.0 - adam.beta1**step
+                c2 = 1.0 - adam.beta2**step
+                for k in shapes:
+                    g = grads[k] * scale if step > 1 else grads[k]
+                    m[k] = adam.beta1 * m[k] + (1.0 - adam.beta1) * g
+                    v[k] = adam.beta2 * v[k] + (1.0 - adam.beta2) * g * g
+                    want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + adam.eps)
+            for k, t in named.items():
+                assert t.data.dtype == dtype
+                assert np.array_equal(t.data, want[k]), (dtype, k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_in_later_slice_aborts_before_anything_changes(self, bad):
-        chunk = TR.ADAM_CHUNK
+        # float32, as training runs: the bad value sits in big's second slice.
+        n = TR.ADAM_SLICE_BYTES // 4
         rng = np.random.default_rng(4)
+
+        def draw(shape):
+            return rng.normal(size=shape).astype(np.float32)
+
         named = {
-            "first": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-            "big": Tensor(rng.normal(size=2 * chunk + 9), requires_grad=True),
+            "first": Tensor(draw((3, 4)), requires_grad=True),
+            "big": Tensor(draw(2 * n + 9), requires_grad=True),
         }
         for t in named.values():
-            t.grad = rng.normal(size=t.data.shape)
-        named["big"].grad[chunk + 5] = bad
+            t.grad = draw(t.data.shape)
+        named["big"].grad[n + 5] = bad
         adam = TR.Adam(named, lr=0.1)
         before = {k: (t.data.copy(), t.grad.copy()) for k, t in named.items()}
         with pytest.raises(TR.NumericError, match="non-finite gradient in big"):
@@ -243,38 +202,18 @@ class TestAdam:
         np.testing.assert_allclose(moved[np.float64], -4e-4, rtol=1e-7)
         np.testing.assert_allclose(moved[np.float32], moved[np.float64], rtol=1e-7)
 
-    def test_helper_thread_keeps_callers_errstate(self, monkeypatch):
-        # g * g overflows in both threads' slices. Under the caller's
-        # errstate(over="ignore") neither may warn, even with warnings
-        # turned into errors, and the helper's slices are updated too.
-        starts = count_helper_threads(monkeypatch)
-        p = Tensor(np.zeros(2 * TR.ADAM_CHUNK), requires_grad=True)
+    def test_step_keeps_callers_errstate(self):
+        # g * g overflows in each of the step's three slices. Under the
+        # caller's errstate(over="ignore") none may warn, even with warnings
+        # turned into errors, and every slice is updated.
+        p = Tensor(np.zeros(3 * (TR.ADAM_SLICE_BYTES // 8)), requires_grad=True)
         p.grad = np.full(p.data.shape, 1e200)
         adam = TR.Adam({"p": p}, lr=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
                 adam.step()
-        assert len(starts) == 1
         assert np.isinf(adam.v["p"]).all()
-
-    def test_helper_joined_before_callers_error_propagates(self, monkeypatch):
-        update = TR.Adam._update
-        finished = []
-
-        def failing(self, jobs, thread, *coefs):
-            if thread == 0:
-                raise MemoryError("slice failed")
-            time.sleep(0.05)
-            update(self, jobs, thread, *coefs)
-            finished.append(thread)
-
-        monkeypatch.setattr(TR.Adam, "_update", failing)
-        p = Tensor(np.zeros(2 * TR.ADAM_CHUNK), requires_grad=True)
-        p.grad = np.ones(p.data.shape)
-        with pytest.raises(MemoryError, match="slice failed"):
-            TR.Adam({"p": p}).step()
-        assert finished == [1]
 
     def test_non_contiguous_parameter_rejected(self):
         p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
