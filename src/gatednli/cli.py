@@ -604,7 +604,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TR.NumericError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
+        # a model too large for the machine's memory is a configuration error
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,10 +3,11 @@
 Three pools over each sentence of an encoded ragged block: an attention
 pool whose position weights are the l2 norms of the encoder's chosen gate
 (``GateKind``, re-exported here), an average pool, and a coordinatewise max
-pool. Each reduces over the sentence's own rows only: the sums go through a
-constant (S, N) selector matrix, the max through one segment max. Their
-concatenation in the fixed order [gated; average; max] is the sentence
-vector handed to the classifier, one row per sentence.
+pool. Each reduces over the sentence's own rows only, by segment
+reductions from each sentence's first row, and records itself as one op:
+the gated and average pools here with analytic backwards, the max through
+``T.segment_max``. Their concatenation in the fixed order [gated; average;
+max] is the sentence vector handed to the classifier, one row per sentence.
 """
 
 from __future__ import annotations
@@ -20,55 +21,50 @@ from .tensor import Tensor
 WEIGHT_EPS = 1e-12
 
 
-def _segments(enc: EncodedSentence) -> tuple[np.ndarray, Tensor]:
-    """Each row's sentence index, and the (S, N) 0/1 selector whose row s
-    picks sentence s's rows."""
-    n_sentences = len(enc.lengths)
-    seg = np.repeat(np.arange(n_sentences), enc.lengths)
-    selector = np.arange(n_sentences)[:, None] == seg
-    return seg, Tensor(selector.astype(enc.h.data.dtype))
-
-
-def _gate_scores(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """The vectors whose norms weight each position: the encoder's gate.
-
-    The forget variant scores a position by how much its forget gate lets
-    go, so it uses the elementwise complement 1 - f.
-    """
-    if kind is not GateKind.FORGET:
-        return enc.gate
-    return T.sub(Tensor(np.ones_like(enc.gate.data)), enc.gate)
-
-
-def attention_weights(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """Per-position weights, (N, 1), summing to one over each sentence.
-
-    A sentence whose gate norms all vanish gets uniform weights; that
-    fallback carries no gradient into its gates.
-    """
-    seg, selector = _segments(enc)
-    norms = T.l2norm(_gate_scores(enc, kind), axis=1, keepdims=True)
-    vanished = (selector.data @ norms.data)[:, 0] < WEIGHT_EPS
-    if vanished.any():
-        reset = vanished[seg][:, None].astype(norms.data.dtype)
-        norms = T.add(T.mul(norms, Tensor(1.0 - reset)), Tensor(reset))
-    denom = T.take_rows(T.matmul(selector, norms), seg)
-    return T.div(norms, denom)
-
-
 def gated_attention_pool(enc: EncodedSentence, kind: GateKind) -> Tensor:
-    """Weighted sum of each sentence's hidden states, weights from gate
-    norms."""
-    weights = attention_weights(enc, kind)
-    _, selector = _segments(enc)
-    return T.matmul(selector, T.mul(weights, enc.h))
+    """Weighted sum of each sentence's hidden states, recorded as one op.
+
+    A position's weight is the l2 norm of its gate row over the sum of
+    those norms in its sentence. The forget variant scores a position by
+    how much its forget gate lets go, so it takes the norm of 1 - f. A
+    sentence whose norms sum below WEIGHT_EPS is averaged instead, and its
+    gates get no gradient; nor does a gate row whose norm is exactly 0.
+    """
+    hd, lengths = enc.h.data, enc.lengths
+    starts = np.cumsum(lengths) - lengths
+    forget = kind is GateKind.FORGET
+    scores = 1.0 - enc.gate.data if forget else enc.gate.data
+    norms = np.sqrt((scores * scores).sum(axis=1))
+    vanished = np.repeat(np.add.reduceat(norms, starts) < WEIGHT_EPS, lengths)
+    norms[vanished] = 1.0
+    totals = np.repeat(np.add.reduceat(norms, starts), lengths)
+    weights = norms / totals
+    out = np.add.reduceat(weights[:, None] * hd, starts, axis=0)
+
+    def backward(g):
+        g_rows = np.repeat(g, lengths, axis=0)
+        dweights = (g_rows * hd).sum(axis=1)
+        # d(n_t / total)/dn_u is (1[t == u] - w_t) / total within a sentence
+        mean = np.repeat(np.add.reduceat(dweights * weights, starts), lengths)
+        dnorms = (dweights - mean) / totals
+        dnorms[vanished] = 0.0
+        dnorms /= np.where(norms == 0.0, 1.0, norms)  # 0-norm rows get 0
+        dscores = scores * dnorms[:, None]
+        return weights[:, None] * g_rows, -dscores if forget else dscores
+
+    return T._apply(out, (enc.h, enc.gate), backward)
 
 
 def avg_pool(enc: EncodedSentence) -> Tensor:
-    """Mean of each sentence's hidden states."""
-    _, selector = _segments(enc)
-    lengths = Tensor(np.asarray(enc.lengths, dtype=enc.h.data.dtype)[:, None])
-    return T.div(T.matmul(selector, enc.h), lengths)
+    """Mean of each sentence's hidden states, recorded as one op."""
+    hd, lengths = enc.h.data, enc.lengths
+    counts = np.asarray(lengths, dtype=hd.dtype)[:, None]
+    out = np.add.reduceat(hd, np.cumsum(lengths) - lengths, axis=0) / counts
+
+    def backward(g):
+        return (np.repeat(g / counts, lengths, axis=0),)
+
+    return T._apply(out, (enc.h,), backward)
 
 
 def max_pool(enc: EncodedSentence) -> Tensor:

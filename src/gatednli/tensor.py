@@ -14,8 +14,9 @@ built from float32 arrays trains and scores in float32, one built from
 float64 arrays (the gradient checks and the test oracles) in float64.
 Recording is per thread: an op only ever records onto the graph that its
 own thread entered. The fused ops outside this module, the encoder's
-BiLSTM layer and the classifier's softmax cross-entropy, record themselves
-through ``_apply`` like the primitives here.
+BiLSTM layer, the gated-attention and average pools and the classifier's
+softmax cross-entropy, record themselves through ``_apply`` like the
+primitives here.
 """
 
 from __future__ import annotations
@@ -345,39 +346,16 @@ def segment_max(a: Tensor, lengths) -> Tensor:
     ad = a.data
     starts = np.cumsum(lengths) - lengths
     out = np.maximum.reduceat(ad, starts, axis=0)
-    at_max = ad == np.repeat(out, lengths, axis=0)
-    rows = np.where(at_max, np.arange(len(ad))[:, None], len(ad))
-    argmax = np.minimum.reduceat(rows, starts, axis=0)  # first per segment
 
     def backward(g):
+        at_max = ad == np.repeat(out, lengths, axis=0)
+        rows = np.where(at_max, np.arange(len(ad))[:, None], len(ad))
+        argmax = np.minimum.reduceat(rows, starts, axis=0)  # first per segment
         z = np.zeros_like(ad)
         np.put_along_axis(z, argmax, g, axis=0)
         return (z,)
 
     return _apply(out, (a,), backward)
-
-
-def l2norm(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Euclidean norm over an axis; zero vectors get zero gradient."""
-    _check_axis("l2norm", a, axis)
-    ad = a.data
-    norm = np.sqrt((ad * ad).sum(axis=axis, keepdims=True))
-    out = norm if keepdims else norm.squeeze(axis)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        safe = np.where(norm == 0.0, 1.0, norm)  # 0-vector rows yield 0/1 = 0
-        return (g * ad / safe,)
-
-    return _apply(out, (a,), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a / b with broadcasting."""
-    return _elementwise(
-        "div", a, b, lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
-    )
 
 
 # ---------------------------------------------------------------------------

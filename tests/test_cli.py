@@ -416,6 +416,24 @@ class TestExitCodes:
         assert "vector dim must be >= 9, got 6" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_model_too_large_to_allocate_is_usage_error(
+        self, tmp_path, workdir, capsys
+    ):
+        # 8.87 PiB for the first weight matrix: past any user address
+        # space, so the allocation is refused without touching memory.
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--train-path", str(workdir / "train.jsonl"),
+                "--dev-path", str(workdir / "dev.jsonl"),
+                "--vectors-path", str(workdir / "vectors.txt"),
+                "--checkpoint-path", str(ckpt),
+                "--word-dim", "12", "--hidden-dim", "1000000000000"]
+        assert C.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: Unable to allocate")
+        assert err.count("error:") == 1
+        assert not ckpt.exists()
+
     def test_tab_separated_vectors_are_data_error(
         self, tmp_path, workdir, capsys
     ):

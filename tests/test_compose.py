@@ -71,21 +71,25 @@ class TestGatedAttention:
                 assert np.abs(got - want).max() < 1e-12
 
     def test_weights_sum_to_one_per_sentence_and_ignore_companions(self):
+        # Pooling the identity puts position t's weight in column t.
         rng = np.random.default_rng(3)
-        h = rng.normal(size=(5, 4))
         gi = rng.uniform(0.1, 0.9, (5, 4))
-        enc = make_enc(h, gate=gi, lengths=[3, 2])
-        w = C.attention_weights(enc, C.GateKind.INPUT).data[:, 0]
+
+        def weights(gate):
+            enc = make_enc(np.eye(5), gate=gate, lengths=[3, 2])
+            pooled = C.gated_attention_pool(enc, C.GateKind.INPUT).data
+            assert np.all(pooled[0, 3:] == 0.0) and np.all(pooled[1, :3] == 0.0)
+            return pooled.sum(axis=0)
+
+        w = weights(gi)
         assert np.all(w >= 0.0)
         assert abs(w[:3].sum() - 1.0) < 1e-12
         assert abs(w[3:].sum() - 1.0) < 1e-12
         mutated = gi.copy()
         mutated[3:] = rng.uniform(0.1, 0.9, (2, 4))
-        other = C.attention_weights(
-            make_enc(h, gate=mutated, lengths=[3, 2]), C.GateKind.INPUT
-        )
-        np.testing.assert_array_equal(other.data[:3, 0], w[:3])
-        assert not np.array_equal(other.data[3:, 0], w[3:])
+        other = weights(mutated)
+        np.testing.assert_array_equal(other[:3], w[:3])
+        assert not np.array_equal(other[3:], w[3:])
 
     def test_ragged_block_matches_each_sentence_alone(self):
         rng = np.random.default_rng(13)
@@ -102,20 +106,44 @@ class TestGatedAttention:
                 assert np.abs(got[s] - want).max() < 1e-12
 
     def test_vanished_sentence_alone_falls_back_to_uniform(self):
-        # Sentence 0's gate norms all vanish, sentence 1's do not: only
-        # sentence 0 is averaged, and its gates get no gradient.
+        # Sentence 0's gate norms all vanish (sum below WEIGHT_EPS), sentence
+        # 1's do not: only sentence 0 is averaged, and its gates get no
+        # gradient, even where they are not exactly 0.
         rng = np.random.default_rng(14)
         h = rng.normal(size=(5, 4))
-        gi = np.vstack([np.zeros((2, 4)), rng.uniform(0.2, 0.8, (3, 4))])
-        enc = make_enc(h, gate=gi, lengths=[2, 3], requires_grad=True)
-        with T.Graph() as g:
-            v_g = C.gated_attention_pool(enc, C.GateKind.INPUT)
-            g.backward(T.sum_axis(T.sum_axis(v_g, axis=1), axis=0))
-        np.testing.assert_allclose(v_g.data[0], h[:2].mean(axis=0), atol=1e-15)
-        want = pool_oracle(h[2:], gi[2:], C.GateKind.INPUT, 3)
-        assert np.abs(v_g.data[1] - want).max() < 1e-12
-        np.testing.assert_array_equal(enc.gate.grad[:2], 0.0)
-        assert np.abs(enc.gate.grad[2:]).max() > 0.0
+        live = rng.uniform(0.2, 0.8, (3, 4))
+        for small in (0.0, 1e-15):
+            gi = np.vstack([np.full((2, 4), small), live])
+            enc = make_enc(h, gate=gi, lengths=[2, 3], requires_grad=True)
+            with T.Graph() as g:
+                v_g = C.gated_attention_pool(enc, C.GateKind.INPUT)
+                g.backward(T.sum_axis(T.sum_axis(v_g, axis=1), axis=0))
+            np.testing.assert_allclose(
+                v_g.data[0], h[:2].mean(axis=0), atol=1e-15
+            )
+            want = pool_oracle(h[2:], live, C.GateKind.INPUT, 3)
+            assert np.abs(v_g.data[1] - want).max() < 1e-12
+            np.testing.assert_array_equal(enc.gate.grad[:2], 0.0)
+            assert np.abs(enc.gate.grad[2:]).max() > 0.0
+
+    def test_zero_gate_row_in_live_sentence_gets_zero_gradient(self):
+        # Position 1's gate norm is exactly 0 (for the forget kind, f = 1):
+        # its weight is 0 and its gate gradient finite and zero, while its
+        # sentence companions' gates still learn.
+        rng = np.random.default_rng(16)
+        h = rng.normal(size=(4, 3))
+        for kind, zero in ((C.GateKind.INPUT, 0.0), (C.GateKind.FORGET, 1.0)):
+            gate = rng.uniform(0.2, 0.8, (4, 3))
+            gate[1] = zero
+            enc = make_enc(h, gate=gate, lengths=[3, 1], requires_grad=True)
+            with T.Graph() as g:
+                v_g = C.gated_attention_pool(enc, kind)
+                g.backward(T.sum_axis(T.sum_axis(v_g, axis=1), axis=0))
+            want = pool_oracle(h[:3], gate[:3], kind, 3)
+            assert np.abs(v_g.data[0] - want).max() < 1e-12
+            np.testing.assert_array_equal(enc.gate.grad[1], 0.0)
+            assert np.all(np.isfinite(enc.gate.grad))
+            assert np.abs(enc.gate.grad[[0, 2]]).min() > 0.0
 
     def test_gate_scale_leaves_weights_unchanged(self):
         rng = np.random.default_rng(4)
@@ -240,11 +268,13 @@ class TestCompose:
 
     def test_pools_recorded_average_max_gated(self):
         # The tape order fixes the order in which gradients are summed, so
-        # it stays average, max, then the attention pool.
+        # it stays average, max, then the attention pool: one record each.
         rng = np.random.default_rng(15)
         enc = make_enc(rng.normal(size=(4, 2)), lengths=[1, 3], requires_grad=True)
-        with T.Graph() as g:
-            C.compose(enc, C.GateKind.FORGET)
-        names = [backward.__qualname__.split(".")[0] for _, _, backward in g._records]
-        assert names[:3] == ["matmul", "_elementwise", "segment_max"]
-        assert "l2norm" in names[3:] and names[-1] == "concat"
+        for kind in KINDS:
+            with T.Graph() as g:
+                C.compose(enc, kind)
+            names = [b.__qualname__.split(".")[0] for _, _, b in g._records]
+            assert names == [
+                "avg_pool", "segment_max", "gated_attention_pool", "concat"
+            ]

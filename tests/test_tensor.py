@@ -26,10 +26,6 @@ class TestForwardValues:
         out = sigmoid(Tensor([0.0]))
         np.testing.assert_allclose(out.data, [0.5])
 
-    def test_l2norm_three_four_five(self):
-        out = T.l2norm(Tensor([3.0, 4.0]), axis=0)
-        np.testing.assert_allclose(out.data, 5.0)
-
     def test_matmul(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
@@ -66,10 +62,6 @@ class TestShapeErrors:
     def test_take_rows_out_of_range(self):
         with pytest.raises(ShapeError, match="take_rows"):
             T.take_rows(Tensor(np.ones((3, 2))), [0, 3])
-
-    def test_div_nonconforming_divisor(self):
-        with pytest.raises(ShapeError, match="div"):
-            T.div(Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
 
 
 class TestBackward:
@@ -351,10 +343,6 @@ class TestGradCheck:
         x = rand((3, 4), rng)
         assert grad_check(lambda t: T.sum_axis(T.sum_axis(tanh(t), 1), 0), x) < 1e-6
 
-    def test_l2norm_at_3_4(self):
-        x = Tensor([3.0, 4.0], requires_grad=True)
-        assert grad_check(lambda t: T.l2norm(t, axis=0), x) < 1e-6
-
     def test_constant_function_is_exact(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([7.0])
@@ -462,26 +450,6 @@ class TestPrimitiveGradients:
             T.segment_max(x, [1, 3]).data, [x.data[0], x.data[1:].max(axis=0)]
         )
 
-    def test_l2norm_rows(self):
-        rng = np.random.default_rng(8)
-        x = rand((4, 3), rng, lo=0.2, hi=2.0)
-        assert grad_check(lambda t: _scalarize(T.l2norm(t, axis=1)), x) < 1e-6
-
-    def test_div_by_scalar_tensor(self):
-        rng = np.random.default_rng(9)
-        a = rand((3, 2), rng)
-        s = Tensor([[2.5]], requires_grad=True)
-        assert grad_check(lambda t: _scalarize(T.div(t, s)), a) < 1e-6
-        assert grad_check(lambda t: _scalarize(T.div(a, t)), s) < 1e-6
-
-    def test_div_broadcasts_column(self):
-        rng = np.random.default_rng(12)
-        a = rand((3, 2), rng)
-        col = rand((3, 1), rng, lo=0.5, hi=2.0)
-        np.testing.assert_array_equal(T.div(a, col).data, a.data / col.data)
-        assert grad_check(lambda t: _scalarize(T.div(t, col)), a) < 1e-6
-        assert grad_check(lambda t: _scalarize(T.div(a, t)), col) < 1e-6
-
 
 class TestStructuralProperties:
     def test_concat_slice_roundtrip_bit_exact(self):
@@ -505,14 +473,6 @@ class TestStructuralProperties:
         np.testing.assert_array_equal(
             x.grad, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         )
-
-    def test_l2norm_zero_vector_gradient_is_zero(self):
-        x = Tensor([[0.0, 0.0], [3.0, 4.0]], requires_grad=True)
-        with Graph() as g:
-            n = T.l2norm(x, axis=1)
-            g.backward(T.sum_axis(n, axis=0))
-        np.testing.assert_allclose(x.grad[0], [0.0, 0.0])
-        np.testing.assert_allclose(x.grad[1], [0.6, 0.8])
 
     def test_nested_graph_rejected(self):
         with Graph():
