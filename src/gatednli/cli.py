@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -71,8 +72,8 @@ class RunConfig:
     def __post_init__(self):
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
-        if not self.oov_sigma >= 0:
-            raise ValueError(f"oov_sigma must be >= 0, got {self.oov_sigma}")
+        if not 0 <= self.oov_sigma < math.inf:
+            raise ValueError(f"oov_sigma must be >= 0 and finite, got {self.oov_sigma}")
 
 
 _BOOL_WORDS = {
@@ -208,7 +209,8 @@ def _require(config: RunConfig, *names: str):
 def _load_pipeline(config: RunConfig):
     """Corpora, vocabulary over both splits, and the frozen vector table,
     in float32: the model takes its dtype, so training runs in float32. A
-    value beyond the float32 range is a data error."""
+    value beyond the float32 range is a usage error in a row drawn from
+    oov_sigma, and a data error in a row read from the vector file."""
     train_set, train_report = load_corpus(config.train_path)
     dev_set, dev_report = load_corpus(config.dev_path)
     if not train_set:
@@ -226,6 +228,11 @@ def _load_pipeline(config: RunConfig):
     with np.errstate(over="ignore"):
         table = table.astype(np.float32)
     overflowed = ~np.isfinite(table).all(axis=1)
+    if overflowed[report.drawn].any():
+        raise ValueError(
+            f"oov_sigma {config.oov_sigma} draws a vector value beyond the "
+            f"float32 range"
+        )
     if overflowed.any():
         wid = int(overflowed.argmax())
         word = next((w for w, i in vocab.word_to_id.items() if i == wid), "<unk>")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -187,6 +187,7 @@ class VectorReport:
     hits: int = 0
     hits_lowercase: int = 0
     misses: int = 0
+    drawn: list[int] = field(default_factory=list)  # <unk> and each miss
 
 
 def load_word_vectors(
@@ -242,6 +243,7 @@ def load_word_vectors(
     table = np.zeros((vocab.n_words, dim), dtype=np.float64)
     report = VectorReport()
     table[UNK_ID] = rng.normal(0.0, oov_sigma, dim)
+    report.drawn.append(UNK_ID)
     for word, wid in sorted(wanted.items(), key=lambda kv: kv[1]):
         if word in raw_rows:
             table[wid] = raw_rows[word]
@@ -252,6 +254,7 @@ def load_word_vectors(
         else:
             table[wid] = rng.normal(0.0, oov_sigma, dim)
             report.misses += 1
+            report.drawn.append(wid)
     return table, report
 
 

@@ -142,8 +142,10 @@ def bilstm_layer(
 
     The gate is a second tape record, on h: its backward hands its gradient
     to h's and gives h a zero one, so h's backward runs even if nothing else
-    reads h. That backward is analytic BPTT: only dpre @ u.T stays in its
-    loop; the input, weight and bias gradients take one GEMM (or sum) each.
+    reads h. That backward is analytic BPTT: only the dpre @ u.T product
+    stays in its loop; the input, weight and bias gradients take one GEMM
+    (or sum) each, the weights' and biases' written into their spare
+    arrays from the step before, when they have one.
     """
     ws, us = [p.w.data for p in params], [p.u.data for p in params]
     if xs.ndim != 2 or any(xs.shape[1] != w.shape[0] for w in ws):
@@ -237,14 +239,20 @@ def bilstm_layer(
             if lo:  # nothing precedes the first step
                 np.multiply(dc, f[:, lo:hi], out=dc_next[:, :bt])
                 for k in range(2):
-                    np.matmul(flat[k, lo:hi], us[k].T, out=dh_next[k, :bt])
+                    # (u @ dpre^T)^T: OpenBLAS is about 2x slower through
+                    # the transposed view u.T at a few float32 rows
+                    dh_next[k, :bt] = (us[k] @ flat[k, lo:hi].T).T
             hi = lo
         dxs, dws = [], []
-        for k in range(2):
+        for k, p in enumerate(params):
             dxs.append(np.empty_like(xs.data))
             dxs[k][rows[k]] = flat[k] @ ws[k].T
             x_k = xs.data[rows[k]]
-            dws += [x_k.T @ flat[k], h[k, prev_rows].T @ flat[k], flat[k].sum(axis=0)]
+            dws += [
+                np.matmul(x_k.T, flat[k], out=T.take_spare(p.w)),
+                np.matmul(h[k, prev_rows].T, flat[k], out=T.take_spare(p.u)),
+                flat[k].sum(axis=0, out=T.take_spare(p.b)),
+            ]
         # xs is listed twice, the backward direction's dx first, so the
         # tape adds the two in the order of one record per direction
         return (dxs[1], dxs[0], *dws)

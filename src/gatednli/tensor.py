@@ -43,9 +43,14 @@ class GraphError(TensorError):
 
 class Tensor:
     """A dense n-dimensional float32 or float64 array with an optional
-    gradient slot. Any other input is converted to float64."""
+    gradient slot. Any other input is converted to float64.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``spare`` is a parameter's gradient array from the step before, which
+    ``Adam.zero_grad`` parks there: the next backward writes the first
+    gradient of the same shape straight into it (``take_spare``).
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "spare")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
@@ -54,6 +59,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self.spare: Optional[np.ndarray] = None
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
@@ -61,7 +67,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = data
         t.requires_grad = False
-        t.grad = None
+        t.grad = t.spare = None
         return t
 
     @property
@@ -121,13 +127,15 @@ class Graph:
         """Accumulate d(loss)/d(t) into ``t.grad`` for reachable leaves.
 
         For each input, a backward function returns None, its ``gout`` or
-        a view of it, or a new array it holds no other reference to. So a
-        leaf keeps its first gradient uncopied when that is not ``gout``,
-        owns its writeable data and occurs once in the returned tuple;
-        other first gradients (``add``'s ``(g, g)``, broadcast or sliced
-        views) are copied. Gradients are summed in place wherever the
-        array is ours to write: a leaf's ``.grad`` from its first
-        contribution on, an intermediate's from its second on.
+        a view of it, or a new array it holds no other reference to; the
+        leaf's spare array from ``take_spare``, written with ``out=``,
+        counts as new. So a leaf keeps its first gradient uncopied when
+        that is not ``gout``, owns its writeable data and occurs once in
+        the returned tuple, and a parameter whose op wrote its spare keeps
+        last step's array; other first gradients (``add``'s ``(g, g)``,
+        broadcast or sliced views) are copied. Gradients are summed in
+        place wherever the array is ours to write: a leaf's ``.grad`` from
+        its first contribution on, an intermediate's from its second on.
         """
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -176,6 +184,16 @@ def _apply(
     return out
 
 
+def take_spare(t: Tensor) -> Optional[np.ndarray]:
+    """The ``out=`` array for a backward function's gradient of ``t``:
+    its spare array, handed over once and only while ``t.grad`` is None,
+    so that it receives the first contribution; else None, to allocate."""
+    if t.grad is not None:
+        return None
+    spare, t.spare = t.spare, None
+    return spare
+
+
 def normal_param(rng, scale: float, shape, dtype) -> Tensor:
     """A trainable tensor of N(0, scale^2) values: the generator's float64
     draws rounded to dtype, so models of either dtype draw the same
@@ -212,7 +230,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def backward(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.T, np.matmul(ad.T, g, out=take_spare(b))
 
     return _apply(out, (a, b), backward)
 

@@ -8,15 +8,17 @@ temporary file next to the checkpoint path, which replaces the path only
 when training returns, so training holds one copy of the weights and a
 failed run writes nothing. ``clip_global_norm`` only measures the
 gradients, and ``Adam.step`` applies the clip factor in its one update
-pass, slice by slice on the calling thread. ``predict`` is the one
-inference loop: evaluation, early stopping, the ``eval``,
-``ensemble-eval`` and ``predict`` commands all score examples through
-it. It averages class probabilities over a list of models sharing one
-architecture, so a single model is an ensemble of one. Checkpoints are
-self-describing binary files that rebuild the exact model, bit for bit;
-a load reads one front to back, each tensor once, from the file into its
-own array, and ``load_model`` builds the model around those arrays, so a
-served model holds one copy of its weights.
+pass, slice by slice on the calling thread. Each parameter's gradient
+array is reused from step to step (``Adam.zero_grad`` parks it for the
+next backward to overwrite) and released when training returns.
+``predict`` is the one inference loop: evaluation, early stopping, the
+``eval``, ``ensemble-eval`` and ``predict`` commands all score examples
+through it. It averages class probabilities over a list of models
+sharing one architecture, so a single model is an ensemble of one.
+Checkpoints are self-describing binary files that rebuild the exact
+model, bit for bit; a load reads one front to back, each tensor once,
+from the file into its own array, and ``load_model`` builds the model
+around those arrays, so a served model holds one copy of its weights.
 """
 
 from __future__ import annotations
@@ -130,8 +132,13 @@ class Adam:
                 p -= s2
 
     def zero_grad(self):
+        """Mark every gradient to be overwritten: each ``.grad`` array is
+        parked as the tensor's ``spare``, which the next backward writes
+        the first contribution into, so a step after the first allocates
+        no parameter-sized gradient; ``.grad`` is None until it does."""
         for tensor in self.named.values():
-            tensor.grad = None
+            if tensor.grad is not None:
+                tensor.spare, tensor.grad = tensor.grad, None
 
 
 def clip_global_norm(named: dict[str, Tensor]) -> float:
@@ -519,6 +526,8 @@ def train(
     finally:  # the file is gone once moved; otherwise the run failed
         with contextlib.suppress(FileNotFoundError):
             os.remove(scratch)
+        for tensor in adam.named.values():  # the returned model holds no gradients
+            tensor.grad = tensor.spare = None
     return TrainResult(best=best, history=history, model=model)
 
 

@@ -341,6 +341,18 @@ class TestExitCodes:
         ) in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_drawn_row_beyond_float32_is_usage_error(self, tmp_path, workdir, capsys):
+        # The <unk> row is drawn from oov_sigma, never read from the file,
+        # so the setting is at fault, not the vectors.
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--config", str(workdir / "run.cfg"),
+                "--oov-sigma", "1e308", "--checkpoint-path", str(ckpt)]
+        assert C.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: oov_sigma 1e+308 draws a vector value beyond the float32 range" in err
+        assert "vectors" not in err.splitlines()[-1]
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -834,6 +846,7 @@ class TestUsageErrorsBeforeIO:
             (["--batch-size", "0"], None, "batch_size must be >= 1"),
             (["--epochs", "0"], None, "epochs must be >= 1"),
             (["--oov-sigma", "-1"], None, "oov_sigma must be >= 0"),
+            (["--oov-sigma", "inf"], None, "oov_sigma must be >= 0 and finite, got inf"),
             ([], "min_count = 0\n", "min_count must be >= 1"),
             ([], "lr = 0\n", "lr must be positive"),
             (["--lr", "nan"], None, "lr must be positive"),
@@ -855,6 +868,7 @@ class TestUsageErrorsBeforeIO:
             "batch-size-0",
             "epochs-0",
             "oov-sigma-negative",
+            "oov-sigma-inf",
             "min-count-0",
             "lr-0",
             "lr-nan",

@@ -197,6 +197,7 @@ def split_every_line(path, vocab, dim, seed=0, oov_sigma=0.1):
     table = np.zeros((vocab.n_words, dim), dtype=np.float64)
     report = D.VectorReport()
     table[D.UNK_ID] = rng.normal(0.0, oov_sigma, dim)
+    report.drawn.append(D.UNK_ID)
     for word, wid in sorted(wanted.items(), key=lambda kv: kv[1]):
         if word in raw_rows:
             table[wid] = raw_rows[word]
@@ -207,6 +208,7 @@ def split_every_line(path, vocab, dim, seed=0, oov_sigma=0.1):
         else:
             table[wid] = rng.normal(0.0, oov_sigma, dim)
             report.misses += 1
+            report.drawn.append(wid)
     return table, report
 
 
@@ -307,7 +309,8 @@ class TestWordVectors:
         table, report = D.load_word_vectors(str(path), vocab, dim=3, seed=7)
         want_table, want_report = split_every_line(str(path), vocab, dim=3, seed=7)
         assert table.tobytes() == want_table.tobytes()
-        assert report == want_report == D.VectorReport(1, 2, 2)
+        drawn = [D.UNK_ID, *sorted(map(vocab.word_id, ("emu", "Yak")))]
+        assert report == want_report == D.VectorReport(1, 2, 2, drawn)
         path.write_text("dog 0.5 -1.25 3e-5\nzebra\n")
         with pytest.raises(D.DataError, match="line 2 has no space-separated"):
             split_every_line(str(path), vocab, dim=3)

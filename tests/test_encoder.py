@@ -95,6 +95,34 @@ class TestLstmCell:
             for t in layer_tensors(x, pair):
                 assert grad_check(f, t, eps=5e-5) < 1e-6, (t.shape, gate)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared-weights"])
+    def test_spare_arrays_take_the_weight_gradients(self, rng, shared):
+        # Each weight's spare, NaN-filled, must be overwritten by its first
+        # contribution and hold the fresh run's gradient bit for bit. With
+        # one LstmParams for both directions, the backward direction's
+        # gradients are a second contribution and add to the spare.
+        pair = random_pair(3, D, rng)
+        if shared:
+            pair = (pair[0], pair[0])
+        x = Tensor(rng.normal(size=(6, 3)))
+        weights = rng.normal(size=(6, 4 * D))
+        leaves = list(dict.fromkeys(layer_tensors(x, pair)[1:]))
+
+        def grads(spares):
+            for t, s in zip(leaves, spares):
+                t.grad, t.spare = None, s
+            with T.Graph() as g:
+                h, gate = E.bilstm_layer(x, [2, 4], pair, E.GateKind.INPUT)
+                g.backward(weighted_sum(T.concat([h, gate], axis=1), weights))
+            return [t.grad for t in leaves]
+
+        fresh = [a.copy() for a in grads([None] * len(leaves))]
+        spares = [np.full_like(t.data, np.nan) for t in leaves]
+        reused = grads(spares)
+        for a, b, s in zip(reused, fresh, spares, strict=True):
+            assert a is s and a.tobytes() == b.tobytes()
+        assert all(t.spare is None for t in leaves)
+
     def test_one_tape_record(self, rng):
         # one for both directions' states, and one more for the gate
         pair = random_pair(2, D, rng)

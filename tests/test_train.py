@@ -9,17 +9,19 @@ import weakref
 import numpy as np
 import pytest
 
+from gatednli import classify as CL
 from gatednli import synthetic as S
 from gatednli import train as TR
 from gatednli.data import (
     DataError,
     NLIExample,
     Vocab,
+    batchify,
     build_vocab,
     load_word_vectors,
 )
 from gatednli.model import Model, ModelConfig
-from gatednli.tensor import Tensor
+from gatednli.tensor import Graph, Tensor
 
 
 @pytest.fixture
@@ -621,6 +623,88 @@ class TestTrainLoop:
         assert log[-1] == (
             f"early stop: end-of-epoch train accuracy {fit:.3f} reached target"
         )
+
+
+def backward_step(model, batch):
+    with Graph() as g:
+        g.backward(CL.cross_entropy(model.forward(batch), batch.labels))
+
+
+class TestGradientReuse:
+    """Adam.zero_grad parks each gradient array, and the next backward
+    writes the parameter's first contribution into it."""
+
+    def test_gradients_are_last_steps_arrays_with_fresh_values(self):
+        # Two same-seed models: one reuses its arrays, the other drops
+        # them after every step. Gradients and weights agree bit for bit.
+        runs = []
+        for reuse in (True, False):
+            model, vocab, train_set, _ = tiny_setup(dtype=np.float32, n_layers=2)
+            adam = TR.Adam(model.params.trainable(), lr=1e-2)
+            steps = []
+            for batch in batchify(train_set, 8, vocab, seed=1)[:3]:
+                backward_step(model, batch)
+                steps.append({k: (t.grad, t.grad.tobytes()) for k, t in adam.named.items()})
+                adam.step()
+                adam.zero_grad()
+                if not reuse:
+                    for t in adam.named.values():
+                        t.spare = None
+            runs.append((steps, model))
+        (steps, model), (fresh_steps, fresh_model) = runs
+        # every LSTM weight and bias, and each matmul's right-hand weight
+        reused = [
+            k for k in steps[0]
+            if k.startswith(("encoder.", "classify.w")) or k.endswith(".weight")
+        ]
+        assert len(reused) == 2 * 2 * 3 + 3 + 2
+        for before, after in zip(steps, steps[1:]):
+            for name in reused:
+                assert after[name][0] is before[name][0], name
+        for step, fresh in zip(steps, fresh_steps):
+            for name, (_, values) in step.items():
+                assert values == fresh[name][1], name
+        for name, t in model.params.named_tensors().items():
+            other = fresh_model.params.named_tensors()[name]
+            assert t.data.tobytes() == other.data.tobytes(), name
+
+    def test_second_backward_allocates_less_than_the_parameters(self):
+        # The parameters outweigh this batch's activations, so a backward
+        # that allocated every gradient anew would exceed their bytes.
+        model, vocab, train_set, _ = tiny_setup(
+            dtype=np.float32, hidden_dim=64, mlp_hidden=256
+        )
+        adam = TR.Adam(model.params.trainable(), lr=1e-3)
+        trainable = sum(t.data.nbytes for t in adam.named.values())
+        first, second = batchify(train_set, 8, vocab, seed=1)[:2]
+        backward_step(model, first)
+        adam.step()
+        adam.zero_grad()
+        with Graph() as g:
+            loss = CL.cross_entropy(model.forward(second), second.labels)
+            tracemalloc.start()
+            try:
+                g.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert trainable > 3e6
+        assert peak < trainable, peak / trainable
+
+    @pytest.mark.parametrize("outcome", ["returned", "diverged"])
+    def test_parameters_hold_no_gradient_arrays_after_training(self, ckpt, outcome):
+        # diverged: epoch 1's 1e300 step makes every dev probability NaN,
+        # after that step's gradients were parked.
+        model, vocab, train_set, dev_set = tiny_setup()
+        if outcome == "returned":
+            settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
+            TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        else:
+            settings = TR.TrainSettings(lr=1e300, batch_size=len(train_set), epochs=2)
+            with pytest.raises(TR.NumericError):
+                TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        for name, t in model.params.named_tensors().items():
+            assert t.grad is None and t.spare is None, name
 
 
 class TestEvaluate:
