@@ -1,13 +1,14 @@
 """Matching features over a sentence-vector pair and the MLP classifier.
 
 Every function here takes a whole batch: row b of each (B, ·) input
-belongs to pair b. The pair (premise vector, hypothesis vector) is
-expanded into matching features and pushed through two ReLU hidden
-layers to three class logits. The training loss is the batch mean of the
-softmax cross-entropy, recorded as one fused op; the class probabilities
-are computed in plain numpy where they are read. Hidden layers after the
-first see the original feature vector next to the previous hidden
-activations, echoing the encoder's shortcut wiring; a flag drops that.
+belongs to pair b, and rows b and B + b of the (2B, D) sentence vectors
+are its premise and hypothesis. The pair is expanded into matching
+features and pushed through two ReLU hidden layers to three class
+logits. The training loss is the batch mean of the softmax cross-entropy,
+recorded as one fused op; the class probabilities are computed in plain
+numpy where they are read. Hidden layers after the first see the original
+feature vector next to the previous hidden activations, echoing the
+encoder's shortcut wiring; a flag drops that.
 """
 
 from __future__ import annotations
@@ -67,27 +68,53 @@ def init_classifier_params(
     )
 
 
-def matching_features(
-    v_p: Tensor, v_h: Tensor, use_absdiff_product: bool = True
-) -> Tensor:
-    """[v_p; v_h; |v_p - v_h|; v_p * v_h], or just [v_p; v_h] when ablated."""
-    if v_p.shape != v_h.shape:
+def matching_features(v: Tensor, use_absdiff_product: bool = True) -> Tensor:
+    """The (B, ·) matching features of a (2B, D) block of sentence vectors,
+    premises first (as ``data.Batch`` orders them), as one record:
+    [v_p; v_h; |v_p - v_h|; v_p * v_h], or just [v_p; v_h] when ablated.
+
+    The backward sums each half's gradient in the order a chain of slice,
+    sub, absolute, mul and concat records would, so the two agree bit for
+    bit: (g_p + g_m v_h) + s and (g_h + g_m v_p) - s, where
+    s = g_d sign(v_p - v_h).
+    """
+    if v.ndim != 2 or v.shape[0] % 2 or not v.shape[0]:
         raise ShapeError(
-            f"matching_features: shapes differ, {v_p.shape} vs {v_h.shape}"
+            f"matching_features: expected (2B, D) premise and hypothesis "
+            f"vectors, got shape {v.shape}"
         )
-    if not use_absdiff_product:
-        return T.concat([v_p, v_h], axis=1)
-    diff = T.absolute(T.sub(v_p, v_h))
-    prod = T.mul(v_p, v_h)
-    return T.concat([v_p, v_h, diff, prod], axis=1)
+    vd = v.data
+    n, d = vd.shape[0] // 2, vd.shape[1]
+    v_p, v_h = vd[:n], vd[n:]
+    if use_absdiff_product:
+        diff = v_p - v_h
+        out = np.concatenate([v_p, v_h, np.abs(diff), v_p * v_h], axis=1)
+    else:
+        out = np.concatenate([v_p, v_h], axis=1)
+
+    def backward(g):
+        g_p, g_h = g[:, :d], g[:, d : 2 * d]
+        if use_absdiff_product:
+            s = g[:, 2 * d : 3 * d] * np.sign(diff)
+            g_m = g[:, 3 * d :]
+            g_p = (g_p + g_m * v_h) + s
+            g_h = (g_h + g_m * v_p) - s
+        # Each half adds into zeros, as two slice records' gradients would
+        # be summed, so a -0.0 comes out as +0.0 there too.
+        grad = np.zeros_like(vd)
+        grad[:n] += g_p
+        grad[n:] += g_h
+        return (grad,)
+
+    return T._apply(out, (v,), backward)
 
 
 def mlp_forward(v_inp: Tensor, params: ClassifierParams) -> Tensor:
     """The (B, 3) class logits."""
-    h1 = T.relu(T.add(T.matmul(v_inp, params.w1), params.b1))
+    h1 = T.affine(v_inp, params.w1, params.b1, relu=True)
     in2 = T.concat([v_inp, h1], axis=1) if params.shortcut else h1
-    h2 = T.relu(T.add(T.matmul(in2, params.w2), params.b2))
-    return T.add(T.matmul(h2, params.w_out), params.b_out)
+    h2 = T.affine(in2, params.w2, params.b2, relu=True)
+    return T.affine(h2, params.w_out, params.b_out, relu=False)
 
 
 def probabilities(logits: np.ndarray) -> np.ndarray:

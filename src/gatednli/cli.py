@@ -378,13 +378,6 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _scalarize(x: Tensor) -> Tensor:
-    total = x
-    for axis in range(x.ndim - 1, -1, -1):
-        total = T.sum_axis(total, axis=axis)
-    return total
-
-
 def gradcheck_all() -> dict[str, float]:
     """Finite-difference checks for every differentiable module, at toy
     dims with widened weights so the relative errors are well conditioned."""
@@ -403,7 +396,7 @@ def gradcheck_all() -> dict[str, float]:
     block = np.array([[2, 0, 0, 0], [5, 1, 0, 0], [2, 5, 1, 3], [5, 1, 0, 0]])
 
     def f_char(_t):
-        return _scalarize(EM.char_compose(block, ep))
+        return EM.char_compose(block, ep)
 
     errors["char-cnn"] = max(
         grad_check(f_char, t) for t in ep.named_tensors().values()
@@ -420,11 +413,10 @@ def gradcheck_all() -> dict[str, float]:
         for _ in range(2)
     )
     xs = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    layer_weights = Tensor(rng.normal(size=(4, 12)))
 
     def f_layer(_t, gate):
         h, g = EN.bilstm_layer(xs, [1, 3], pair, gate)
-        return _scalarize(T.mul(T.concat([h, g], axis=1), layer_weights))
+        return T.concat([h, g], axis=1)
 
     layer_tensors = [xs] + [t for p in pair for t in (p.w, p.u, p.b)]
     errors["lstm-layer"] = max(
@@ -440,12 +432,10 @@ def gradcheck_all() -> dict[str, float]:
             p.w.data[:] = rng.normal(0, 0.3, size=p.w.shape)
             p.u.data[:] = rng.normal(0, 0.3, size=p.u.shape)
     e = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    stack_weights = Tensor(rng.normal(size=(5, 12)))
 
     def f_stack(_t, gate):
         enc = EN.stacked_encode(e, [2, 3], enc_params, gate)
-        block = T.concat([enc.h, enc.gate], axis=1)
-        return _scalarize(T.mul(block, stack_weights))
+        return T.concat([enc.h, enc.gate], axis=1)
 
     errors["stacked-encoder"] = max(
         grad_check(lambda _t: f_stack(_t, gate), t)
@@ -460,20 +450,17 @@ def gradcheck_all() -> dict[str, float]:
         enc = EN.EncodedSentence(h, gate, lengths=np.array([3, 2]))
 
         def f_pool(_t, enc=enc, kind=kind):
-            return _scalarize(CP.gated_attention_pool(enc, kind))
+            return CP.gated_attention_pool(enc, kind)
 
         errors[f"gated-attention-{kind.value}"] = max(
             grad_check(f_pool, h), grad_check(f_pool, gate)
         )
 
     # average and max pooling
-    def f_avg(_t):
-        return _scalarize(CP.avg_pool(enc))
-
-    def f_max(_t):
-        return _scalarize(CP.max_pool(enc))
-
-    errors["pooling"] = max(grad_check(f_avg, h), grad_check(f_max, h))
+    errors["pooling"] = max(
+        grad_check(lambda _t: CP.avg_pool(enc), h),
+        grad_check(lambda _t: CP.max_pool(enc), h),
+    )
 
     # classifier
     clf = CL.init_classifier_params(5, 4, rng)
@@ -485,6 +472,26 @@ def gradcheck_all() -> dict[str, float]:
     errors["classifier"] = max(
         grad_check(f_clf, t)
         for t in [v_inp] + list(clf.named_tensors().values())
+    )
+
+    # one affine record, with and without its ReLU; no pre-activation of
+    # this draw lies within 0.05 of the kink
+    x, w, b = (
+        Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((3, 4), (4, 5), (5,))
+    )
+    errors["affine"] = max(
+        grad_check(lambda _t: T.affine(x, w, b, relu), t)
+        for relu in (True, False)
+        for t in (x, w, b)
+    )
+
+    # matching features of three pairs, with and without |v_p - v_h| and
+    # v_p * v_h; no difference of this draw lies within 0.05 of 0
+    v = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    errors["matching"] = max(
+        grad_check(lambda _t: CL.matching_features(v, absdiff), v)
+        for absdiff in (True, False)
     )
     return errors
 

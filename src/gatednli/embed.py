@@ -81,8 +81,8 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
             [T.take_rows(table, padded[word, start + o]) for o in range(width)],
             axis=1,
         )
-        conv = T.add(T.matmul(windows, weight), bias)
-        pooled.append(T.segment_max(T.relu(conv), n_windows))
+        conv = T.affine(windows, weight, bias, relu=True)
+        pooled.append(T.segment_max(conv, n_windows))
     return T.concat(pooled, axis=1)
 
 

@@ -24,7 +24,6 @@ from . import classify as CL
 from . import compose as CP
 from . import embed as EM
 from . import encoder as EN
-from . import tensor as T
 from .data import Batch
 from .tensor import Tensor
 
@@ -215,10 +214,5 @@ class Model:
         gate = self.config.gate
         enc = EN.stacked_encode(e, batch.lengths, self.params.encoder, gate)
         v = CP.compose(enc, gate, self.config.use_gated_att)
-        b = batch.size
-        v_inp = CL.matching_features(
-            T.slice_axis(v, 0, 0, b),
-            T.slice_axis(v, 0, b, 2 * b),
-            self.config.use_absdiff_product,
-        )
+        v_inp = CL.matching_features(v, self.config.use_absdiff_product)
         return CL.mlp_forward(v_inp, self.params.classifier)

@@ -1,11 +1,12 @@
 """Dense float32 or float64 tensors with tape-based reverse-mode
 differentiation.
 
-Everything downstream (char CNN, BiLSTM encoder, attention pooling,
-classifier) is expressed in the primitive ops defined here.  A forward
-pass records onto an explicit :class:`Graph`; ``Graph.backward`` walks
-the tape once in reverse and accumulates gradients into every
-``requires_grad`` tensor reachable from the loss.
+The ops defined here are the ones the model shares across modules:
+``concat``, ``take_rows``, ``segment_max`` and ``affine`` (the char-CNN
+filters and the MLP layers, ``relu(x @ w + b)`` or ``x @ w + b``, as one
+record each).  A forward pass records onto an explicit :class:`Graph`;
+``Graph.backward`` walks the tape once in reverse and accumulates gradients
+into every ``requires_grad`` tensor reachable from the loss.
 
 Ops run fine with no active graph (pure forward, nothing recorded),
 which is how inference and the numeric side of ``grad_check`` work.
@@ -14,9 +15,9 @@ built from float32 arrays trains and scores in float32, one built from
 float64 arrays (the gradient checks and the test oracles) in float64.
 Recording is per thread: an op only ever records onto the graph that its
 own thread entered. The fused ops outside this module, the encoder's
-BiLSTM layer, the gated-attention and average pools and the classifier's
-softmax cross-entropy, record themselves through ``_apply`` like the
-primitives here.
+BiLSTM layer, the gated-attention and average pools, the classifier's
+matching features and its softmax cross-entropy, record themselves through
+``_apply`` like the ops here.
 """
 
 from __future__ import annotations
@@ -132,8 +133,8 @@ class Graph:
         counts as new. So a leaf keeps its first gradient uncopied when
         that is not ``gout``, owns its writeable data and occurs once in
         the returned tuple, and a parameter whose op wrote its spare keeps
-        last step's array; other first gradients (``add``'s ``(g, g)``,
-        broadcast or sliced views) are copied. Gradients are summed in
+        last step's array; other first gradients (one array handed to two
+        inputs, broadcast or sliced views) are copied. Gradients are summed in
         place wherever the array is ours to write: a leaf's ``.grad`` from
         its first contribution on, an intermediate's from its second on.
         """
@@ -202,18 +203,6 @@ def normal_param(rng, scale: float, shape, dtype) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to ``shape``, inverting numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 def _check_axis(name: str, t: Tensor, axis: int) -> None:
     if not -t.ndim <= axis < t.ndim:
         raise ShapeError(f"{name}: axis {axis} out of range for shape {t.shape}")
@@ -223,63 +212,24 @@ def _check_axis(name: str, t: Tensor, axis: int) -> None:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``x @ w + b`` for a (N, K) x, (K, M) w and (M,) b, followed by
+    ``max(·, 0)`` when ``relu`` is set, as one record; the weight's
+    gradient is written into its spare array."""
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward(g):
-        return g @ bd.T, np.matmul(ad.T, g, out=take_spare(b))
+        gz = g * (out > 0) if relu else g
+        return gz @ wd.T, np.matmul(xd.T, gz, out=take_spare(w)), gz.sum(axis=0)
 
-    return _apply(out, (a, b), backward)
-
-
-def _elementwise(name: str, a: Tensor, b: Tensor, fwd, bwd) -> Tensor:
-    ad, bd = a.data, b.data
-    try:
-        np.broadcast_shapes(ad.shape, bd.shape)
-    except ValueError:
-        raise ShapeError(f"{name}: {a.shape} vs {b.shape}") from None
-    out = fwd(ad, bd)
-
-    def backward(g):
-        ga, gb = bwd(g, ad, bd)
-        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
-
-    return _apply(out, (a, b), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("sub", a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("mul", a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
-
-
-def absolute(a: Tensor) -> Tensor:
-    ad = a.data
-    out = np.abs(ad)
-
-    def backward(g):
-        return (g * np.sign(ad),)
-
-    return _apply(out, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = np.maximum(ad, 0.0)
-
-    def backward(g):
-        return (g * (ad > 0.0),)
-
-    return _apply(out, (a,), backward)
+    return _apply(out, (x, w, b), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -306,25 +256,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _apply(out, tuple(parts), backward)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    _check_axis("slice_axis", a, axis)
-    dim = a.shape[axis]
-    if not 0 <= start < stop <= dim:
-        raise ShapeError(
-            f"slice_axis: range [{start}:{stop}] invalid for axis {axis} of {a.shape}"
-        )
-    index = (slice(None),) * axis + (slice(start, stop),)
-    ad = a.data
-    out = ad[index]
-
-    def backward(g):
-        z = np.zeros_like(ad)
-        z[index] = g
-        return (z,)
-
-    return _apply(out, (a,), backward)
-
-
 def take_rows(a: Tensor, ids) -> Tensor:
     """Gather rows of a 2-D tensor; backward scatter-adds into them."""
     if a.ndim != 2:
@@ -343,17 +274,6 @@ def take_rows(a: Tensor, ids) -> Tensor:
         z = np.zeros_like(ad)
         np.add.at(z, idx, g)
         return (z,)
-
-    return _apply(out, (a,), backward)
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    _check_axis("sum_axis", a, axis)
-    ad = a.data
-    out = ad.sum(axis=axis)
-
-    def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), ad.shape),)
 
     return _apply(out, (a,), backward)
 
@@ -385,10 +305,13 @@ def grad_check(
 ) -> float:
     """Compare analytic gradients of ``f`` at ``x`` with central differences.
 
+    A vector-valued ``f`` is checked through ``vdot(w, f(x))``, for a
+    cotangent ``w`` drawn from a fixed seed in the output's shape and dtype;
+    a one-element output keeps ``w = 1``, so the check is of ``f`` itself.
     Returns max over coordinates of
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
-    ``f`` must be deterministic and scalar-valued; ``x.requires_grad``
-    must be set so the analytic gradient lands somewhere.
+    ``f`` must be deterministic; ``x.requires_grad`` must be set so the
+    analytic gradient lands somewhere.
     """
     if eps <= 0:
         raise ValueError(f"grad_check: eps must be positive, got {eps}")
@@ -398,11 +321,13 @@ def grad_check(
     x.grad = None
     with Graph() as g:
         out = f(x)
-        if out.data.size != 1:
-            raise GraphError(
-                f"grad_check: f must be scalar-valued, got shape {out.shape}"
-            )
-        g.backward(out)
+        od = out.data
+        if od.size == 1:
+            w, loss = np.ones_like(od), out
+        else:
+            w = np.random.default_rng(0).normal(size=od.shape).astype(od.dtype)
+            loss = _apply(np.vdot(w, od).reshape(1), (out,), lambda gz: (w * gz,))
+        g.backward(loss)
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
     x.grad = None
 
@@ -412,9 +337,9 @@ def grad_check(
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        fp = float(f(x).data.reshape(()))
+        fp = float(np.vdot(w, f(x).data))
         flat[i] = orig - eps
-        fm = float(f(x).data.reshape(()))
+        fm = float(np.vdot(w, f(x).data))
         flat[i] = orig
         nflat[i] = (fp - fm) / (2.0 * eps)
 

@@ -1,4 +1,4 @@
-"""Composite LSTM reference, built from the autodiff core's primitives.
+"""Composite LSTM reference, built from the tape primitives of ``primitives``.
 
 This is the per-step recurrence behind the encoder's fused
 ``bilstm_layer``: every gate slice, activation and state update is its own
@@ -10,6 +10,7 @@ uses them.
 """
 
 import numpy as np
+import primitives as P
 
 from gatednli import tensor as T
 from gatednli.encoder import GateKind, LstmParams
@@ -36,21 +37,21 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _split_gates(pre, d):
-    i = sigmoid(T.slice_axis(pre, 1, 0, d))
-    f = sigmoid(T.slice_axis(pre, 1, d, 2 * d))
-    u = tanh(T.slice_axis(pre, 1, 2 * d, 3 * d))
-    o = sigmoid(T.slice_axis(pre, 1, 3 * d, 4 * d))
+    i = sigmoid(P.slice_axis(pre, 1, 0, d))
+    f = sigmoid(P.slice_axis(pre, 1, d, 2 * d))
+    u = tanh(P.slice_axis(pre, 1, 2 * d, 3 * d))
+    o = sigmoid(P.slice_axis(pre, 1, 3 * d, 4 * d))
     return i, f, u, o
 
 
 def lstm_cell(x_t, h_prev, c_prev, params: LstmParams):
     """One step from (1, d) states: returns h, c and the (i, f, o) gates."""
-    pre = T.add(
-        T.add(T.matmul(x_t, params.w), T.matmul(h_prev, params.u)), params.b
+    pre = P.add(
+        P.add(P.matmul(x_t, params.w), P.matmul(h_prev, params.u)), params.b
     )
     i, f, u, o = _split_gates(pre, params.u.shape[0])
-    c_t = T.add(T.mul(f, c_prev), T.mul(i, u))
-    h_t = T.mul(o, tanh(c_t))
+    c_t = P.add(P.mul(f, c_prev), P.mul(i, u))
+    h_t = P.mul(o, tanh(c_t))
     return h_t, c_t, (i, f, o)
 
 
@@ -62,7 +63,7 @@ def lstm_layer(xs, params: LstmParams, reverse: bool):
     c = Tensor(np.zeros((1, d)))
     hs, gates = [None] * n, {kind: [None] * n for kind in GateKind}
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
-        h, c, ifo = lstm_cell(T.slice_axis(xs, 0, t, t + 1), h, c, params)
+        h, c, ifo = lstm_cell(P.slice_axis(xs, 0, t, t + 1), h, c, params)
         hs[t] = h
         for kind, a in zip(GateKind, ifo):
             gates[kind][t] = a
@@ -74,7 +75,7 @@ def bilstm_layer(xs, lengths, params, gate=None):
     and direction run alone; the gate is None without a gate kind."""
     hs, gs, start = [], [], 0
     for n in lengths:
-        x = T.slice_axis(xs, 0, start, start + n)
+        x = P.slice_axis(xs, 0, start, start + n)
         runs = [lstm_layer(x, p, rev) for p, rev in zip(params, (False, True))]
         hs.append(T.concat([h for h, _ in runs], axis=1))
         if gate is not None:

@@ -1,6 +1,7 @@
 """Tests for matching features, the MLP head, and cross-entropy."""
 
 import numpy as np
+import primitives as P
 import pytest
 
 from gatednli import classify as C
@@ -13,36 +14,110 @@ def rng():
     return np.random.default_rng(31)
 
 
+def pair_block(*rows):
+    """The (2B, D) block of B premise rows, then B hypothesis rows."""
+    return Tensor(np.vstack(rows))
+
+
+def grads_of(fn, leaves, cotangent):
+    """fn()'s output and the gradients of vdot(cotangent, fn()) with
+    respect to each leaf, through one Graph."""
+    for t in leaves:
+        t.grad = None
+    with T.Graph() as g:
+        out = fn()
+        loss = P.sum_axis(P.sum_axis(P.mul(out, Tensor(cotangent)), axis=1), axis=0)
+        g.backward(loss)
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return out.data, grads
+
+
 class TestMatchingFeatures:
     def test_identical_inputs(self, rng):
-        v = Tensor(rng.normal(size=(1, 4)))
-        out = C.matching_features(v, v).data
-        np.testing.assert_array_equal(out[:, 0:4], v.data)
-        np.testing.assert_array_equal(out[:, 4:8], v.data)
+        v = rng.normal(size=(1, 4))
+        out = C.matching_features(pair_block(v, v)).data
+        np.testing.assert_array_equal(out[:, 0:4], v)
+        np.testing.assert_array_equal(out[:, 4:8], v)
         np.testing.assert_array_equal(out[:, 8:12], 0.0)
-        np.testing.assert_array_equal(out[:, 12:16], v.data * v.data)
+        np.testing.assert_array_equal(out[:, 12:16], v * v)
 
     def test_swap_exchanges_first_two_blocks_only(self, rng):
-        a = Tensor(rng.normal(size=(1, 3)))
-        b = Tensor(rng.normal(size=(1, 3)))
-        ab = C.matching_features(a, b).data
-        ba = C.matching_features(b, a).data
+        a = rng.normal(size=(1, 3))
+        b = rng.normal(size=(1, 3))
+        ab = C.matching_features(pair_block(a, b)).data
+        ba = C.matching_features(pair_block(b, a)).data
         np.testing.assert_array_equal(ab[:, 0:3], ba[:, 3:6])
         np.testing.assert_array_equal(ab[:, 3:6], ba[:, 0:3])
         np.testing.assert_array_equal(ab[:, 6:12], ba[:, 6:12])
 
     def test_ablation_keeps_raw_pair_only(self, rng):
-        a = Tensor(rng.normal(size=(1, 3)))
-        b = Tensor(rng.normal(size=(1, 3)))
-        out = C.matching_features(a, b, use_absdiff_product=False)
+        a = rng.normal(size=(1, 3))
+        b = rng.normal(size=(1, 3))
+        out = C.matching_features(pair_block(a, b), use_absdiff_product=False)
         assert out.shape == (1, 6)
-        np.testing.assert_array_equal(out.data, np.hstack([a.data, b.data]))
+        np.testing.assert_array_equal(out.data, np.hstack([a, b]))
 
-    def test_dim_mismatch_errors(self, rng):
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (4,)], ids=["odd", "empty", "1-d"])
+    def test_odd_row_count_errors(self, shape):
         with pytest.raises(ShapeError, match="matching_features"):
-            C.matching_features(
-                Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4)))
-            )
+            C.matching_features(Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("absdiff", [True, False], ids=["absdiff", "ablated"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("b, d", [(3, 5), (4, 3600), (32, 24)], ids=["toy", "paper", "b32"])
+    def test_matches_the_primitive_chain_bit_for_bit(self, b, d, dtype, absdiff):
+        rng = np.random.default_rng(b * d)
+        v = Tensor(rng.normal(size=(2 * b, d)).astype(dtype), requires_grad=True)
+        v.data[b] = v.data[0]  # |v_p - v_h| at its kink: sign(0) = 0 in both
+        cot = rng.normal(size=(b, (4 if absdiff else 2) * d)).astype(dtype)
+        # Column 0: v_p > v_h > 0 under a -0.0 cotangent in every block, so
+        # each premise's gradient there sums to -0.0 before the halves join.
+        v.data[1:b, 0], v.data[b + 1 :, 0] = 2.0, 1.0
+        cot[:, ::d] = -0.0
+        fused, (g_fused,) = grads_of(lambda: C.matching_features(v, absdiff), [v], cot)
+        chain, (g_chain,) = grads_of(lambda: P.matching_chain(v, absdiff), [v], cot)
+        assert fused.dtype == g_fused.dtype == dtype
+        assert fused.tobytes() == chain.tobytes()
+        assert g_fused.tobytes() == g_chain.tobytes()
+
+    def test_one_tape_record(self, rng):
+        v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with T.Graph() as g:
+            C.matching_features(v)
+        assert len(g) == 1
+
+    @pytest.mark.parametrize("absdiff", [True, False], ids=["absdiff", "ablated"])
+    def test_each_row_reaches_only_its_pair(self, rng, absdiff):
+        # Row r of the (2B, D) block is pair r mod B's premise or
+        # hypothesis: perturbing it changes that output row and leaves the
+        # others bit for bit, and a cotangent on one output row reaches
+        # only that pair's two rows.
+        b, d = 4, 3
+        v = Tensor(rng.normal(size=(2 * b, d)), requires_grad=True)
+        before = C.matching_features(v, absdiff).data
+        for r in range(2 * b):
+            moved = Tensor(v.data.copy())
+            moved.data[r] += 0.5
+            after = C.matching_features(moved, absdiff).data
+            pair = r % b
+            others = np.arange(b) != pair
+            assert after[others].tobytes() == before[others].tobytes(), r
+            assert np.any(after[pair] != before[pair]), r
+        for pair in range(b):
+            cot = np.zeros(before.shape)
+            cot[pair] = rng.normal(size=before.shape[1])
+            _, (grad,) = grads_of(lambda: C.matching_features(v, absdiff), [v], cot)
+            touched = np.flatnonzero(np.any(grad != 0.0, axis=1))
+            assert touched.tolist() == [pair, b + pair]
+
+    def test_grad_check_off_the_kink(self, rng):
+        v = rng.normal(size=(6, 4))
+        v[3:] += np.where(v[3:] >= v[:3], 0.1, -0.1)  # |v_p - v_h| >= 0.1
+        v = Tensor(v, requires_grad=True)
+        for absdiff in (True, False):
+            assert grad_check(lambda t: C.matching_features(t, absdiff), v) < 1e-6
 
 
 class TestMlpForward:

@@ -1,6 +1,7 @@
 """Tests for character composition and sentence embedding."""
 
 import numpy as np
+import primitives as P
 import pytest
 
 from gatednli import embed as E
@@ -73,7 +74,7 @@ def random_words(rng, n_words=8, max_len=6):
 
 
 def weighted_sum(out, weights):
-    return T.sum_axis(T.sum_axis(T.mul(out, Tensor(weights)), axis=1), axis=0)
+    return P.sum_axis(P.sum_axis(P.mul(out, Tensor(weights)), axis=1), axis=0)
 
 
 class TestCharCompose:
@@ -215,7 +216,7 @@ class TestEmbedSentence:
         word_ids, char_ids = sentence_ids([[2, 3], [4]])
         with Graph() as g:
             e = E.embed_sentence(word_ids, char_ids, params)
-            loss = T.sum_axis(T.sum_axis(e, axis=1), axis=0)
+            loss = P.sum_axis(P.sum_axis(e, axis=1), axis=0)
             g.backward(loss)
         assert params.word_table.grad is None
         assert params.char_table.grad is not None
@@ -225,7 +226,7 @@ class TestEmbedSentence:
 
         def f(table):
             e = E.embed_sentence(word_ids, char_ids, params)
-            return T.sum_axis(T.sum_axis(e, axis=1), axis=0)
+            return P.sum_axis(P.sum_axis(e, axis=1), axis=0)
 
         assert grad_check(f, params.char_table) < 1e-5
 

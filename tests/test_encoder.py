@@ -2,6 +2,7 @@
 
 import lstm_oracle
 import numpy as np
+import primitives as P
 import pytest
 
 from gatednli import encoder as E
@@ -34,7 +35,7 @@ def rng():
 
 def weighted_sum(m, weights):
     """Scalar loss sum(m * weights) that reads every column of m."""
-    return T.sum_axis(T.sum_axis(T.mul(m, Tensor(weights)), axis=1), axis=0)
+    return P.sum_axis(P.sum_axis(P.mul(m, Tensor(weights)), axis=1), axis=0)
 
 
 def random_pair(input_dim, d, rng, scale=0.4):

@@ -176,6 +176,21 @@ class TestModelForward:
         assert lstm.count("bilstm_layer.<locals>.backward") == model.config.n_layers
         assert len(lstm) == model.config.n_layers + 1
 
+    @pytest.mark.parametrize("n_pairs", [1, 4])
+    def test_default_architecture_records_38_entries(self, n_pairs):
+        # ModelConfig's architecture (filter widths 1, 3 and 5, 3 layers) at
+        # toy sizes. The embedding records 22 entries (per width: 1-5
+        # window gathers, their concat, one affine, one segment max), the
+        # encoder 6, the pools 4, matching 1, the MLP 4 (three affines and
+        # the shortcut concat) and the loss 1, whatever the batch size.
+        sizes = dict(word_dim=6, char_dim=3, filter_channels=2, hidden_dim=4, mlp_hidden=5)
+        model = toy_model(ModelConfig(**sizes))
+        lengths = [(3, 2), (5, 4), (1, 1), (2, 6)][:n_pairs]
+        batch = toy_batch(np.random.default_rng(n_pairs), lengths)
+        with Graph() as g:
+            CL.cross_entropy(model.forward(batch), batch.labels)
+        assert len(g) == 38
+
     def test_one_embed_encode_compose_call_per_forward(self, monkeypatch):
         model = toy_model()
         calls = []

@@ -4,6 +4,7 @@ import sys
 import threading
 
 import numpy as np
+import primitives as P
 import pytest
 from lstm_oracle import sigmoid, tanh
 
@@ -29,12 +30,12 @@ class TestForwardValues:
     def test_matmul(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
-        np.testing.assert_allclose(T.matmul(a, b).data, [[17.0], [39.0]])
+        np.testing.assert_allclose(P.matmul(a, b).data, [[17.0], [39.0]])
 
     def test_add_broadcasts_bias_row(self):
         m = Tensor(np.zeros((3, 2)))
         bias = Tensor([1.0, 2.0])
-        out = T.add(m, bias)
+        out = P.add(m, bias)
         np.testing.assert_allclose(out.data, np.tile([1.0, 2.0], (3, 1)))
 
     def test_sigmoid_saturates_without_nan(self):
@@ -45,19 +46,19 @@ class TestForwardValues:
 class TestShapeErrors:
     def test_matmul_mismatch_names_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            P.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_add_mismatch(self):
         with pytest.raises(ShapeError, match="add"):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+            P.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_invalid_axis(self):
         with pytest.raises(ShapeError, match="axis"):
-            T.sum_axis(Tensor(np.ones((2, 3))), axis=2)
+            P.sum_axis(Tensor(np.ones((2, 3))), axis=2)
 
     def test_slice_bad_range(self):
         with pytest.raises(ShapeError, match="slice_axis"):
-            T.slice_axis(Tensor(np.ones((2, 3))), axis=1, start=2, stop=5)
+            P.slice_axis(Tensor(np.ones((2, 3))), axis=1, start=2, stop=5)
 
     def test_take_rows_out_of_range(self):
         with pytest.raises(ShapeError, match="take_rows"):
@@ -68,7 +69,7 @@ class TestBackward:
     def test_square_loss_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            loss = T.sum_axis(T.mul(x, x), axis=0)
+            loss = P.sum_axis(P.mul(x, x), axis=0)
             g.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
@@ -76,27 +77,27 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         c = Tensor([3.0])
         with Graph() as g:
-            g.backward(T.sum_axis(c, axis=0))
+            g.backward(P.sum_axis(c, axis=0))
         assert x.grad is None
 
     def test_sigmoid_grad_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
         with Graph() as g:
-            loss = T.sum_axis(sigmoid(x), axis=0)
+            loss = P.sum_axis(sigmoid(x), axis=0)
             g.backward(loss)
         np.testing.assert_allclose(x.grad, [0.25])
 
     def test_backward_on_nonscalar_errors(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            y = T.mul(x, x)
+            y = P.mul(x, x)
             with pytest.raises(GraphError, match="scalar"):
                 g.backward(y)
 
     def test_backward_twice_errors(self):
         x = Tensor([1.0], requires_grad=True)
         with Graph() as g:
-            loss = T.sum_axis(x, axis=0)
+            loss = P.sum_axis(x, axis=0)
             g.backward(loss)
             with pytest.raises(GraphError, match="already"):
                 g.backward(loss)
@@ -105,30 +106,30 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         for _ in range(2):
             with Graph() as g:
-                g.backward(T.sum_axis(T.mul(x, x), axis=0))
+                g.backward(P.sum_axis(P.mul(x, x), axis=0))
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
 
     def test_fanout_accumulates(self):
         # x feeds the loss through two paths: sum(x*x) + sum(x).
         x = Tensor([1.0, 3.0], requires_grad=True)
         with Graph() as g:
-            sq = T.sum_axis(T.mul(x, x), axis=0)
-            lin = T.sum_axis(x, axis=0)
-            g.backward(T.add(sq, lin))
+            sq = P.sum_axis(P.mul(x, x), axis=0)
+            lin = P.sum_axis(x, axis=0)
+            g.backward(P.add(sq, lin))
         np.testing.assert_allclose(x.grad, [3.0, 7.0])
 
     def test_no_recording_without_graph(self):
         x = Tensor([1.0], requires_grad=True)
-        y = T.mul(x, x)
+        y = P.mul(x, x)
         assert y.data == pytest.approx(1.0)
         assert x.grad is None
 
     def test_other_thread_does_not_record_into_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            T.mul(x, x)
+            P.mul(x, x)
             before = len(g)
-            worker = threading.Thread(target=lambda: T.mul(x, x))
+            worker = threading.Thread(target=lambda: P.mul(x, x))
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
@@ -146,7 +147,7 @@ class TestBackward:
                 with Graph() as g:
                     y = x
                     for _ in range(n_ops):
-                        y = T.mul(y, Tensor([1.0, 1.0]))
+                        y = P.mul(y, Tensor([1.0, 1.0]))
                     tapes.append(len(g))
             except Exception as err:  # surfaced by the assertion below
                 errors.append(err)
@@ -172,17 +173,17 @@ class TestBackward:
         # must not alias it, or the inner add's two contributions double it.
         x = Tensor([1.0, -2.0], requires_grad=True)
         with Graph() as g:
-            z = T.add(T.add(x, x), x)
-            g.backward(T.sum_axis(T.mul(z, Tensor([2.0, 5.0])), axis=0))
+            z = P.add(P.add(x, x), x)
+            g.backward(P.sum_axis(P.mul(z, Tensor([2.0, 5.0])), axis=0))
         np.testing.assert_array_equal(x.grad, [6.0, 15.0])
 
     def test_tracked_fanout_with_aliased_gradients(self):
         # y = x * 3 is used twice through add(y, y), then once more.
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Graph() as g:
-            y = T.mul(x, Tensor([3.0, 3.0]))
-            z = T.add(T.add(y, y), y)
-            g.backward(T.sum_axis(T.mul(z, z), axis=0))
+            y = P.mul(x, Tensor([3.0, 3.0]))
+            z = P.add(P.add(y, y), y)
+            g.backward(P.sum_axis(P.mul(z, z), axis=0))
         # loss = sum((9x)^2) = 81 sum(x^2); d/dx = 162 x
         np.testing.assert_allclose(x.grad, [162.0, 324.0])
 
@@ -193,9 +194,9 @@ class TestBackward:
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         with Graph() as g:
             y = tanh(x)
-            sq = T.sum_axis(T.sum_axis(T.mul(y, y), axis=1), axis=0)
-            total = T.sum_axis(T.sum_axis(y, axis=1), axis=0)
-            g.backward(T.add(sq, total))
+            sq = P.sum_axis(P.sum_axis(P.mul(y, y), axis=1), axis=0)
+            total = P.sum_axis(P.sum_axis(y, axis=1), axis=0)
+            g.backward(P.add(sq, total))
         t = np.tanh(x.data)
         np.testing.assert_allclose(x.grad, (1.0 + 2.0 * t) * (1.0 - t * t))
 
@@ -241,7 +242,7 @@ class TestFreshLeafGradients:
         rng = np.random.default_rng(0)
         w, x = rand((3, 4), rng), Tensor(rng.normal(size=(2, 3)))
         with Graph() as g:
-            seen = spy_backward(g, T.sum_axis(T.sum_axis(T.matmul(x, w), 1), 0))
+            seen = spy_backward(g, P.sum_axis(P.sum_axis(P.matmul(x, w), 1), 0))
         assert any(s is w.grad for s in seen)
         np.testing.assert_allclose(w.grad, np.repeat(x.data.sum(0)[:, None], 4, 1))
         assert_private(w, seen)
@@ -250,12 +251,12 @@ class TestFreshLeafGradients:
         w = Tensor([1.0, -2.0, 0.5], requires_grad=True)
         c = Tensor([3.0, 5.0, 7.0])
         with Graph() as g:
-            loss = T.sum_axis(T.mul(T.add(w, w), c), axis=0)
+            loss = P.sum_axis(P.mul(P.add(w, w), c), axis=0)
             seen = spy_backward(g, loss)
         np.testing.assert_array_equal(w.grad, [6.0, 10.0, 14.0])
         assert_private(w, seen)
 
-    @pytest.mark.parametrize("add", [T.add, add_sharing_a_fresh_array])
+    @pytest.mark.parametrize("add", [P.add, add_sharing_a_fresh_array])
     def test_add_of_a_leaf_and_an_intermediate_used_again(self, add):
         # add(w, h) hands w and h one array; w then gets a second
         # contribution while h's gradient still waits for its other use.
@@ -263,11 +264,11 @@ class TestFreshLeafGradients:
         v = Tensor([-1.0, 4.0], requires_grad=True)
         c, d, e, f = (Tensor(a) for a in ([2.0, 3.0], [5.0, 7.0], [11.0, 13.0], [17.0, 19.0]))
         with Graph() as g:
-            h = T.mul(v, c)
-            hd = T.sum_axis(T.mul(h, d), axis=0)
-            wf = T.sum_axis(T.mul(w, f), axis=0)
-            y = T.sum_axis(T.mul(add(w, h), e), axis=0)
-            seen = spy_backward(g, T.add(T.add(y, wf), hd))
+            h = P.mul(v, c)
+            hd = P.sum_axis(P.mul(h, d), axis=0)
+            wf = P.sum_axis(P.mul(w, f), axis=0)
+            y = P.sum_axis(P.mul(add(w, h), e), axis=0)
+            seen = spy_backward(g, P.add(P.add(y, wf), hd))
         np.testing.assert_array_equal(w.grad, e.data + f.data)
         np.testing.assert_array_equal(v.grad, (e.data + d.data) * c.data)
         assert_private(w, seen)
@@ -282,14 +283,14 @@ class TestFreshLeafGradients:
         c, d, e, f = (Tensor(rng.normal(size=(2, 3))) for _ in range(4))
 
         def total(t):
-            return T.sum_axis(T.sum_axis(t, axis=1), axis=0)
+            return P.sum_axis(P.sum_axis(t, axis=1), axis=0)
 
         with Graph() as g:
-            k = T.mul(v, c)
-            kd = total(T.mul(k, d))
-            wf = total(T.mul(w, f))
-            z = T.add(T.add(w, b), k)
-            seen = spy_backward(g, T.add(T.add(total(T.mul(z, e)), wf), kd))
+            k = P.mul(v, c)
+            kd = total(P.mul(k, d))
+            wf = total(P.mul(w, f))
+            z = P.add(P.add(w, b), k)
+            seen = spy_backward(g, P.add(P.add(total(P.mul(z, e)), wf), kd))
         np.testing.assert_allclose(w.grad, e.data + f.data, rtol=1e-15)
         np.testing.assert_allclose(b.grad, e.data.sum(axis=0), rtol=1e-15)
         np.testing.assert_allclose(v.grad, (e.data + d.data) * c.data, rtol=1e-15)
@@ -303,15 +304,15 @@ class TestFreshLeafGradients:
         w, other = rand((2, 3), rng), rand((1, 3), rng)
         c = Tensor(rng.normal(size=(3, 3)))
         with Graph() as g:
-            sq = T.sum_axis(T.sum_axis(T.mul(w, w), axis=1), axis=0)
+            sq = P.sum_axis(P.sum_axis(P.mul(w, w), axis=1), axis=0)
             if first == "sum_axis":
-                via = T.sum_axis(T.mul(T.sum_axis(w, axis=0), Tensor(c.data[0])), axis=0)
+                via = P.sum_axis(P.mul(P.sum_axis(w, axis=0), Tensor(c.data[0])), axis=0)
                 want = 2.0 * w.data + c.data[0]
             else:
                 cat = T.concat([w, other], axis=0)
-                via = T.sum_axis(T.sum_axis(T.mul(cat, c), axis=1), axis=0)
+                via = P.sum_axis(P.sum_axis(P.mul(cat, c), axis=1), axis=0)
                 want = 2.0 * w.data + c.data[:2]
-            seen = spy_backward(g, T.add(via, sq))
+            seen = spy_backward(g, P.add(via, sq))
         np.testing.assert_allclose(w.grad, want, rtol=1e-15)
         assert w.grad.flags.writeable
         assert_private(w, seen)
@@ -355,12 +356,12 @@ class TestSpareGradients:
         x1, x2, c = (Tensor(rng.normal(size=(3, 3))) for _ in range(3))
 
         def total(t):
-            return T.sum_axis(T.sum_axis(T.mul(t, c), axis=1), axis=0)
+            return P.sum_axis(P.sum_axis(P.mul(t, c), axis=1), axis=0)
 
         def loss():
             if case == "two_records":
-                return T.add(total(T.matmul(x1, w)), total(T.matmul(x2, w)))
-            return total(T.matmul(w, w))
+                return P.add(total(P.matmul(x1, w)), total(P.matmul(x2, w)))
+            return total(P.matmul(w, w))
 
         fresh = self.grad_of(w, loss, None).copy()
         spare = np.full_like(w.data, np.nan)
@@ -385,22 +386,88 @@ class TestGradCheck:
     def test_tanh_sum(self):
         rng = np.random.default_rng(0)
         x = rand((3, 4), rng)
-        assert grad_check(lambda t: T.sum_axis(T.sum_axis(tanh(t), 1), 0), x) < 1e-6
+        assert grad_check(lambda t: P.sum_axis(P.sum_axis(tanh(t), 1), 0), x) < 1e-6
 
     def test_constant_function_is_exact(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([7.0])
-        assert grad_check(lambda t: T.sum_axis(c, axis=0), x) == 0.0
+        assert grad_check(lambda t: P.sum_axis(c, axis=0), x) == 0.0
 
-    def test_rejects_nonscalar_f(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(GraphError, match="scalar"):
-            grad_check(lambda t: T.mul(t, t), x)
+    @pytest.mark.parametrize("flip_back", [True, False], ids=["right", "wrong"])
+    def test_vector_f_with_a_wrong_backward_is_caught(self, flip_back):
+        # f reverses the rows of x, so its backward must reverse them back.
+        # A sum of the outputs cannot tell; the drawn cotangent can.
+        x = rand((4, 3), np.random.default_rng(12))
+
+        def flipped(t):
+            back = (lambda g: (g[::-1],)) if flip_back else (lambda g: (g,))
+            return T._apply(t.data[::-1].copy(), (t,), back)
+
+        err = grad_check(flipped, x)
+        assert (err < 1e-9) if flip_back else (err > 0.5)
 
     def test_rejects_bad_eps(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError, match="eps"):
-            grad_check(lambda t: T.sum_axis(t, axis=0), x, eps=0.0)
+            grad_check(lambda t: P.sum_axis(t, axis=0), x, eps=0.0)
+
+
+class TestAffine:
+    """One record for relu(x @ w + b) or x @ w + b, against the chain of
+    matmul, add and relu records."""
+
+    @staticmethod
+    def grads(op, x, w, b, relu, cotangent):
+        with Graph() as g:
+            out = op(x, w, b, relu)
+            g.backward(P.sum_axis(P.sum_axis(P.mul(out, Tensor(cotangent)), 1), 0))
+        grads = [x.grad, w.grad, b.grad]
+        x.grad = w.grad = b.grad = None
+        return out.data, grads
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize(
+        "n, k, m", [(6, 5, 4), (370, 75, 100), (4, 14400, 600)], ids=["toy", "cnn", "mlp"]
+    )
+    def test_matches_the_primitive_chain_bit_for_bit(self, n, k, m, dtype, relu):
+        # Paper-shaped cases: the char-CNN's width-5 filter over a block's
+        # windows, and the MLP's first layer over a batch of 4 pairs.
+        rng = np.random.default_rng(n + k + m)
+        x, w, b = (
+            Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape in ((n, k), (k, m), (m,))
+        )
+        x.data[0], b.data[0] = 0.0, 0.0  # a pre-activation at the kink
+        cot = rng.normal(size=(n, m)).astype(dtype)
+        fused, g_fused = self.grads(T.affine, x, w, b, relu, cot)
+        chain, g_chain = self.grads(P.affine_chain, x, w, b, relu, cot)
+        assert fused.dtype == dtype and fused.tobytes() == chain.tobytes()
+        for got, want in zip(g_fused, g_chain):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_one_tape_record(self):
+        rng = np.random.default_rng(13)
+        with Graph() as g:
+            T.affine(rand((3, 4), rng), rand((4, 2), rng), rand((2,), rng), True)
+        assert len(g) == 1
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 5), (4,))])
+    def test_mismatch_names_op_and_shapes(self, shapes):
+        x, w, b = (Tensor(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match=r"affine: \(2, 3\)"):
+            T.affine(x, w, b, relu=True)
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    def test_grad_check_off_the_kink(self, relu):
+        rng = np.random.default_rng(14)
+        x, w, b = rand((3, 4), rng), rand((4, 5), rng), rand((5,), rng)
+        pre = x.data @ w.data + b.data
+        assert np.abs(pre).min() > 0.1 and 0.3 < (pre > 0).mean() < 0.7
+        # One entry of w's gradient is about 2e-5, where the default step's
+        # round-off reads 4e-6 relative; a step of 5e-5 reads 6e-7.
+        for t in (x, w, b):
+            assert grad_check(lambda _t: T.affine(x, w, b, relu), t, eps=5e-5) < 1e-6
 
 
 def _scalarize(t):
@@ -408,15 +475,15 @@ def _scalarize(t):
     # grad paths of all coordinates are exercised.
     flat = t
     while flat.ndim > 1:
-        flat = T.sum_axis(flat, axis=0)
+        flat = P.sum_axis(flat, axis=0)
     w = Tensor(np.linspace(0.5, 1.5, flat.shape[0]))
-    return T.sum_axis(T.mul(flat, w), axis=0)
+    return P.sum_axis(P.mul(flat, w), axis=0)
 
 
 SMOOTH_UNARY = {
     "sigmoid": sigmoid,
     "tanh": tanh,
-    "absolute": T.absolute,
+    "absolute": P.absolute,
 }
 
 
@@ -443,16 +510,16 @@ class TestPrimitiveGradients:
             rng.uniform(0.3, 2.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)),
             requires_grad=True,
         )
-        assert grad_check(lambda t: _scalarize(T.relu(t)), x) < 1e-6
+        assert grad_check(lambda t: _scalarize(P.relu(t)), x) < 1e-6
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(1)
         a = rand((3, 4), rng)
         b = rand((4, 2), rng)
-        assert grad_check(lambda t: _scalarize(T.matmul(t, b)), a) < 1e-6
-        assert grad_check(lambda t: _scalarize(T.matmul(a, t)), b) < 1e-6
+        assert grad_check(lambda t: _scalarize(P.matmul(t, b)), a) < 1e-6
+        assert grad_check(lambda t: _scalarize(P.matmul(a, t)), b) < 1e-6
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    @pytest.mark.parametrize("op", [P.add, P.sub, P.mul])
     def test_binary_elementwise(self, op):
         rng = np.random.default_rng(2)
         a = rand((3, 4), rng)
@@ -460,7 +527,7 @@ class TestPrimitiveGradients:
         assert grad_check(lambda t: _scalarize(op(t, b)), a) < 1e-6
         assert grad_check(lambda t: _scalarize(op(a, t)), b) < 1e-6
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    @pytest.mark.parametrize("op", [P.add, P.sub, P.mul])
     def test_binary_broadcast_column(self, op):
         rng = np.random.default_rng(3)
         a = rand((4, 1), rng)
@@ -475,7 +542,7 @@ class TestPrimitiveGradients:
 
         def f(t):
             cat = T.concat([t, b], axis=0)
-            return _scalarize(T.slice_axis(cat, axis=0, start=1, stop=3))
+            return _scalarize(P.slice_axis(cat, axis=0, start=1, stop=3))
 
         assert grad_check(f, a) < 1e-6
 
@@ -488,7 +555,7 @@ class TestPrimitiveGradients:
     def test_sum_and_max(self):
         rng = np.random.default_rng(6)
         x = rand((4, 3), rng)
-        assert grad_check(lambda t: _scalarize(T.sum_axis(t, axis=0)), x) < 1e-6
+        assert grad_check(lambda t: _scalarize(P.sum_axis(t, axis=0)), x) < 1e-6
         assert grad_check(lambda t: _scalarize(T.segment_max(t, [1, 3])), x) < 1e-6
         np.testing.assert_array_equal(
             T.segment_max(x, [1, 3]).data, [x.data[0], x.data[1:].max(axis=0)]
@@ -501,8 +568,8 @@ class TestStructuralProperties:
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=(2, 4)))
         cat = T.concat([a, b], axis=0)
-        back_a = T.slice_axis(cat, axis=0, start=0, stop=3)
-        back_b = T.slice_axis(cat, axis=0, start=3, stop=5)
+        back_a = P.slice_axis(cat, axis=0, start=0, stop=3)
+        back_b = P.slice_axis(cat, axis=0, start=3, stop=5)
         assert np.array_equal(back_a.data, a.data)
         assert np.array_equal(back_b.data, b.data)
 
@@ -512,7 +579,7 @@ class TestStructuralProperties:
         )
         with Graph() as g:
             m = T.segment_max(x, [3, 1])
-            g.backward(T.sum_axis(T.sum_axis(m, axis=1), axis=0))
+            g.backward(P.sum_axis(P.sum_axis(m, axis=1), axis=0))
         np.testing.assert_array_equal(m.data, [[2.0, 5.0], [5.0, 5.0]])
         np.testing.assert_array_equal(
             x.grad, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -523,5 +590,5 @@ class TestStructuralProperties:
             with pytest.raises(GraphError, match="already recording"):
                 Graph().__enter__()
         with Graph() as g:  # the failed enter left no graph recording
-            T.mul(Tensor([1.0], requires_grad=True), Tensor([2.0]))
+            P.mul(Tensor([1.0], requires_grad=True), Tensor([2.0]))
         assert len(g) == 1
