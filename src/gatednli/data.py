@@ -199,10 +199,8 @@ def load_word_vectors(
     lowercased token); the pad row stays zero; every other row is
     sampled N(0, oov_sigma^2) from a seeded generator.
     """
-    wanted: dict[str, int] = {w: i for w, i in vocab.word_to_id.items()}
-    lower_map: dict[str, list[str]] = {}
-    for w in wanted:
-        lower_map.setdefault(w.lower(), []).append(w)
+    wanted = vocab.word_to_id
+    lowered = {w.lower() for w in wanted}
 
     raw_rows: dict[str, np.ndarray] = {}
     lower_rows: dict[str, np.ndarray] = {}
@@ -219,7 +217,7 @@ def load_word_vectors(
                         f"vectors {path}: line {lineno} has no space-separated values"
                     )
                 continue
-            if token not in wanted and token not in lower_map:
+            if token not in wanted and token not in lowered:
                 continue
             values = rest.split(" ")  # only a wanted row pays for the split
             if len(values) != dim:
@@ -236,7 +234,7 @@ def load_word_vectors(
                 )
             if token in wanted:
                 raw_rows.setdefault(token, row)
-            if token in lower_map:
+            if token in lowered:
                 lower_rows.setdefault(token, row)
 
     rng = np.random.default_rng(seed)

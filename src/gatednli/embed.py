@@ -59,9 +59,10 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
     tail each, into a (W, char_out_dim) matrix.
 
     Per filter width, a word of n chars has ``max(n, width) - width + 1``
-    windows; all the block's windows share one GEMM, and each word's are
-    max-pooled as one segment.  Positions past a word's end read a zero
-    row, so a word shorter than a filter is zero-padded.
+    windows; one gather lays out all the block's windows as a (windows,
+    width * char_dim) block for one GEMM, and each word's are max-pooled
+    as one segment.  Positions past a word's end read a zero row, so a
+    word shorter than a filter is zero-padded.
     """
     lengths = (char_ids != PAD_ID).sum(axis=1)
     if not lengths.all():
@@ -77,11 +78,8 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
         n_windows = np.maximum(lengths, width) - width + 1
         word = np.repeat(np.arange(len(char_ids)), n_windows)
         start = np.arange(word.size) - (np.cumsum(n_windows) - n_windows)[word]
-        windows = T.concat(
-            [T.take_rows(table, padded[word, start + o]) for o in range(width)],
-            axis=1,
-        )
-        conv = T.affine(windows, weight, bias, relu=True)
+        window_ids = padded[word[:, None], start[:, None] + np.arange(width)]
+        conv = T.affine(T.take_rows(table, window_ids), weight, bias, relu=True)
         pooled.append(T.segment_max(conv, n_windows))
     return T.concat(pooled, axis=1)
 

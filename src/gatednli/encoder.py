@@ -144,8 +144,9 @@ def bilstm_layer(
     to h's and gives h a zero one, so h's backward runs even if nothing else
     reads h. That backward is analytic BPTT: only the dpre @ u.T product
     stays in its loop; the input, weight and bias gradients take one GEMM
-    (or sum) each, the weights' and biases' written into their spare
-    arrays from the step before, when they have one.
+    (or sum) per direction, the weights' and biases' written into their
+    spare arrays from the step before, when they have one. xs is one input
+    of the record, and both directions' input gradients sum into one array.
     """
     ws, us = [p.w.data for p in params], [p.u.data for p in params]
     if xs.ndim != 2 or any(xs.shape[1] != w.shape[0] for w in ws):
@@ -243,22 +244,20 @@ def bilstm_layer(
                     # the transposed view u.T at a few float32 rows
                     dh_next[k, :bt] = (us[k] @ flat[k, lo:hi].T).T
             hi = lo
-        dxs, dws = [], []
+        dx, dws = np.empty_like(xs.data), []
+        dx[rows[0]] = flat[0] @ ws[0].T
+        dx[rows[1]] += flat[1] @ ws[1].T
         for k, p in enumerate(params):
-            dxs.append(np.empty_like(xs.data))
-            dxs[k][rows[k]] = flat[k] @ ws[k].T
             x_k = xs.data[rows[k]]
             dws += [
                 np.matmul(x_k.T, flat[k], out=T.take_spare(p.w)),
                 np.matmul(h[k, prev_rows].T, flat[k], out=T.take_spare(p.u)),
                 flat[k].sum(axis=0, out=T.take_spare(p.b)),
             ]
-        # xs is listed twice, the backward direction's dx first, so the
-        # tape adds the two in the order of one record per direction
-        return (dxs[1], dxs[0], *dws)
+        return (dx, *dws)
 
     weights = tuple(t for p in params for t in (p.w, p.u, p.b))
-    h_t = T._apply(unpack(h[:, b0:]), (xs, xs) + weights, backward)
+    h_t = T._apply(unpack(h[:, b0:]), (xs,) + weights, backward)
     if gate is None:
         return h_t, None
 

@@ -257,22 +257,25 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def take_rows(a: Tensor, ids) -> Tensor:
-    """Gather rows of a 2-D tensor; backward scatter-adds into them."""
+    """Gather rows of a (V, D) table: a 1-D block of N ids gives (N, D), and
+    an (M, k) block gives (M, k*D), each output row's k table rows side by
+    side. One record; backward scatter-adds into the gathered rows."""
     if a.ndim != 2:
         raise ShapeError(f"take_rows: expected 2-D table, got {a.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"take_rows: ids must be 1-D, got shape {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"take_rows: ids must be 1-D or 2-D, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(
             f"take_rows: id out of range [0, {a.shape[0]}) in {idx.tolist()}"
         )
     ad = a.data
-    out = ad[idx]
+    k = idx.shape[1] if idx.ndim == 2 else 1
+    out = ad[idx].reshape(len(idx), k * ad.shape[1])
 
     def backward(g):
         z = np.zeros_like(ad)
-        np.add.at(z, idx, g)
+        np.add.at(z, idx, g.reshape(idx.shape + ad.shape[1:]))
         return (z,)
 
     return _apply(out, (a,), backward)

@@ -41,6 +41,7 @@ from .tensor import Graph, Tensor
 
 INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
 ADAM_SLICE_BYTES = 262144  # per array in an Adam slice: 65,536 float32 or 32,768 float64
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # b1, b2 and eps in Adam.step
 CHECKPOINT_MAGIC = b"GNLICKP1"
 CHECKPOINT_VERSION = 1
 # Each tensor's dtype code byte. Files written before float32 training
@@ -67,19 +68,9 @@ class Adam:
     flat views.
     """
 
-    def __init__(
-        self,
-        named: dict[str, Tensor],
-        lr: float = 4e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, named: dict[str, Tensor], lr: float = 4e-4):
         self.named = dict(named)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         for name, tensor in self.named.items():
             if not tensor.data.flags.c_contiguous:
@@ -106,8 +97,8 @@ class Adam:
                     raise NumericError(f"non-finite gradient in {name}")
         scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
         self.t += 1
-        lr_c1 = self.lr / (1.0 - self.beta1**self.t)
-        c2 = 1.0 - self.beta2**self.t
+        lr_c1 = self.lr / (1.0 - ADAM_BETA1**self.t)
+        c2 = 1.0 - ADAM_BETA2**self.t
         size = self._scratch.shape[1]
         for name, t in self.named.items():
             grad = np.zeros_like(t.data) if t.grad is None else t.grad
@@ -117,16 +108,16 @@ class Adam:
                 s1, s2 = self._scratch[:, : m.size]
                 if scale != 1.0:
                     g *= scale
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=s1)
+                m *= ADAM_BETA1
+                np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
                 m += s1
-                v *= self.beta2
-                np.multiply(g, 1.0 - self.beta2, out=s1)
+                v *= ADAM_BETA2
+                np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
                 s1 *= g
                 v += s1
                 np.divide(v, c2, out=s1)
                 np.sqrt(s1, out=s1)
-                s1 += self.eps
+                s1 += ADAM_EPS
                 np.multiply(m, lr_c1, out=s2)
                 s2 /= s1
                 p -= s2

@@ -136,6 +136,15 @@ class TestCharCompose:
         for a, b in zip(together, alone):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
+    def test_one_window_gather_per_width(self, params, rng):
+        # Per width one take_rows of all the windows, one affine and one
+        # segment max; plus the char table's zero row and the widths' concat.
+        with Graph() as g:
+            E.char_compose(random_words(rng), params)
+        names = [backward.__qualname__ for _, _, backward in g._records]
+        assert names.count("take_rows.<locals>.backward") == len(WIDTHS)
+        assert len(g) == 3 * len(WIDTHS) + 2
+
     def test_grad_check_through_char_table(self, params, rng):
         block = random_words(rng, n_words=5)
         weights = rng.normal(size=(len(block), len(WIDTHS) * CHANNELS))

@@ -14,6 +14,10 @@ from gatednli.tensor import Graph, Tensor, grad_check
 
 N_CHARS = 10
 N_WORDS = 12
+# ModelConfig's architecture (filter widths 1, 3 and 5, 3 layers) at toy sizes
+DEFAULT_AT_TOY_SIZES = dict(
+    word_dim=6, char_dim=3, filter_channels=2, hidden_dim=4, mlp_hidden=5
+)
 
 
 def toy_config(**overrides):
@@ -177,19 +181,35 @@ class TestModelForward:
         assert len(lstm) == model.config.n_layers + 1
 
     @pytest.mark.parametrize("n_pairs", [1, 4])
-    def test_default_architecture_records_38_entries(self, n_pairs):
-        # ModelConfig's architecture (filter widths 1, 3 and 5, 3 layers) at
-        # toy sizes. The embedding records 22 entries (per width: 1-5
-        # window gathers, their concat, one affine, one segment max), the
-        # encoder 6, the pools 4, matching 1, the MLP 4 (three affines and
-        # the shortcut concat) and the loss 1, whatever the batch size.
-        sizes = dict(word_dim=6, char_dim=3, filter_channels=2, hidden_dim=4, mlp_hidden=5)
-        model = toy_model(ModelConfig(**sizes))
+    def test_default_architecture_records_29_entries(self, n_pairs):
+        # The embedding records 13 entries (the char table's zero row, per
+        # width one window gather, one affine and one segment max, the
+        # widths' concat, the token gather and the [char; word] concat),
+        # the encoder 6 (one bilstm_layer per layer, a shortcut concat above
+        # layer 1 and the top gate), the pools 4, matching 1, the MLP 4
+        # (three affines and the shortcut concat) and the loss 1, whatever
+        # the batch size. The toy architecture (1 layer, widths 1 and 3)
+        # records 3 fewer in the embedding and 4 fewer in the encoder.
         lengths = [(3, 2), (5, 4), (1, 1), (2, 6)][:n_pairs]
-        batch = toy_batch(np.random.default_rng(n_pairs), lengths)
+        for config, entries in (
+            (ModelConfig(**DEFAULT_AT_TOY_SIZES), 29),
+            (toy_config(n_layers=1), 22),
+        ):
+            batch = toy_batch(np.random.default_rng(n_pairs), lengths)
+            with Graph() as g:
+                CL.cross_entropy(toy_model(config).forward(batch), batch.labels)
+            assert len(g) == entries
+
+    def test_no_record_lists_an_input_twice(self):
+        # A tensor read twice by one op is gathered once and its gradient
+        # summed inside the op's backward, not by the tape.
+        model = toy_model(ModelConfig(**DEFAULT_AT_TOY_SIZES))
+        batch = toy_batch(np.random.default_rng(3), [(3, 2), (5, 4), (1, 1)])
         with Graph() as g:
             CL.cross_entropy(model.forward(batch), batch.labels)
-        assert len(g) == 38
+        for _, inputs, backward in g._records:
+            ids = [id(t) for t in inputs]
+            assert len(set(ids)) == len(ids), backward.__qualname__
 
     def test_one_embed_encode_compose_call_per_forward(self, monkeypatch):
         model = toy_model()

@@ -61,8 +61,13 @@ class TestShapeErrors:
             P.slice_axis(Tensor(np.ones((2, 3))), axis=1, start=2, stop=5)
 
     def test_take_rows_out_of_range(self):
-        with pytest.raises(ShapeError, match="take_rows"):
-            T.take_rows(Tensor(np.ones((3, 2))), [0, 3])
+        for ids in ([0, 3], [[0, 1], [2, 3]]):
+            with pytest.raises(ShapeError, match="take_rows"):
+                T.take_rows(Tensor(np.ones((3, 2))), ids)
+
+    def test_take_rows_three_dimensional_ids(self):
+        with pytest.raises(ShapeError, match=r"take_rows.*\(2, 2, 1\)"):
+            T.take_rows(Tensor(np.ones((3, 2))), np.zeros((2, 2, 1), np.int64))
 
 
 class TestBackward:
@@ -470,6 +475,33 @@ class TestAffine:
             assert grad_check(lambda _t: T.affine(x, w, b, relu), t, eps=5e-5) < 1e-6
 
 
+class TestTakeRowsBlock:
+    """An (M, k) block of ids, the char-CNN's windows, against T.concat of
+    its k column gathers: the same forward bits, and gradients summed in
+    another order."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_matches_concat_of_column_gathers(self, dtype):
+        rng = np.random.default_rng(15)
+        ids = rng.integers(0, 20, size=(60, 5))  # each row gathered about 15 times
+        table = Tensor(rng.normal(size=(20, 15)).astype(dtype), requires_grad=True)
+        cot = Tensor(rng.normal(size=(60, 5 * 15)).astype(dtype))
+        results = []
+        for gather in (
+            lambda: T.take_rows(table, ids),
+            lambda: T.concat([T.take_rows(table, ids[:, o]) for o in range(5)], axis=1),
+        ):
+            with Graph() as g:
+                out = gather()
+                g.backward(P.sum_axis(P.sum_axis(P.mul(out, cot), 1), 0))
+            results.append((out.data, table.grad))
+            table.grad = None
+        (block, g_block), (cat, g_cat) = results
+        assert block.dtype == dtype and block.tobytes() == cat.tobytes()
+        assert g_block.dtype == dtype
+        assert np.abs(g_block - g_cat).max() <= 8 * np.spacing(np.abs(g_cat).max())
+
+
 def _scalarize(t):
     # Reduce any tensor to a scalar through a fixed weighted sum so that
     # grad paths of all coordinates are exercised.
@@ -551,6 +583,8 @@ class TestPrimitiveGradients:
         table = rand((5, 3), rng)
         ids = np.array([0, 2, 2, 4])  # repeated row exercises scatter-add
         assert grad_check(lambda t: _scalarize(T.take_rows(t, ids)), table) < 1e-6
+        block = np.array([[0, 2, 2], [4, 0, 2]])  # repeats within and across rows
+        assert grad_check(lambda t: _scalarize(T.take_rows(t, block)), table) < 1e-6
 
     def test_sum_and_max(self):
         rng = np.random.default_rng(6)

@@ -137,13 +137,13 @@ class TestAdam:
                 scale = max_norm / norm if step > 1 else 1.0
                 assert scale < 1.0 or step == 1
                 adam.step(max_norm)
-                c1 = 1.0 - adam.beta1**step
-                c2 = 1.0 - adam.beta2**step
+                c1 = 1.0 - TR.ADAM_BETA1**step
+                c2 = 1.0 - TR.ADAM_BETA2**step
                 for k in shapes:
                     g = grads[k] * scale if step > 1 else grads[k]
-                    m[k] = adam.beta1 * m[k] + (1.0 - adam.beta1) * g
-                    v[k] = adam.beta2 * v[k] + (1.0 - adam.beta2) * g * g
-                    want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + adam.eps)
+                    m[k] = TR.ADAM_BETA1 * m[k] + (1.0 - TR.ADAM_BETA1) * g
+                    v[k] = TR.ADAM_BETA2 * v[k] + (1.0 - TR.ADAM_BETA2) * g * g
+                    want[k] -= (adam.lr / c1) * m[k] / (np.sqrt(v[k] / c2) + TR.ADAM_EPS)
             for k, t in named.items():
                 assert t.data.dtype == dtype
                 assert np.array_equal(t.data, want[k]), (dtype, k)
