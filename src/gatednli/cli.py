@@ -289,9 +289,16 @@ def _print_eval(result: TR.EvalResult):
         print(f"{name:>9s} {row}")
 
 
+def _examples(path, require_label: bool = True):
+    examples, _ = load_corpus(path, require_label=require_label)
+    if not examples:
+        raise DataError(f"no usable examples in {path}")
+    return examples
+
+
 def cmd_eval(args) -> int:
     model, vocab = TR.load_model(args.checkpoint)
-    examples, _ = load_corpus(args.data)
+    examples = _examples(args.data)
     banner(model.config)
     _print_eval(TR.evaluate_model([model], examples, vocab))
     return EXIT_OK
@@ -299,9 +306,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, vocab = TR.load_model(args.checkpoint)
-    examples, _ = load_corpus(args.data, require_label=False)
-    if not examples:
-        raise DataError(f"no usable examples in {args.data}")
+    examples = _examples(args.data, require_label=False)
     probs = TR.predict([model], examples, vocab)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -322,7 +327,7 @@ def cmd_predict(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     members = [TR.load_model(path) for path in args.checkpoints]
     models, vocab = TR.build_ensemble(members)
-    examples, _ = load_corpus(args.data)
+    examples = _examples(args.data)
     result = TR.evaluate_model(models, examples, vocab)
     print(f"ensemble of {len(models)} checkpoints")
     _print_eval(result)

@@ -72,14 +72,12 @@ def max_pool(enc: EncodedSentence) -> Tensor:
     return T.segment_max(enc.h, enc.lengths)
 
 
-def compose(
-    enc: EncodedSentence, kind: GateKind, use_gated: bool = True
-) -> Tensor:
+def compose(enc: EncodedSentence, kind: GateKind | None) -> Tensor:
     """The (S, sentence_dim) sentence vectors [gated; average; max], or
-    [average; max] without the attention pool. kind names the gate the
-    encoder returned."""
+    [average; max] without the attention pool, when kind is None. kind
+    names the gate the encoder returned."""
     v_a = avg_pool(enc)
     v_m = max_pool(enc)
-    if not use_gated:
+    if kind is None:
         return T.concat([v_a, v_m], axis=1)
     return T.concat([gated_attention_pool(enc, kind), v_a, v_m], axis=1)

@@ -11,8 +11,9 @@ lengths, and no padding. Sentences never read each other's rows. Each layer
 is one fused op, ``bilstm_layer``, that runs both directions' recurrences
 over the block in plain numpy, one GEMM per direction and time step over
 the sentences still running, and records one tape entry with an analytic
-backward pass (plus one for the top layer's gate). Weights are stored
-input-side first: all N rows' input projection is one (N, input_dim) @ W.
+backward pass; the top layer's entry has two outputs, its states and its
+gate. Weights are stored input-side first: all N rows' input projection is
+one (N, input_dim) @ W.
 """
 
 from __future__ import annotations
@@ -56,15 +57,16 @@ GATE_INDEX = {GateKind.INPUT: 0, GateKind.FORGET: 1, GateKind.OUTPUT: 3}
 
 @dataclass
 class EncodedSentence:
-    """Top-layer states and one gate's activations for a ragged block of
-    sentences: the top ``bilstm_layer``'s two outputs.
+    """Top-layer states and one gate's activations (None when no gate was
+    asked for) for a ragged block of sentences: the top ``bilstm_layer``'s
+    outputs.
 
     h and gate are (N, 2d) with the forward direction in the first d
     columns; sentence s owns lengths[s] consecutive rows, in block order.
     """
 
     h: Tensor
-    gate: Tensor
+    gate: Tensor | None
     lengths: np.ndarray
 
 
@@ -140,13 +142,13 @@ def bilstm_layer(
     directions run as one recurrence over a leading direction axis, with
     one h[:B_t] @ u product each and one set of elementwise calls a step.
 
-    The gate is a second tape record, on h: its backward hands its gradient
-    to h's and gives h a zero one, so h's backward runs even if nothing else
-    reads h. That backward is analytic BPTT: only the dpre @ u.T product
-    stays in its loop; the input, weight and bias gradients take one GEMM
-    (or sum) per direction, the weights' and biases' written into their
-    spare arrays from the step before, when they have one. xs is one input
-    of the record, and both directions' input gradients sum into one array.
+    The layer is one tape record, whose outputs are h and, with a gate, the
+    gate. Its backward is analytic BPTT over the gradients of both: only the
+    dpre @ u.T product stays in its loop; the input, weight and bias
+    gradients take one GEMM (or sum) per direction, the weights' and biases'
+    written into their spare arrays from the step before, when they have
+    one. xs is one input of the record, and both directions' input
+    gradients sum into one array.
     """
     ws, us = [p.w.data for p in params], [p.u.data for p in params]
     if xs.ndim != 2 or any(xs.shape[1] != w.shape[0] for w in ws):
@@ -205,9 +207,8 @@ def bilstm_layer(
         return block.reshape(n, 2 * d)
 
     j = GATE_INDEX.get(gate)
-    handed = []  # the gate's gradient, once the gate's backward has run
 
-    def backward(gout):
+    def backward(gout, ggate=None):
         i, f, upd, o = gates.transpose(2, 0, 1, 3)
         slope = gates * (1.0 - gates)  # sigmoid slopes; the update's is unused
         s_i, s_f, _, s_o = slope.transpose(2, 0, 1, 3)
@@ -215,8 +216,8 @@ def bilstm_layer(
         # adds what flows back through c and h: k3 turns dc into the i, f
         # and update rows, k_o turns dh into the o row and k_c dh into dc.
         dpre = np.zeros_like(gates)
-        if handed:
-            dpre[:, :, j] = slope[:, :, j] * handed[0].reshape(n, 2, d)[rows, cols]
+        if ggate is not None:
+            dpre[:, :, j] = slope[:, :, j] * ggate.reshape(n, 2, d)[rows, cols]
         k3 = np.stack(
             [upd * s_i, c[:, prev_rows] * s_f, i * (1.0 - upd * upd)], axis=2
         )
@@ -224,7 +225,10 @@ def bilstm_layer(
         k_o = tc * s_o
         k_c = o * (1.0 - tc * tc)
         flat = dpre.reshape(2, n, 4 * d)
-        gh = gout.reshape(n, 2, d)[rows, cols]
+        if gout is None:  # only the gate was read
+            gh = np.zeros((2, n, d), pre.dtype)
+        else:
+            gh = gout.reshape(n, 2, d)[rows, cols]
         # What step t + 1 hands back to the first B_{t+1} rows of step t;
         # the rows past B_{t+1} are still zero when step t reads them.
         dh_next = np.zeros((2, b0, d), pre.dtype)
@@ -256,23 +260,18 @@ def bilstm_layer(
             ]
         return (dx, *dws)
 
-    weights = tuple(t for p in params for t in (p.w, p.u, p.b))
-    h_t = T._apply(unpack(h[:, b0:]), (xs,) + weights, backward)
+    inputs = (xs,) + tuple(t for p in params for t in (p.w, p.u, p.b))
     if gate is None:
-        return h_t, None
-
-    def gate_backward(gout):
-        handed.append(gout)
-        return (np.broadcast_to(np.zeros((), pre.dtype), h_t.shape),)
-
-    return h_t, T._apply(unpack(gates[:, :, j]), (h_t,), gate_backward)
+        return T._apply(unpack(h[:, b0:]), inputs, backward), None
+    return T._apply((unpack(h[:, b0:]), unpack(gates[:, :, j])), inputs, backward)
 
 
 def stacked_encode(
-    e: Tensor, lengths: np.ndarray, params: EncoderParams, gate: GateKind
+    e: Tensor, lengths: np.ndarray, params: EncoderParams, gate: GateKind | None
 ) -> EncodedSentence:
     """Stack of BiLSTMs over a ragged block; upper layers see [e; previous
-    states], and only the top one returns the given gate's activations.
+    states], and only the top one returns the given gate's activations
+    (none when gate is None).
 
     e holds the block's sentences back to back, lengths[s] rows for
     sentence s.

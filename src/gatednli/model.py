@@ -5,12 +5,12 @@ is the one forward path behind training, evaluation, prediction and
 ensembles. The model allows no cross-sentence attention, so the batch's 2B
 sentences are embedded, encoded by the shared stacked BiLSTM and pooled
 together, as the batch's one ragged block of tokens, with one call each.
-The encoder returns the top layer's states and the configured gate's
-activations; the pools turn them into one (2B, sentence_dim) tensor, whose
-rows are split into premises and hypotheses, expanded into matching
-features and classified. The configuration captures every architectural
-knob, including the ablation switches, so a checkpoint can rebuild the
-exact network.
+The encoder returns the top layer's states and, when the attention pool
+reads them, the configured gate's activations; the pools turn them into
+one (2B, sentence_dim) tensor, whose rows are split into premises and
+hypotheses, expanded into matching features and classified. The
+configuration captures every architectural knob, including the ablation
+switches, so a checkpoint can rebuild the exact network.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ class Model:
             use_char=self.config.use_char,
             use_word=self.config.use_word,
         )
-        gate = self.config.gate
+        gate = self.config.gate if self.config.use_gated_att else None
         enc = EN.stacked_encode(e, batch.lengths, self.params.encoder, gate)
-        v = CP.compose(enc, gate, self.config.use_gated_att)
+        v = CP.compose(enc, gate)
         v_inp = CL.matching_features(v, self.config.use_absdiff_product)
         return CL.mlp_forward(v_inp, self.params.classifier)

@@ -29,6 +29,9 @@ from .data import LABELS, NLIExample
 
 ENTAILMENT, NEUTRAL, CONTRADICTION = 0, 1, 2
 MIN_VECTOR_DIM = 9
+ADVERB_PROB = 0.3  # share of premises with an adverb
+DEV_ONLY_NOUNS = 2  # last nouns of each category, seen only in dev premises
+NOISE_SIGMA = 0.05  # Gaussian noise on every word vector
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,7 @@ def _sentence(world, subject, verb, obj, adverb=None) -> list[str]:
 
 
 def _generate(
-    world: World,
-    n: int,
-    rng,
-    premise_nouns: dict[str, tuple[str, ...]],
-    adverb_prob: float = 0.3,
+    world: World, n: int, rng, premise_nouns: dict[str, tuple[str, ...]]
 ) -> list[NLIExample]:
     """Balanced labels; premise objects drawn from premise_nouns."""
     cat_names = sorted(premise_nouns)
@@ -83,7 +82,7 @@ def _generate(
         noun = str(rng.choice(premise_nouns[cat]))
         adverb = (
             str(rng.choice(world.adverbs))
-            if rng.random() < adverb_prob
+            if rng.random() < ADVERB_PROB
             else None
         )
         premise = _sentence(world, subject, verb, noun, adverb)
@@ -103,11 +102,7 @@ def _generate(
 
 
 def make_split(
-    n_train: int,
-    n_dev: int,
-    seed: int,
-    world: World = DEFAULT_WORLD,
-    dev_only_nouns: int = 2,
+    n_train: int, n_dev: int, seed: int
 ) -> tuple[list[NLIExample], list[NLIExample]]:
     """Training draws from most nouns; dev premises use only nouns that
     never appear in training, so dev requires noun knowledge beyond the
@@ -115,18 +110,11 @@ def make_split(
     if min(n_train, n_dev) < 1:
         raise ValueError(f"n_train and n_dev must be >= 1, got {n_train}, {n_dev}")
     rng = np.random.default_rng(seed)
-    train_nouns = {}
-    dev_nouns = {}
-    for cat, nouns in world.categories.items():
-        if dev_only_nouns >= len(nouns):
-            raise ValueError(
-                f"category {cat} has {len(nouns)} nouns, cannot reserve "
-                f"{dev_only_nouns} for dev"
-            )
-        train_nouns[cat] = nouns[:-dev_only_nouns] if dev_only_nouns else nouns
-        dev_nouns[cat] = nouns[-dev_only_nouns:] if dev_only_nouns else nouns
-    train = _generate(world, n_train, rng, train_nouns)
-    dev = _generate(world, n_dev, rng, dev_nouns)
+    categories = DEFAULT_WORLD.categories.items()
+    train_nouns = {cat: nouns[:-DEV_ONLY_NOUNS] for cat, nouns in categories}
+    dev_nouns = {cat: nouns[-DEV_ONLY_NOUNS:] for cat, nouns in categories}
+    train = _generate(DEFAULT_WORLD, n_train, rng, train_nouns)
+    dev = _generate(DEFAULT_WORLD, n_dev, rng, dev_nouns)
     return train, dev
 
 
@@ -151,9 +139,7 @@ def check_vector_dim(dim: int):
         raise ValueError(f"vector dim must be >= {MIN_VECTOR_DIM}, got {dim}")
 
 
-def structured_vectors(
-    world: World, dim: int, seed: int, noise_sigma: float = 0.05
-) -> dict[str, np.ndarray]:
+def structured_vectors(world: World, dim: int, seed: int) -> dict[str, np.ndarray]:
     """Word -> vector with the semantics baked into fixed blocks.
 
     Blocks: [0:3) noun/name category one-hot, [3] category-name flag,
@@ -167,7 +153,7 @@ def structured_vectors(
     vectors = {}
 
     def base(word):
-        vectors[word] = rng.normal(0.0, noise_sigma, size=dim)
+        vectors[word] = rng.normal(0.0, NOISE_SIGMA, size=dim)
         return vectors[word]
 
     for word in (world.filler, *world.adverbs):

@@ -17,7 +17,9 @@ Recording is per thread: an op only ever records onto the graph that its
 own thread entered. The fused ops outside this module, the encoder's
 BiLSTM layer, the gated-attention and average pools, the classifier's
 matching features and its softmax cross-entropy, record themselves through
-``_apply`` like the ops here.
+``_apply`` like the ops here. A record may have several outputs, as the top
+BiLSTM layer has its states and its gate; its backward then receives one
+gradient per output.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-_BackwardFn = Callable[[np.ndarray], tuple]
+_BackwardFn = Callable[..., tuple]
 
 
 class _Recording(threading.local):
@@ -104,7 +106,7 @@ class Graph:
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
+        self._records: list[tuple] = []  # (outputs, inputs, backward) per op
         self._tracked: set[int] = set()
         self._spent = False
 
@@ -127,16 +129,13 @@ class Graph:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into ``t.grad`` for reachable leaves.
 
-        For each input, a backward function returns None, its ``gout`` or
-        a view of it, or a new array it holds no other reference to; the
-        leaf's spare array from ``take_spare``, written with ``out=``,
-        counts as new. So a leaf keeps its first gradient uncopied when
-        that is not ``gout``, owns its writeable data and occurs once in
-        the returned tuple, and a parameter whose op wrote its spare keeps
-        last step's array; other first gradients (one array handed to two
-        inputs, broadcast or sliced views) are copied. Gradients are summed in
-        place wherever the array is ours to write: a leaf's ``.grad`` from
-        its first contribution on, an intermediate's from its second on.
+        A backward function receives one gradient per output of its record,
+        None for an output that nothing read. For each input it returns None
+        or a writeable array that it owns and gives to no other input or
+        record: its incoming gradient, an array it allocated, or the input's
+        spare from ``take_spare``. So the sweep keeps each first
+        contribution, as a leaf's ``.grad`` or an intermediate's gradient,
+        and adds later ones into it in place.
         """
         if loss.data.size != 1:
             raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -145,44 +144,36 @@ class Graph:
         self._spent = True
 
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        owned: set[int] = set()  # flowing entries this sweep allocated
-        for out, inputs, backward in reversed(self._records):
-            gout = flowing.pop(id(out), None)
-            if gout is None:
-                continue  # op output does not feed the loss
-            grads = backward(gout)
-            for t, g in zip(inputs, grads):
+        for outs, inputs, backward in reversed(self._records):
+            gouts = [flowing.pop(id(o), None) for o in outs]
+            if all(g is None for g in gouts):
+                continue  # no output of the op feeds the loss
+            for t, g in zip(inputs, backward(*gouts)):
                 if g is None:
                     continue
                 if t.requires_grad:
-                    if t.grad is not None:
-                        t.grad += g
-                    elif (g is not gout and g.flags.owndata and g.flags.writeable
-                          and sum(x is g for x in grads) == 1):
+                    if t.grad is None:
                         t.grad = g
                     else:
-                        t.grad = g.copy()
+                        t.grad += g
                 elif id(t) in self._tracked:
-                    key = id(t)
-                    prev = flowing.get(key)
+                    prev = flowing.get(id(t))
                     if prev is None:
-                        flowing[key] = g
-                    elif key in owned:
-                        prev += g
+                        flowing[id(t)] = g
                     else:
-                        flowing[key] = prev + g
-                        owned.add(key)
+                        prev += g
 
 
-def _apply(
-    out_data: np.ndarray, inputs: tuple[Tensor, ...], backward: _BackwardFn
-) -> Tensor:
-    out = Tensor._wrap(out_data)
+def _apply(out_data, inputs: tuple[Tensor, ...], backward: _BackwardFn):
+    """Wrap an op's output array, or its tuple of output arrays, as a
+    Tensor, or a tuple of them, and record the op if an input is connected."""
+    several = isinstance(out_data, tuple)
+    outs = tuple(map(Tensor._wrap, out_data)) if several else (Tensor._wrap(out_data),)
     g = _recording.graph
     if g is not None and any(g._connected(t) for t in inputs):
-        g._records.append((out, inputs, backward))
-        g._tracked.add(id(out))
-    return out
+        g._records.append((outs, inputs, backward))
+        g._tracked.update(map(id, outs))
+    return outs if several else outs[0]
 
 
 def take_spare(t: Tensor) -> Optional[np.ndarray]:
@@ -251,7 +242,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
     def backward(g):
-        return tuple(np.split(g, cuts, axis=axis))
+        return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
 
     return _apply(out, tuple(parts), backward)
 

@@ -6,7 +6,10 @@ elementwise, slicing and reduction primitives here compute the same things
 one record per step: the tape-aliasing tests in ``test_tensor.py`` and the
 LSTM oracle are built from them, and ``affine_chain`` and
 ``matching_chain`` are the reference for the fused ops, forward and
-gradients bit for bit.
+gradients bit for bit. Their backwards keep ``Graph.backward``'s contract:
+each input's gradient is an array the record owns and hands to that input
+alone, so ``add`` gives ``b`` a copy of the incoming gradient and
+``sum_axis`` a broadcast copy.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def _elementwise(name: str, a: Tensor, b: Tensor, fwd, bwd) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
+    return _elementwise("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g.copy()))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -119,7 +122,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     out = ad.sum(axis=axis)
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), ad.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), ad.shape).copy(),)
 
     return _apply(out, (a,), backward)
 

@@ -255,6 +255,19 @@ class TestExitCodes:
             assert C.main(argv + ["--data", str(workdir / "dev.jsonl")]) == 2, key
             assert message in capsys.readouterr().err, key
 
+    @pytest.mark.parametrize("command", ["eval", "ensemble-eval"])
+    @pytest.mark.parametrize("content", ["unlabeled", "empty"])
+    def test_nothing_labeled_names_the_file(
+        self, command, content, workdir, tmp_path, capsys
+    ):
+        data = tmp_path / "nothing.jsonl"
+        record = {"sentence1": "mira adores the fox", "sentence2": "a fox", "gold_label": "-"}
+        data.write_text(json.dumps(record) + "\n" if content == "unlabeled" else "")
+        flag = "--checkpoint" if command == "eval" else "--checkpoints"
+        argv = [command, flag, str(workdir / "model.ckpt"), "--data", str(data)]
+        assert C.main(argv) == 2
+        assert f"error: no usable examples in {data}" in capsys.readouterr().err
+
     def test_truncated_checkpoints_are_data_errors(self, tmp_path, workdir):
         blob = (workdir / "model.ckpt").read_bytes()
         cut = tmp_path / "cut.ckpt"

@@ -255,7 +255,7 @@ class TestCompose:
     def test_without_attention_pool(self):
         rng = np.random.default_rng(11)
         enc = make_enc(rng.normal(size=(3, 4)))
-        v = C.compose(enc, C.GateKind.INPUT, use_gated=False).data
+        v = C.compose(enc, None).data
         assert v.shape == (1, 8)
         np.testing.assert_array_equal(v[:, 0:4], C.avg_pool(enc).data)
         np.testing.assert_array_equal(v[:, 4:8], C.max_pool(enc).data)

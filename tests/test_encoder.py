@@ -125,13 +125,14 @@ class TestLstmCell:
         assert all(t.spare is None for t in leaves)
 
     def test_one_tape_record(self, rng):
-        # one for both directions' states, and one more for the gate
+        # one for both directions' states, with the gate as a second output
         pair = random_pair(2, D, rng)
         x = Tensor(rng.normal(size=(6, 2)))
-        for gate, records in ((None, 1), (E.GateKind.FORGET, 2)):
+        for gate in (None, E.GateKind.FORGET):
             with T.Graph() as g:
-                E.bilstm_layer(x, [2, 4], pair, gate)
-            assert len(g) == records
+                outs = E.bilstm_layer(x, [2, 4], pair, gate)
+            ((recorded, _, _),) = g._records
+            assert recorded == tuple(t for t in outs if t is not None)
 
 
 class TestFusedAgainstComposite:
@@ -192,8 +193,8 @@ class TestFusedAgainstComposite:
 
     @pytest.mark.parametrize("reads", [(False, True), (True, False)], ids=["gate", "h"])
     def test_loss_reading_one_output_gets_oracle_gradients(self, reads):
-        # A loss over the gate alone reaches the layer's gradients only
-        # through the zero gradient the gate record gives h.
+        # A loss over one output alone hands the layer's backward None for
+        # the other.
         self.assert_agree([3, 1, 5, 2], True, seed=17, reads=reads)
 
 
@@ -285,13 +286,14 @@ class TestStackedEncode:
 
     def test_joins_only_states_and_the_top_gate(self, rng):
         # One bilstm_layer record per layer, a shortcut concat above layer
-        # 1, and one gate record at the top layer.
+        # 1, and the gate as the top layer's second output.
         params = E.init_encoder_params(4, D, 3, rng)
-        with T.Graph() as g:
-            E.stacked_encode(
-                Tensor(rng.normal(size=(5, 4))), [2, 3], params, E.GateKind.FORGET
-            )
-        assert len(g) == 3 + 2 + 1
+        e = Tensor(rng.normal(size=(5, 4)))
+        for gate, top_outputs in ((E.GateKind.FORGET, 2), (None, 1)):
+            with T.Graph() as g:
+                enc = E.stacked_encode(e, [2, 3], params, gate)
+            assert (enc.gate is None) == (gate is None)
+            assert [len(outs) for outs, _, _ in g._records] == [1, 1, 1, 1, top_outputs]
 
     def test_shortcut_feeds_embeddings_and_prev_states(self, rng):
         # Replaying layer 2 by hand on [e; h1] must reproduce the stack.

@@ -169,31 +169,35 @@ class TestModelForward:
 
     @pytest.mark.parametrize("n_pairs", [1, 3, 8])
     def test_one_lstm_record_per_layer(self, n_pairs):
-        # both directions of a layer in one record, plus the top gate's
-        model = toy_model()
+        # both directions of a layer in one record; the top one also
+        # outputs the gate, and only when the attention pool reads it
         rng = np.random.default_rng(n_pairs)
         lengths = [tuple(rng.integers(1, 6, size=2)) for _ in range(n_pairs)]
-        with Graph() as g:
-            model.forward(toy_batch(rng, lengths))
-        names = [backward.__qualname__ for _, _, backward in g._records]
-        lstm = [name for name in names if name.startswith("bilstm_layer.")]
-        assert lstm.count("bilstm_layer.<locals>.backward") == model.config.n_layers
-        assert len(lstm) == model.config.n_layers + 1
+        for use_gated_att in (True, False):
+            model = toy_model(toy_config(use_gated_att=use_gated_att))
+            with Graph() as g:
+                model.forward(toy_batch(rng, lengths))
+            lstm = [
+                len(outs) for outs, _, backward in g._records
+                if backward.__qualname__.startswith("bilstm_layer.")
+            ]
+            assert lstm == [1] * (model.config.n_layers - 1) + [1 + use_gated_att]
 
     @pytest.mark.parametrize("n_pairs", [1, 4])
-    def test_default_architecture_records_29_entries(self, n_pairs):
+    def test_default_architecture_records_28_entries(self, n_pairs):
         # The embedding records 13 entries (the char table's zero row, per
         # width one window gather, one affine and one segment max, the
         # widths' concat, the token gather and the [char; word] concat),
-        # the encoder 6 (one bilstm_layer per layer, a shortcut concat above
-        # layer 1 and the top gate), the pools 4, matching 1, the MLP 4
-        # (three affines and the shortcut concat) and the loss 1, whatever
-        # the batch size. The toy architecture (1 layer, widths 1 and 3)
-        # records 3 fewer in the embedding and 4 fewer in the encoder.
+        # the encoder 5 (one bilstm_layer per layer, the top one with the
+        # gate as its second output, and a shortcut concat above layer 1),
+        # the pools 4, matching 1, the MLP 4 (three affines and the shortcut
+        # concat) and the loss 1, whatever the batch size. The toy
+        # architecture (1 layer, widths 1 and 3) records 3 fewer in the
+        # embedding and 4 fewer in the encoder.
         lengths = [(3, 2), (5, 4), (1, 1), (2, 6)][:n_pairs]
         for config, entries in (
-            (ModelConfig(**DEFAULT_AT_TOY_SIZES), 29),
-            (toy_config(n_layers=1), 22),
+            (ModelConfig(**DEFAULT_AT_TOY_SIZES), 28),
+            (toy_config(n_layers=1), 21),
         ):
             batch = toy_batch(np.random.default_rng(n_pairs), lengths)
             with Graph() as g:

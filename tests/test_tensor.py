@@ -208,40 +208,34 @@ class TestBackward:
 
 def spy_backward(graph, loss) -> list:
     """Run graph.backward(loss) and return every gradient array that
-    flowed: each record's incoming gradient and each one it returned."""
+    flowed: each record's incoming gradients and each one it returned."""
     seen = []
 
     def spy(backward):
-        def wrapped(gout):
-            grads = backward(gout)
-            seen.append(gout)
+        def wrapped(*gouts):
+            grads = backward(*gouts)
+            seen.extend(g for g in gouts if g is not None)
             seen.extend(g for g in grads if g is not None)
             return grads
 
         return wrapped
 
-    graph._records = [(out, ins, spy(bw)) for out, ins, bw in graph._records]
+    graph._records = [(outs, ins, spy(bw)) for outs, ins, bw in graph._records]
     graph.backward(loss)
     return seen
 
 
 def assert_private(leaf, seen):
-    """leaf.grad is at most one of the arrays that flowed, and shares
-    memory with none of the others."""
-    assert sum(g is leaf.grad for g in seen) <= 1
+    """leaf.grad shares memory with no other array that flowed; it may be
+    one of them, as a record's incoming gradient handed on."""
     for g in seen:
         assert g is leaf.grad or not np.shares_memory(leaf.grad, g)
 
 
-def add_sharing_a_fresh_array(a, b):
-    """add whose backward allocates one array and returns it for both
-    inputs, which the rule on fresh arrays allows."""
-    return T._apply(a.data + b.data, (a, b), lambda g: (g.copy(),) * 2)
-
-
 class TestFreshLeafGradients:
-    """Graph.backward keeps a leaf's first gradient without a copy only
-    when the backward function allocated it for that input alone."""
+    """Graph.backward keeps a leaf's first gradient as the backward function
+    handed it over, so it must be an array that no other input, record or
+    leaf holds."""
 
     def test_fresh_gradient_kept_without_copy(self):
         rng = np.random.default_rng(0)
@@ -261,10 +255,11 @@ class TestFreshLeafGradients:
         np.testing.assert_array_equal(w.grad, [6.0, 10.0, 14.0])
         assert_private(w, seen)
 
-    @pytest.mark.parametrize("add", [P.add, add_sharing_a_fresh_array])
+    @pytest.mark.parametrize("add", [P.add])
     def test_add_of_a_leaf_and_an_intermediate_used_again(self, add):
-        # add(w, h) hands w and h one array; w then gets a second
-        # contribution while h's gradient still waits for its other use.
+        # add(w, h) hands w its incoming gradient and h a copy; w then gets
+        # a second contribution while h's gradient still waits for its
+        # other use.
         w = Tensor([1.0, 2.0], requires_grad=True)
         v = Tensor([-1.0, 4.0], requires_grad=True)
         c, d, e, f = (Tensor(a) for a in ([2.0, 3.0], [5.0, 7.0], [11.0, 13.0], [17.0, 19.0]))
@@ -280,9 +275,9 @@ class TestFreshLeafGradients:
         assert_private(v, seen)
 
     def test_leaf_handed_its_ops_incoming_gradient(self):
-        # add(y, k) gives y and k one array; add(w, b) then passes it on to
-        # w unchanged (b is broadcast), and w gets another contribution
-        # while k's gradient still waits for its other use.
+        # add(y, k) gives y its incoming gradient; add(w, b) then passes it
+        # on to w unchanged (b is broadcast), and w gets another
+        # contribution while k's gradient still waits for its other use.
         rng = np.random.default_rng(5)
         w, b, v = rand((2, 3), rng), rand((3,), rng), rand((2, 3), rng)
         c, d, e, f = (Tensor(rng.normal(size=(2, 3))) for _ in range(4))
@@ -341,6 +336,61 @@ class TestFreshLeafGradients:
         for i, (name, a) in enumerate(grads):
             for other, b in grads[i + 1 :]:
                 assert not np.shares_memory(a, b), (name, other)
+
+
+# Gate kinds, the five ablation switches, and 1 and 3 layers, on the toy
+# architecture (2 layers, input gate).
+ARCHITECTURES = [
+    {"gate_kind": "input"},
+    {"gate_kind": "forget"},
+    {"gate_kind": "output"},
+    {"use_char": False},
+    {"use_word": False},
+    {"use_gated_att": False},
+    {"use_absdiff_product": False},
+    {"mlp_shortcut": False},
+    {"n_layers": 1},
+    {"n_layers": 3},
+]
+
+
+class TestBackwardContract:
+    """Every backward function of the model returns writeable arrays that
+    it owns: no two distinct arrays of a sweep share memory (a record may
+    hand on its incoming gradient itself), nor do two leaves' gradients.
+    The second step writes the spare arrays ``Adam.zero_grad`` parked."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize(
+        "arch", ARCHITECTURES, ids=lambda a: "-".join(f"{k}={v}" for k, v in a.items())
+    )
+    def test_every_backward_hands_over_arrays_it_owns(self, arch, dtype):
+        from test_model import N_CHARS, N_WORDS, toy_batch, toy_config
+
+        from gatednli import classify as CL
+        from gatednli.model import Model
+        from gatednli.train import Adam
+
+        config = toy_config(**arch)
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(N_WORDS, config.word_dim)).astype(dtype)
+        model = Model.initialize(config, N_CHARS, table, rng)
+        adam = Adam(model.params.trainable())
+        batch = toy_batch(np.random.default_rng(1), [(3, 2), (5, 4), (2, 6)])
+        parked = set()
+        for step in range(2):
+            with Graph() as g:
+                loss = CL.cross_entropy(model.forward(batch), batch.labels)
+                seen = spy_backward(g, loss)
+            arrays = list({id(a): a for a in seen}.values())
+            assert all(a.flags.writeable for a in arrays)
+            grads = [t.grad for t in adam.named.values() if t.grad is not None]
+            for group in (arrays, grads):
+                for i, a in enumerate(group):
+                    assert not any(np.shares_memory(a, b) for b in group[i + 1 :])
+            assert bool(parked & {id(a) for a in grads}) == (step == 1)
+            parked = {id(a) for a in grads}
+            adam.zero_grad()
 
 
 class TestSpareGradients:
