@@ -206,6 +206,15 @@ def _require(config: RunConfig, *names: str):
             raise DataError(f"missing required setting: {name}")
 
 
+def _check_output(path: str, what: str):
+    """Fail before any input is read if path is a directory or its
+    directory does not exist."""
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {what} {path}: Is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise DataError(f"cannot write {what} {path}: No such file or directory")
+
+
 def _load_pipeline(config: RunConfig):
     """Corpora, vocabulary over both splits, and the frozen vector table,
     in float32: the model takes its dtype, so training runs in float32. A
@@ -268,6 +277,8 @@ def _train_once(config: RunConfig, train_set, dev_set, vocab, table):
 def cmd_train(args) -> int:
     config = resolve_config(args)
     _require(config, "train_path", "dev_path", "vectors_path", "checkpoint_path")
+    if config.history_path:
+        _check_output(config.history_path, "history")
     banner(config)
     train_set, dev_set, vocab, table = _load_pipeline(config)
     result = _train_once(config, train_set, dev_set, vocab, table)
@@ -368,6 +379,8 @@ def run_ablations(config: RunConfig, log=None) -> list[tuple[str, float]]:
 def cmd_ablate(args) -> int:
     config = resolve_config(args)
     _require(config, "train_path", "dev_path", "vectors_path")
+    if args.out:
+        _check_output(args.out, "table")
     banner(config)
     rows = run_ablations(
         config, log=lambda msg: print(f"# {msg}", file=sys.stderr)
@@ -375,11 +388,11 @@ def cmd_ablate(args) -> int:
     lines = ["config\tdev_accuracy"]
     lines += [f"{name}\t{acc:.4f}" for name, acc in rows]
     text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"# table written to {args.out}", file=sys.stderr)
-    sys.stdout.write(text)
     return EXIT_OK
 
 

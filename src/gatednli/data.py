@@ -11,14 +11,11 @@ separated by single spaces; trailing whitespace is ignored.
 from __future__ import annotations
 
 import json
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 LABELS = ("entailment", "neutral", "contradiction")
 LABEL_TO_ID = {name: i for i, name in enumerate(LABELS)}
@@ -89,7 +86,7 @@ def load_corpus(
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
     with fh, _utf8(f"corpus {path}"):
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
@@ -102,7 +99,6 @@ def load_corpus(
                     raise ValueError("empty sentence")
             except (ValueError, TypeError, AttributeError):
                 report.malformed += 1
-                logger.debug("skipping malformed line %d of %s", lineno, path)
                 continue
             gold = record.get("gold_label")
             if not isinstance(gold, str) or gold not in LABEL_TO_ID:
@@ -113,9 +109,7 @@ def load_corpus(
             else:
                 label = LABEL_TO_ID[gold]
             examples.append(NLIExample(premise, hypothesis, label))
-    if report.total_lines == 0:
-        logger.warning("corpus %s is empty", path)
-    elif report.malformed > 0.1 * report.total_lines:
+    if report.malformed > 0.1 * report.total_lines:
         raise DataError(
             f"corpus {path}: {report.malformed}/{report.total_lines} malformed lines"
         )
@@ -196,14 +190,14 @@ def load_word_vectors(
     """Build the frozen (n_words x dim) table from a text vector file.
 
     In-vocab rows are copied from the file (raw token first, then
-    lowercased token); the pad row stays zero; every other row is
-    sampled N(0, oov_sigma^2) from a seeded generator.
+    lowercased token; a token's first line wins); the pad row stays
+    zero; every other row is sampled N(0, oov_sigma^2) from a seeded
+    generator.
     """
     wanted = vocab.word_to_id
     lowered = {w.lower() for w in wanted}
 
-    raw_rows: dict[str, np.ndarray] = {}
-    lower_rows: dict[str, np.ndarray] = {}
+    rows: dict[str, np.ndarray] = {}  # file token -> its first line's values
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -232,10 +226,7 @@ def load_word_vectors(
                 raise DataError(
                     f"vectors {path}: line {lineno} has a non-finite value"
                 )
-            if token in wanted:
-                raw_rows.setdefault(token, row)
-            if token in lowered:
-                lower_rows.setdefault(token, row)
+            rows.setdefault(token, row)
 
     rng = np.random.default_rng(seed)
     table = np.zeros((vocab.n_words, dim), dtype=np.float64)
@@ -243,11 +234,11 @@ def load_word_vectors(
     table[UNK_ID] = rng.normal(0.0, oov_sigma, dim)
     report.drawn.append(UNK_ID)
     for word, wid in sorted(wanted.items(), key=lambda kv: kv[1]):
-        if word in raw_rows:
-            table[wid] = raw_rows[word]
+        if word in rows:
+            table[wid] = rows[word]
             report.hits += 1
-        elif word.lower() in lower_rows:
-            table[wid] = lower_rows[word.lower()]
+        elif word.lower() in rows:
+            table[wid] = rows[word.lower()]
             report.hits_lowercase += 1
         else:
             table[wid] = rng.normal(0.0, oov_sigma, dim)

@@ -133,10 +133,6 @@ class ModelConfig:
         d["filter_widths"] = list(self.filter_widths)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class ModelParams:

@@ -59,17 +59,18 @@ DEFAULT_WORLD = World(
 )
 
 
-def _sentence(world, subject, verb, obj, adverb=None) -> list[str]:
-    tokens = [subject, verb, world.filler, obj]
+def _sentence(subject, verb, obj, adverb=None) -> list[str]:
+    tokens = [subject, verb, DEFAULT_WORLD.filler, obj]
     if adverb is not None:
         tokens.insert(1, adverb)
     return tokens
 
 
 def _generate(
-    world: World, n: int, rng, premise_nouns: dict[str, tuple[str, ...]]
+    n: int, rng, premise_nouns: dict[str, tuple[str, ...]]
 ) -> list[NLIExample]:
-    """Balanced labels; premise objects drawn from premise_nouns."""
+    """Balanced labels over DEFAULT_WORLD; premise objects from premise_nouns."""
+    world = DEFAULT_WORLD
     cat_names = sorted(premise_nouns)
     examples = []
     for i in range(n):
@@ -85,18 +86,18 @@ def _generate(
             if rng.random() < ADVERB_PROB
             else None
         )
-        premise = _sentence(world, subject, verb, noun, adverb)
+        premise = _sentence(subject, verb, noun, adverb)
         if label == ENTAILMENT:
-            hypothesis = _sentence(world, subject, verb, cat)
+            hypothesis = _sentence(subject, verb, cat)
         elif label == CONTRADICTION:
-            hypothesis = _sentence(world, subject, antonym, noun)
+            hypothesis = _sentence(subject, antonym, noun)
         else:
             other = str(rng.choice([c for c in cat_names if c != cat]))
             if rng.random() < 0.5:
                 hyp_obj = other
             else:
                 hyp_obj = str(rng.choice(world.categories[other]))
-            hypothesis = _sentence(world, subject, verb, hyp_obj)
+            hypothesis = _sentence(subject, verb, hyp_obj)
         examples.append(NLIExample(premise, hypothesis, label))
     return examples
 
@@ -113,8 +114,8 @@ def make_split(
     categories = DEFAULT_WORLD.categories.items()
     train_nouns = {cat: nouns[:-DEV_ONLY_NOUNS] for cat, nouns in categories}
     dev_nouns = {cat: nouns[-DEV_ONLY_NOUNS:] for cat, nouns in categories}
-    train = _generate(DEFAULT_WORLD, n_train, rng, train_nouns)
-    dev = _generate(DEFAULT_WORLD, n_dev, rng, dev_nouns)
+    train = _generate(n_train, rng, train_nouns)
+    dev = _generate(n_dev, rng, dev_nouns)
     return train, dev
 
 

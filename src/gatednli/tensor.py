@@ -64,15 +64,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.spare: Optional[np.ndarray] = None
 
-    @classmethod
-    def _wrap(cls, data: np.ndarray) -> "Tensor":
-        # Fast construction for op outputs: data is already a float ndarray.
-        t = cls.__new__(cls)
-        t.data = data
-        t.requires_grad = False
-        t.grad = t.spare = None
-        return t
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -166,9 +157,10 @@ class Graph:
 
 def _apply(out_data, inputs: tuple[Tensor, ...], backward: _BackwardFn):
     """Wrap an op's output array, or its tuple of output arrays, as a
-    Tensor, or a tuple of them, and record the op if an input is connected."""
+    Tensor, or a tuple of them, and record the op if an input is connected.
+    Every output is a float array, which ``Tensor`` keeps as it is."""
     several = isinstance(out_data, tuple)
-    outs = tuple(map(Tensor._wrap, out_data)) if several else (Tensor._wrap(out_data),)
+    outs = tuple(map(Tensor, out_data)) if several else (Tensor(out_data),)
     g = _recording.graph
     if g is not None and any(g._connected(t) for t in inputs):
         g._records.append((outs, inputs, backward))

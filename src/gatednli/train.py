@@ -311,7 +311,7 @@ class Checkpoint:
                 )
             tensors[name] = arr.astype(dtype.newbyteorder("="), copy=False)
         return cls(
-            config=ModelConfig.from_dict(header["config"]),
+            config=ModelConfig(**header["config"]),
             vocab=Vocab.from_json(header["vocab"]),
             tensors=tensors,
             metadata=header["metadata"],

@@ -537,6 +537,33 @@ class TestExitCodes:
         assert ".tmp" not in err
         assert list(tmp_path.iterdir()) == [ckpt] and list(ckpt.iterdir()) == []
 
+    @pytest.mark.parametrize("command, flag, what", [
+        ("train", "--history-path", "history"),
+        ("ablate", "--out", "table"),
+    ])
+    @pytest.mark.parametrize("bad", ["directory", "missing-directory"])
+    def test_unwritable_output_fails_before_training(
+        self, tmp_path, workdir, capsys, command, flag, what, bad
+    ):
+        # A history or table that cannot be written is reported before any
+        # input is read, so no epoch runs and the run writes nothing.
+        if bad == "directory":
+            out = tmp_path / "out"
+            out.mkdir()
+            reason = "Is a directory"
+        else:
+            out = tmp_path / "absent" / "out"
+            reason = "No such file or directory"
+        ckpt = tmp_path / "model.ckpt"
+        argv = [command, "--config", str(workdir / "run.cfg"), "--epochs", "1",
+                "--checkpoint-path", str(ckpt), flag, str(out)]
+        assert C.main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {what} {out}: {reason}" in captured.err
+        assert not any(l.startswith("epoch ") for l in captured.err.splitlines())
+        assert captured.out == ""
+        assert list(tmp_path.rglob("*")) == ([out] if bad == "directory" else [])
+
     @pytest.mark.parametrize("command", ["eval", "predict", "ensemble-eval"])
     def test_non_finite_probabilities_exit_3_and_write_nothing(
         self, tmp_path, workdir, capsys, command
@@ -741,6 +768,22 @@ class TestAblate:
             acc = float(line.split("\t")[1])
             assert 0.0 <= acc <= 1.0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_table_reaches_stdout_when_its_write_fails(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # The table is printed before --out is written, so a write that
+        # fails after the early check (skipped here) still leaves it shown.
+        monkeypatch.setattr(C, "_check_output", lambda path, what: None)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["ablate", "--config", str(workdir / "run.cfg"), "--epochs", "1",
+                "--out", str(out)]
+        assert C.main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "config\tdev_accuracy" and len(lines) == 6
+        assert f"error: [Errno 21] Is a directory: '{out}'" in captured.err
 
 
 class TestGradcheckCommand:

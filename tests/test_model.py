@@ -122,7 +122,7 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = toy_config(gate_kind="forget", use_char=False)
-        again = ModelConfig.from_dict(cfg.to_dict())
+        again = ModelConfig(**cfg.to_dict())
         assert again == cfg
 
 

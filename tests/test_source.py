@@ -103,3 +103,30 @@ def test_imports_are_numpy_stdlib_or_package_modules():
             ]
     assert imported > 10
     assert outside == []
+
+
+def test_only_the_cli_reaches_the_user():
+    """Every message reaches the user through the CLI: no module of src/
+    but cli.py calls print, touches sys.stdout or sys.stderr, or imports
+    logging."""
+    banned = {"print", "stdout", "stderr", "logging"}
+    found, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        checked += 1
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[0]
+            elif isinstance(node, ast.ImportFrom):
+                name = node.module
+            else:
+                continue
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert checked > 5
+    assert found == []
