@@ -6,8 +6,10 @@ config file plus command-line flags, which win. Both are derived from the
 fields of RunConfig and of the ModelConfig and TrainSettings it holds: each
 field is one key, and its flag is the key with "-" for "_". A bool that
 defaults to on is exposed inverted, so no_char and --no-char clear
-use_char. train, ablate and eval print the resolved keys as a banner, so
-identical banners imply identical outputs.
+use_char. train, ablate and eval print the resolved keys as a banner, with
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS when they are set. Outputs are
+bit-exact at a fixed BLAS thread count, so identical banners on the same
+files imply identical outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (unreadable or malformed files), 3 numeric failure (divergence,
@@ -46,6 +48,7 @@ from .model import Model, ModelConfig
 from .tensor import Tensor, grad_check
 
 GRADCHECK_TOL = 1e-4
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,7 +192,9 @@ def resolve_config(args) -> RunConfig:
 
 def banner(config):
     """``# key = value`` for every setting of a RunConfig, or of a
-    checkpoint's ModelConfig, under the keys the file and flags take."""
+    checkpoint's ModelConfig, under the keys the file and flags take, then
+    each BLAS thread variable that is set, since outputs are bit-exact only
+    at a fixed thread count."""
     for key, (section, f) in settings_of(type(config)).items():
         owner = getattr(config, section) if section else config
         value = getattr(owner, f.name)
@@ -198,6 +203,9 @@ def banner(config):
         elif key != f.name:
             value = not value
         print(f"# {key} = {value}", file=sys.stderr)
+    for var in BLAS_THREAD_VARS:
+        if var in os.environ:
+            print(f"# {var} = {os.environ[var]}", file=sys.stderr)
 
 
 def _require(config: RunConfig, *names: str):
@@ -277,6 +285,7 @@ def _train_once(config: RunConfig, train_set, dev_set, vocab, table):
 def cmd_train(args) -> int:
     config = resolve_config(args)
     _require(config, "train_path", "dev_path", "vectors_path", "checkpoint_path")
+    _check_output(config.checkpoint_path, "checkpoint")
     if config.history_path:
         _check_output(config.history_path, "history")
     banner(config)
@@ -316,6 +325,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.out:
+        _check_output(args.out, "predictions")
     model, vocab = TR.load_model(args.checkpoint)
     examples = _examples(args.data, require_label=False)
     probs = TR.predict([model], examples, vocab)

@@ -250,12 +250,11 @@ def load_word_vectors(
 def encode_sentence_ids(
     tokens: Sequence[str], vocab: Vocab
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(word_ids (L,), char_ids (L, C)) of a token list: one sentence, or a
-    batch's sentences back to back. C is the longest clipped word; char
-    rows are padded with the pad id."""
+    """(word_ids (L,), char_ids (L, C)) of a token list. C is the longest
+    clipped word; char rows are padded with the pad id."""
     word_ids = np.array([vocab.word_id(t) for t in tokens], dtype=np.int64)
     clipped = [t[:MAX_WORD_CHARS] for t in tokens]
-    width = max(len(t) for t in clipped)
+    width = max((len(t) for t in clipped), default=0)
     char_ids = np.full((len(tokens), width), PAD_ID, dtype=np.int64)
     for i, tok in enumerate(clipped):
         for j, ch in enumerate(tok):
@@ -264,13 +263,68 @@ def encode_sentence_ids(
 
 
 @dataclass
+class EncodedPairs:
+    """Pairs as ids, encoded once: every pair's premise tokens, then its
+    hypothesis tokens, pair after pair. Each token has a word id and a form
+    id; a form is a distinct clipped char-id row, and form ids follow the
+    lexicographic order of those rows."""
+
+    word_ids: np.ndarray  # (T,) int64
+    form_ids: np.ndarray  # (T,) int64
+    forms: np.ndarray  # (F, C) int64, pad-id tails, rows in lexicographic order
+    form_lengths: np.ndarray  # (F,) int64, chars before each form's tail
+    starts: np.ndarray  # (P, 2) int64, first token of each premise / hypothesis
+    lengths: np.ndarray  # (P, 2) int64
+    labels: np.ndarray  # (P,) int64, -1 where unlabeled
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def encode_pairs(
+    examples: Sequence[NLIExample] | EncodedPairs, vocab: Vocab
+) -> EncodedPairs:
+    """The examples' ids, each distinct token spelled out once; pairs that
+    are already encoded are returned as they are."""
+    if isinstance(examples, EncodedPairs):
+        return examples
+    sentences = [s for ex in examples for s in (ex.premise_tokens, ex.hypothesis_tokens)]
+    distinct: dict[str, int] = {}
+    token_ix = np.array(
+        [distinct.setdefault(tok, len(distinct)) for s in sentences for tok in s],
+        dtype=np.int64,
+    )
+    word_ids, char_ids = encode_sentence_ids(list(distinct), vocab)
+    # As tuples, the padded rows sort in the order numpy sorts them as rows.
+    spelled = list(map(tuple, char_ids.tolist()))
+    rows = sorted(set(spelled))
+    form_of = {row: i for i, row in enumerate(rows)}
+    form_ids = np.array([form_of[row] for row in spelled], dtype=np.int64)
+    forms = np.array(rows, dtype=np.int64).reshape(len(rows), char_ids.shape[1])
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    labels = [-1 if ex.label is None else ex.label for ex in examples]
+    return EncodedPairs(
+        word_ids=word_ids[token_ix],
+        form_ids=form_ids[token_ix],
+        forms=forms,
+        form_lengths=(forms != PAD_ID).sum(axis=1),
+        starts=(np.cumsum(lengths) - lengths).reshape(-1, 2),
+        lengths=lengths.reshape(-1, 2),
+        labels=np.array(labels, dtype=np.int64),
+    )
+
+
+@dataclass
 class Batch:
     """A batch's 2B sentences as one ragged block of tokens, the B premises
     first and then the B hypotheses; sentence s owns lengths[s] consecutive
-    rows, and no row is padding."""
+    rows, and no row is padding. ``words`` holds the block's distinct
+    clipped char-id rows, in lexicographic order, and token i spells
+    ``words[inverse[i]]``."""
 
     word_ids: np.ndarray  # (N,) int64
-    char_ids: np.ndarray  # (N, C_max) int64, pad-id tails
+    words: np.ndarray  # (F, C_max) int64, pad-id tails
+    inverse: np.ndarray  # (N,) int64
     lengths: np.ndarray  # (2B,) int64
     labels: np.ndarray  # (B,) int64
 
@@ -279,31 +333,45 @@ class Batch:
         return len(self.labels)
 
 
+def gather_batch(pairs: EncodedPairs, rows: np.ndarray) -> Batch:
+    """The batch of the given pairs, in order, by numpy gathers."""
+    lengths = pairs.lengths[rows].T.reshape(-1)  # premises, then hypotheses
+    starts = pairs.starts[rows].T.reshape(-1)
+    tokens = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    tokens += np.arange(len(tokens))
+    # The distinct forms in id order, and each token's rank among them,
+    # from a mask over the form ids: no sort.
+    form_ids = pairs.form_ids[tokens]
+    present = np.zeros(len(pairs.forms), dtype=bool)
+    present[form_ids] = True
+    forms = np.flatnonzero(present)
+    width = pairs.form_lengths[forms].max()
+    return Batch(
+        word_ids=pairs.word_ids[tokens],
+        words=pairs.forms[forms, :width],
+        inverse=(np.cumsum(present) - 1)[form_ids],
+        lengths=lengths,
+        labels=pairs.labels[rows],
+    )
+
+
 def batchify(
-    examples: Sequence[NLIExample],
+    examples: Sequence[NLIExample] | EncodedPairs,
     batch_size: int,
     vocab: Vocab,
     seed: int,
     shuffle: bool = True,
 ) -> list[Batch]:
     """Seeded shuffle, then fixed-size batches, each one ragged block of
-    its premises' and hypotheses' tokens."""
+    its premises' and hypotheses' tokens. Examples are encoded first;
+    pairs encoded once (``encode_pairs``) are batched by gathers alone."""
     if batch_size < 1:
         raise DataError(f"batchify: batch_size must be >= 1, got {batch_size}")
-    order = np.arange(len(examples))
+    pairs = encode_pairs(examples, vocab)
+    order = np.arange(len(pairs))
     if shuffle:
-        order = np.random.default_rng(seed).permutation(len(examples))
-    batches: list[Batch] = []
-    for start in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
-        sentences = [ex.premise_tokens for ex in chunk]
-        sentences += [ex.hypothesis_tokens for ex in chunk]
-        word_ids, char_ids = encode_sentence_ids(
-            [tok for s in sentences for tok in s], vocab
-        )
-        lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-        labels = np.array(
-            [-1 if ex.label is None else ex.label for ex in chunk], dtype=np.int64
-        )
-        batches.append(Batch(word_ids, char_ids, lengths, labels))
-    return batches
+        order = np.random.default_rng(seed).permutation(len(pairs))
+    return [
+        gather_batch(pairs, order[start : start + batch_size])
+        for start in range(0, len(pairs), batch_size)
+    ]

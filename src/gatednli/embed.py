@@ -86,7 +86,8 @@ def char_compose(char_ids: np.ndarray, params: EmbedParams) -> Tensor:
 
 def embed_sentence(
     word_ids: np.ndarray,
-    char_ids: np.ndarray,
+    words: np.ndarray,
+    inverse: np.ndarray,
     params: EmbedParams,
     use_char: bool = True,
     use_word: bool = True,
@@ -94,9 +95,10 @@ def embed_sentence(
     """Embed L tokens, of one sentence or of a whole block of sentences
     back to back, into an (L, d_w) matrix.
 
-    ``char_ids`` is (L, C) with pad-id tails per word.  One
-    ``char_compose`` call composes the distinct words, and the tokens
-    gather their rows from it (repeats share a row and its gradient).
+    ``words`` is the block's (F, C) distinct char-id rows with pad-id
+    tails, and token i spells ``words[inverse[i]]``. One ``char_compose``
+    call composes the distinct words, and the tokens gather their rows from
+    it (repeats share a row and its gradient).
     """
     if not (use_char or use_word):
         raise ValueError("embed_sentence: both embedding halves disabled")
@@ -105,8 +107,7 @@ def embed_sentence(
 
     parts = []
     if use_char:
-        words, inverse = np.unique(char_ids, axis=0, return_inverse=True)
-        parts.append(T.take_rows(char_compose(words, params), inverse.reshape(-1)))
+        parts.append(T.take_rows(char_compose(words, params), inverse))
     if use_word:
         parts.append(T.take_rows(params.word_table, word_ids))
     return T.concat(parts, axis=1)

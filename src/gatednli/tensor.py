@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+NORMAL_CHUNK = 32768  # values per draw of normal_param
 
 
 class TensorError(Exception):
@@ -48,9 +49,10 @@ class Tensor:
     """A dense n-dimensional float32 or float64 array with an optional
     gradient slot. Any other input is converted to float64.
 
-    ``spare`` is a parameter's gradient array from the step before, which
-    ``Adam.zero_grad`` parks there: the next backward writes the first
-    gradient of the same shape straight into it (``take_spare``).
+    ``spare`` is where the next backward writes a parameter's first
+    gradient, straight into it (``take_spare``): the parameter's view of
+    Adam's flat gradient buffer, which Adam hands out at construction and
+    again at each ``zero_grad``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "spare")
@@ -181,9 +183,52 @@ def take_spare(t: Tensor) -> Optional[np.ndarray]:
 def normal_param(rng, scale: float, shape, dtype) -> Tensor:
     """A trainable tensor of N(0, scale^2) values: the generator's float64
     draws rounded to dtype, so models of either dtype draw the same
-    stream and start from the same weights."""
-    values = rng.normal(0.0, scale, shape).astype(dtype, copy=False)
+    stream and start from the same weights. The draws come in chunks of at
+    most ``NORMAL_CHUNK`` values, the same stream as one full-size draw,
+    with no full-size float64 temporary. With rng None the tensor is a
+    read-only zero view that costs no memory: a shape-only skeleton."""
+    if rng is None:
+        return Tensor(np.broadcast_to(np.zeros((), dtype), shape), requires_grad=True)
+    values = np.empty(shape, dtype)
+    flat = values.reshape(-1)
+    for lo in range(0, flat.size, NORMAL_CHUNK):
+        flat[lo : lo + NORMAL_CHUNK] = rng.normal(
+            0.0, scale, min(NORMAL_CHUNK, flat.size - lo)
+        )
     return Tensor(values, requires_grad=True)
+
+
+def pack(tensors: Sequence[Tensor]) -> np.ndarray:
+    """One flat buffer of the tensors' values, in order, with each
+    ``.data`` rebound to its C-contiguous view of it. Tensors that already
+    are such views of one whole buffer keep it, with no copy. Otherwise the
+    values are copied in one tensor at a time, in any layout, so that each
+    tensor's own array is freed once copied if nothing else holds it. The
+    tensors must share one dtype."""
+    dtypes = {t.data.dtype for t in tensors}
+    if len(dtypes) > 1:
+        raise ValueError(f"pack: tensors mix dtypes {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+    bounds = np.cumsum([0] + [t.data.size for t in tensors]).tolist()
+    base = tensors[0].data.base if tensors else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.dtype == dtype
+        and base.shape == (bounds[-1],)
+        and all(
+            t.data.base is base
+            and t.data.flags.c_contiguous
+            and t.data.ctypes.data == base.ctypes.data + lo * dtype.itemsize
+            for t, lo in zip(tensors, bounds)
+        )
+    ):
+        return base
+    flat = np.empty(bounds[-1], dtype)
+    for t, lo, hi in zip(tensors, bounds, bounds[1:]):
+        view = flat[lo:hi].reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+    return flat
 
 
 def _check_axis(name: str, t: Tensor, axis: int) -> None:

@@ -1,16 +1,19 @@
 """Optimization, the training loop, evaluation, checkpoints, ensembling.
 
-Training runs seeded shuffled minibatches under Adam with global-norm
-gradient clipping, one ``Model.forward`` call per minibatch, evaluates on
-the dev set once per epoch, and keeps the checkpoint with the best dev
+Training encodes its training and dev sets once, runs seeded shuffled
+minibatches under Adam with global-norm gradient clipping, one
+``Model.forward`` call per minibatch, evaluates on the dev set once per
+epoch, and keeps the checkpoint with the best dev
 accuracy: each new best is written straight from the live weights to a
 temporary file next to the checkpoint path, which replaces the path only
 when training returns, so training holds one copy of the weights and a
 failed run writes nothing. ``clip_global_norm`` only measures the
 gradients, and ``Adam.step`` applies the clip factor in its one update
-pass, slice by slice on the calling thread. Each parameter's gradient
-array is reused from step to step (``Adam.zero_grad`` parks it for the
-next backward to overwrite) and released when training returns.
+pass over flat buffers of the weights, gradients, ``m`` and ``v``, slice by
+slice on the calling thread. Each parameter's gradient is its view of the
+flat gradient buffer, which the backward writes into from the first step
+on (``Adam.zero_grad`` hands it out again) and which is released when
+training returns.
 ``predict`` is the one inference loop: evaluation, early stopping, the
 ``eval``, ``ensemble-eval`` and ``predict`` commands all score examples
 through it. It averages class probabilities over a list of models
@@ -35,7 +38,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import classify as CL
-from .data import DataError, NLIExample, Vocab, batchify
+from . import tensor as T
+from .data import (
+    DataError,
+    EncodedPairs,
+    NLIExample,
+    Vocab,
+    batchify,
+    encode_pairs,
+    gather_batch,
+)
 from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
@@ -57,28 +69,43 @@ class NumericError(Exception):
 class Adam:
     """Adam over named tensors, reading .grad and updating .data in place.
 
-    A missing gradient counts as zero (the parameter sat out the forward
-    pass); a non-finite gradient aborts the step before anything changes.
-    The update walks each parameter in slices of ``ADAM_SLICE_BYTES`` per
-    array, on the calling thread. Each slice is clipped in place
-    (``g *= scale``), then updated through two scratch buffers of one slice
-    in the textbook formula's operation order: one pass, no full-size
-    temporaries, results bit for bit the formula's on the clipped
-    gradients. Parameters must be C-contiguous, as the update walks their
-    flat views.
+    Construction packs the parameters into one flat buffer, each ``.data``
+    a view of it (``tensor.pack``: a copy in any layout, none for a model's
+    own weights, which ``Model.initialize`` packs). ``m`` and ``v`` are
+    views of two more flat buffers, and each tensor's gradient has a view
+    in a fourth, its ``spare`` from the start, which backward writes the
+    first contribution into. A gradient held elsewhere is copied into its
+    view at the step; a missing one counts as zero (the parameter sat out
+    the forward pass); a non-finite one aborts the step before anything
+    changes. The update walks the four flat buffers together in slices of
+    ``ADAM_SLICE_BYTES`` per array, on the calling thread. Each slice is
+    clipped in place (``g *= scale``), then updated through two scratch
+    buffers of one slice in the textbook formula's operation order: one
+    pass, no full-size temporaries, results bit for bit the formula's on
+    the clipped gradients. The parameters must share one dtype.
     """
 
     def __init__(self, named: dict[str, Tensor], lr: float = 4e-4):
         self.named = dict(named)
         self.lr = lr
         self.t = 0
-        for name, tensor in self.named.items():
-            if not tensor.data.flags.c_contiguous:
-                raise ValueError(f"Adam: parameter {name} is not contiguous")
-        self.m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
-        dtype = np.result_type(np.float32, *(t.data for t in self.named.values()))
-        self._scratch = np.empty((2, ADAM_SLICE_BYTES // dtype.itemsize), dtype)
+        self._p = T.pack(list(self.named.values()))
+        shapes = [t.data.shape for t in self.named.values()]
+        bounds = np.cumsum([0] + [t.data.size for t in self.named.values()]).tolist()
+
+        def views(flat: np.ndarray) -> list[np.ndarray]:
+            return [flat[lo:hi].reshape(shape)
+                    for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+        self._g = np.empty_like(self._p)
+        self._grads = views(self._g)
+        for tensor, view in zip(self.named.values(), self._grads):
+            tensor.spare = view
+        self._m, self._v = np.zeros_like(self._p), np.zeros_like(self._p)
+        self.m = dict(zip(self.named, views(self._m)))
+        self.v = dict(zip(self.named, views(self._v)))
+        itemsize = self._p.dtype.itemsize
+        self._scratch = np.empty((2, ADAM_SLICE_BYTES // itemsize), self._p.dtype)
 
     def step(self, max_norm: float = math.inf):
         """g *= max_norm / norm if norm > max_norm;
@@ -88,7 +115,9 @@ class Adam:
         norm is ``clip_global_norm``'s pre-clip norm; only a non-finite one
         scans the gradients, and the first holding a NaN or inf raises
         NumericError. Finite entries whose squares overflow even float64 (a
-        norm past about 1.3e154) are scaled by max_norm / inf = 0.
+        norm past about 1.3e154) are scaled by max_norm / inf = 0. Each
+        ``.grad`` is then the view in the flat buffer that the update
+        scaled.
         """
         norm = clip_global_norm(self.named)
         if not math.isfinite(norm):
@@ -96,40 +125,43 @@ class Adam:
                 if t.grad is not None and not np.isfinite(t.grad).all():
                     raise NumericError(f"non-finite gradient in {name}")
         scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
+        for t, view in zip(self.named.values(), self._grads):
+            if t.grad is None:
+                view.fill(0)
+            elif t.grad is not view:
+                view[...] = t.grad
+                t.grad = view
         self.t += 1
         lr_c1 = self.lr / (1.0 - ADAM_BETA1**self.t)
         c2 = 1.0 - ADAM_BETA2**self.t
         size = self._scratch.shape[1]
-        for name, t in self.named.items():
-            grad = np.zeros_like(t.data) if t.grad is None else t.grad
-            flat = [a.reshape(-1) for a in (self.m[name], self.v[name], grad, t.data)]
-            for lo in range(0, t.data.size, size):
-                m, v, g, p = (a[lo : lo + size] for a in flat)
-                s1, s2 = self._scratch[:, : m.size]
-                if scale != 1.0:
-                    g *= scale
-                m *= ADAM_BETA1
-                np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-                m += s1
-                v *= ADAM_BETA2
-                np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
-                s1 *= g
-                v += s1
-                np.divide(v, c2, out=s1)
-                np.sqrt(s1, out=s1)
-                s1 += ADAM_EPS
-                np.multiply(m, lr_c1, out=s2)
-                s2 /= s1
-                p -= s2
+        flat = (self._m, self._v, self._g, self._p)
+        for lo in range(0, self._p.size, size):
+            m, v, g, p = (a[lo : lo + size] for a in flat)
+            s1, s2 = self._scratch[:, : m.size]
+            if scale != 1.0:
+                g *= scale
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+            m += s1
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(v, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += ADAM_EPS
+            np.multiply(m, lr_c1, out=s2)
+            s2 /= s1
+            p -= s2
 
     def zero_grad(self):
-        """Mark every gradient to be overwritten: each ``.grad`` array is
-        parked as the tensor's ``spare``, which the next backward writes
-        the first contribution into, so a step after the first allocates
-        no parameter-sized gradient; ``.grad`` is None until it does."""
-        for tensor in self.named.values():
-            if tensor.grad is not None:
-                tensor.spare, tensor.grad = tensor.grad, None
+        """Mark every gradient to be overwritten: each tensor's view in the
+        flat gradient buffer is its ``spare`` again, which the next backward
+        writes the first contribution into, so no step allocates a
+        parameter-sized gradient; ``.grad`` is None until it does."""
+        for tensor, view in zip(self.named.values(), self._grads):
+            tensor.spare, tensor.grad = view, None
 
 
 def clip_global_norm(named: dict[str, Tensor]) -> float:
@@ -148,19 +180,6 @@ def clip_global_norm(named: dict[str, Tensor]) -> float:
                 sq = float(np.vdot(wide, wide))
             total += sq
     return float(np.sqrt(total))
-
-
-@dataclass
-class _NoDraws:
-    """Stands in for the init's random generator when every drawn value
-    is replaced anyway: ``normal`` hands back a read-only zero view of the
-    requested shape in the model's dtype, so the skeleton costs no draws,
-    no casts and no memory."""
-
-    dtype: np.dtype
-
-    def normal(self, loc, scale, size):
-        return np.broadcast_to(np.zeros((), self.dtype), size)
 
 
 @dataclass
@@ -211,7 +230,7 @@ class Checkpoint:
             )
         shape = (self.vocab.n_words, c.word_dim)
         placeholder = np.broadcast_to(np.zeros((), dtype), shape)
-        model = Model.initialize(c, self.vocab.n_chars, placeholder, _NoDraws(dtype))
+        model = Model.initialize(c, self.vocab.n_chars, placeholder, None)
         named = model.params.named_tensors()
         missing = set(named) - set(self.tensors)
         extra = set(self.tensors) - set(named)
@@ -327,14 +346,17 @@ class EvalResult:
 
 @np.errstate(over="ignore", invalid="ignore")
 def predict(
-    models: Sequence[Model], examples: Sequence[NLIExample], vocab: Vocab
+    models: Sequence[Model],
+    examples: Sequence[NLIExample] | EncodedPairs,
+    vocab: Vocab,
 ) -> np.ndarray:
     """(N, 3) class probabilities of the examples, in order, averaged over
     the models; a single model is an ensemble of one.
 
-    The one inference loop: the examples go through ``Model.forward`` in
-    unshuffled batches of ``INFER_BATCH`` pairs, each built only when its
-    turn comes, so memory does not grow with the number of examples. The
+    The one inference loop: the examples are encoded up front, ids only,
+    O(tokens) (``encode_pairs``; pairs already encoded are used as they
+    are), and go through ``Model.forward`` in unshuffled batches of
+    ``INFER_BATCH`` pairs, each gathered only when its turn comes. The
     models' rows are summed in float64 and each sum is renormalised, since
     a float32 softmax sums to 1 only within about 1e-7. A probability that
     is not finite raises NumericError, naming the first such example; that
@@ -342,10 +364,10 @@ def predict(
     """
     if not examples:
         raise DataError("empty dataset")
+    pairs = encode_pairs(examples, vocab)
     out = []
-    for start in range(0, len(examples), INFER_BATCH):
-        chunk = examples[start : start + INFER_BATCH]
-        (batch,) = batchify(chunk, INFER_BATCH, vocab, seed=0, shuffle=False)
+    for start in range(0, len(pairs), INFER_BATCH):
+        batch = gather_batch(pairs, np.arange(start, min(start + INFER_BATCH, len(pairs))))
         total = np.zeros((batch.size, CL.N_CLASSES))
         for model in models:
             total += CL.probabilities(model.forward(batch).data)
@@ -359,15 +381,18 @@ def predict(
 
 
 def evaluate_model(
-    models: Sequence[Model], examples: Sequence[NLIExample], vocab: Vocab
+    models: Sequence[Model],
+    examples: Sequence[NLIExample] | EncodedPairs,
+    vocab: Vocab,
 ) -> EvalResult:
     """Accuracy and confusion matrix of the models' mean probabilities."""
-    if any(ex.label is None for ex in examples):
+    pairs = encode_pairs(examples, vocab)
+    if (pairs.labels < 0).any():
         raise DataError("evaluate: dataset contains unlabeled examples")
-    predicted = predict(models, examples, vocab).argmax(axis=1)
+    predicted = predict(models, pairs, vocab).argmax(axis=1)
     confusion = np.zeros((CL.N_CLASSES, CL.N_CLASSES), dtype=np.int64)
-    np.add.at(confusion, ([ex.label for ex in examples], predicted), 1)
-    n = len(examples)
+    np.add.at(confusion, (pairs.labels, predicted), 1)
+    n = len(pairs)
     return EvalResult(
         accuracy=float(np.trace(confusion)) / n, confusion=confusion, n=n
     )
@@ -459,6 +484,7 @@ def train(
     if not dev_set:
         raise DataError("train: empty dev set")
     say = log or (lambda _msg: None)
+    train_pairs, dev_pairs = encode_pairs(train_set, vocab), encode_pairs(dev_set, vocab)
     adam = Adam(model.params.trainable(), lr=settings.lr)
     best: Optional[dict] = None
     history: list[HistoryRow] = []
@@ -466,7 +492,7 @@ def train(
     try:
         for epoch in range(1, settings.epochs + 1):
             batches = batchify(
-                train_set,
+                train_pairs,
                 settings.batch_size,
                 vocab,
                 seed=_epoch_seed(model.config.seed, epoch),
@@ -488,7 +514,7 @@ def train(
                 loss_sum += loss_value * batch.size
             train_loss = loss_sum / len(train_set)
             train_acc = correct / len(train_set)
-            dev = evaluate_model([model], dev_set, vocab)
+            dev = evaluate_model([model], dev_pairs, vocab)
             history.append(
                 HistoryRow(epoch=epoch, train_loss=train_loss, dev_acc=dev.accuracy)
             )
@@ -503,7 +529,7 @@ def train(
             if settings.stop_train_acc is not None:
                 # Stop on the weights being returned, not on the running
                 # accuracy above, which mixes the epoch's successive updates.
-                fit = evaluate_model([model], train_set, vocab).accuracy
+                fit = evaluate_model([model], train_pairs, vocab).accuracy
                 if fit >= settings.stop_train_acc:
                     say(
                         f"early stop: end-of-epoch train accuracy {fit:.3f} "

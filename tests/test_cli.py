@@ -58,6 +58,27 @@ def _help_options(capsys, command):
     return sorted(set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)))
 
 
+@pytest.fixture(autouse=True)
+def _no_blas_thread_vars(monkeypatch):
+    """The banner lists the BLAS thread variables that are set; the tests
+    that compare banners line by line run with none set."""
+    for var in C.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def _late_output_failure(monkeypatch, make_unwritable):
+    """Let the early check pass the checkpoint path, then make it
+    unwritable, so that the run reaches the write and fails there."""
+    check = C._check_output
+
+    def check_then_break(path, what):
+        check(path, what)
+        if what == "checkpoint":
+            make_unwritable()
+
+    monkeypatch.setattr(C, "_check_output", check_then_break)
+
+
 def _banner(capsys, argv) -> list[str]:
     C.banner(C.resolve_config(C.build_parser().parse_args(argv)))
     return capsys.readouterr().err.splitlines()
@@ -504,11 +525,14 @@ class TestExitCodes:
         assert not ckpt.exists() and not history.exists()
 
     def test_checkpoint_in_missing_directory_fails_at_first_best(
-        self, tmp_path, workdir, capsys
+        self, tmp_path, workdir, capsys, monkeypatch
     ):
         # Epoch 1 is always a new best, and its checkpoint is written then,
-        # so the run stops before epoch 2, with no history.
+        # so the run stops before epoch 2, with no history. The directory
+        # goes away after the early check, which would otherwise catch it.
         ckpt, history = tmp_path / "absent" / "model.ckpt", tmp_path / "history.csv"
+        ckpt.parent.mkdir()
+        _late_output_failure(monkeypatch, ckpt.parent.rmdir)
         argv = ["train", "--config", str(workdir / "run.cfg"), "--epochs", "3",
                 "--checkpoint-path", str(ckpt), "--history-path", str(history)]
         assert C.main(argv) == 2
@@ -523,12 +547,14 @@ class TestExitCodes:
         assert ".tmp" not in captured.err
 
     def test_checkpoint_path_that_is_a_directory_fails_naming_it(
-        self, tmp_path, workdir, capsys
+        self, tmp_path, workdir, capsys, monkeypatch
     ):
         # The temporary file beside the path is written; moving it onto a
         # directory fails once training is over, and the file is removed.
+        # The directory appears after the early check, which would
+        # otherwise catch it.
         ckpt = tmp_path / "model.ckpt"
-        ckpt.mkdir()
+        _late_output_failure(monkeypatch, ckpt.mkdir)
         argv = ["train", "--config", str(workdir / "run.cfg"), "--epochs", "1",
                 "--checkpoint-path", str(ckpt), "--history-path", str(tmp_path / "h.csv")]
         assert C.main(argv) == 2
@@ -539,14 +565,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag, what", [
         ("train", "--history-path", "history"),
+        ("train", "--checkpoint-path", "checkpoint"),
         ("ablate", "--out", "table"),
     ])
     @pytest.mark.parametrize("bad", ["directory", "missing-directory"])
     def test_unwritable_output_fails_before_training(
         self, tmp_path, workdir, capsys, command, flag, what, bad
     ):
-        # A history or table that cannot be written is reported before any
-        # input is read, so no epoch runs and the run writes nothing.
+        # A history, checkpoint or table that cannot be written is reported
+        # before any input is read, so no epoch runs and the run writes nothing.
         if bad == "directory":
             out = tmp_path / "out"
             out.mkdir()
@@ -563,6 +590,26 @@ class TestExitCodes:
         assert not any(l.startswith("epoch ") for l in captured.err.splitlines())
         assert captured.out == ""
         assert list(tmp_path.rglob("*")) == ([out] if bad == "directory" else [])
+
+    @pytest.mark.parametrize("bad", ["directory", "missing-directory"])
+    def test_unwritable_predictions_fail_before_any_input_is_read(
+        self, tmp_path, capsys, bad
+    ):
+        # Neither the checkpoint nor the corpus exists: the error names the
+        # output, so it was checked first.
+        if bad == "directory":
+            out = tmp_path / "out"
+            out.mkdir()
+            reason = "Is a directory"
+        else:
+            out = tmp_path / "absent" / "out"
+            reason = "No such file or directory"
+        argv = ["predict", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                "--data", str(tmp_path / "absent.jsonl"), "--out", str(out)]
+        assert C.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write predictions {out}: {reason}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["eval", "predict", "ensemble-eval"])
     def test_non_finite_probabilities_exit_3_and_write_nothing(
@@ -625,6 +672,20 @@ class TestTrainedArtifacts:
         err = capsys.readouterr().err
         assert "# seed = 1" in err
         assert "# hidden_dim = 3" in err
+
+    def test_banner_names_the_blas_thread_variables_that_are_set(
+        self, workdir, capsys, monkeypatch
+    ):
+        argv = ["train", "--config", str(workdir / "run.cfg")]
+        assert not any("NUM_THREADS" in line for line in _banner(capsys, argv))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        lines = _banner(capsys, argv)
+        assert lines[-1] == "# OPENBLAS_NUM_THREADS = 2"
+        assert not any("OMP_NUM_THREADS" in line for line in lines)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert _banner(capsys, argv)[-2:] == [
+            "# OPENBLAS_NUM_THREADS = 2", "# OMP_NUM_THREADS = 1"
+        ]
 
     def test_corpus_line_counts_every_word_and_skipped_row(self, tmp_path, capsys):
         # "The" is found only as "the": a lowercase hit, so hits, lowercase

@@ -358,7 +358,7 @@ class TestBatchify:
         tokens = "a b c a b c d e x x y".split()
         assert batch.word_ids.tolist() == [vocab.word_id(t) for t in tokens]
         assert D.PAD_ID not in batch.word_ids
-        assert batch.char_ids.tolist() == [[vocab.char_id(t)] for t in tokens]
+        assert batch.words[batch.inverse].tolist() == [[vocab.char_id(t)] for t in tokens]
 
     def test_same_seed_same_order(self):
         exs = self.examples(17)
@@ -381,9 +381,71 @@ class TestBatchify:
         exs = [D.NLIExample(["x" * 50], ["y"], 0)]
         vocab = self.vocab_for(exs)
         batches = D.batchify(exs, 1, vocab, seed=0)
-        assert batches[0].char_ids.shape == (2, D.MAX_WORD_CHARS)
+        assert batches[0].words.shape == (2, D.MAX_WORD_CHARS)
 
     def test_bad_batch_size(self):
         exs = self.examples(3)
         with pytest.raises(D.DataError, match="batch_size"):
             D.batchify(exs, 0, self.vocab_for(exs), seed=0)
+
+
+def oracle_batches(examples, batch_size, vocab, seed):
+    """Each shuffled batch encoded on its own: its tokens' word ids and
+    char-id rows, and the rows' distinct values with each token's index."""
+    order = np.random.default_rng(seed).permutation(len(examples))
+    for start in range(0, len(examples), batch_size):
+        chunk = [examples[i] for i in order[start : start + batch_size]]
+        tokens = [t for ex in chunk for t in ex.premise_tokens]
+        tokens += [t for ex in chunk for t in ex.hypothesis_tokens]
+        word_ids, char_ids = D.encode_sentence_ids(tokens, vocab)
+        words, inverse = np.unique(char_ids, axis=0, return_inverse=True)
+        yield word_ids, words, inverse.reshape(-1)
+
+
+class TestEncodedPairs:
+    # Tokens that share a clipped char-id row: two spelled with unknown
+    # characters, two long words that agree on their first 20 characters
+    # (and a third that is exactly those 20), and words that are prefixes
+    # of others.
+    POOL = ["αβ", "ωψ", "a" * 20 + "bcd", "a" * 20 + "xyz", "a" * 20,
+            "cat", "cats", "c", "at", "dog", "dogs", "do"]
+
+    def examples(self, n=23, seed=4):
+        rng = np.random.default_rng(seed)
+
+        def sentence():
+            return [self.POOL[i] for i in rng.integers(0, len(self.POOL), rng.integers(1, 7))]
+
+        return [D.NLIExample(sentence(), sentence(), i % 3) for i in range(n)]
+
+    def vocab(self):
+        # Built without the Greek words, whose characters stay unknown.
+        return D.build_vocab([D.NLIExample(self.POOL[2:], ["x"], 0)])
+
+    def test_batches_match_per_batch_encoding(self):
+        exs, vocab = self.examples(), self.vocab()
+        pairs = D.encode_pairs(exs, vocab)
+        assert pairs.forms.tolist() == sorted(pairs.forms.tolist())
+        assert len(pairs.forms) < len({t[: D.MAX_WORD_CHARS] for t in self.POOL})
+        for seed in (1, 2, 3):
+            got = D.batchify(pairs, 5, vocab, seed=seed)
+            want = list(oracle_batches(exs, 5, vocab, seed))
+            assert len(got) == len(want) == 5
+            for batch, (word_ids, words, inverse) in zip(got, want):
+                assert np.array_equal(batch.word_ids, word_ids)
+                assert batch.words.dtype == words.dtype
+                assert np.array_equal(batch.words, words)
+                assert np.array_equal(batch.inverse, inverse)
+
+    def test_examples_and_their_encoding_batch_alike(self):
+        exs, vocab = self.examples(), self.vocab()
+        pairs = D.encode_pairs(exs, vocab)
+        assert D.encode_pairs(pairs, vocab) is pairs
+        assert len(pairs) == len(exs)
+        for a, b in zip(D.batchify(exs, 4, vocab, seed=7), D.batchify(pairs, 4, vocab, seed=7)):
+            for field in ("word_ids", "words", "inverse", "lengths", "labels"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_unlabeled_pairs_carry_minus_one(self):
+        exs = [D.NLIExample(["a"], ["b"], None), D.NLIExample(["b"], ["a"], 2)]
+        assert D.encode_pairs(exs, D.build_vocab(exs)).labels.tolist() == [-1, 2]

@@ -185,46 +185,53 @@ def sentence_ids(tokens_chars):
     return word_ids, block_of(tokens_chars)
 
 
+def embed(word_ids, char_ids, params, **switches):
+    """embed_sentence on an (L, C) block of char-id rows, handed over as the
+    block's distinct rows and each token's row index, as a Batch holds them."""
+    words, inverse = np.unique(char_ids, axis=0, return_inverse=True)
+    return E.embed_sentence(word_ids, words, inverse.reshape(-1), params, **switches)
+
+
 class TestEmbedSentence:
     def test_single_token_shape(self, params):
         word_ids, char_ids = sentence_ids([[2, 3]])
-        e = E.embed_sentence(word_ids, char_ids, params)
+        e = embed(word_ids, char_ids, params)
         assert e.shape == (1, len(WIDTHS) * CHANNELS + WORD_DIM)
 
     def test_shared_token_rows_identical(self, params):
         word_ids = np.array([2, 3, 2])
         char_ids = np.array([[1, 4], [2, 5], [1, 4]])
-        e = E.embed_sentence(word_ids, char_ids, params)
+        e = embed(word_ids, char_ids, params)
         np.testing.assert_array_equal(e.data[0], e.data[2])
 
     def test_no_char_ablation_is_word_rows(self, params):
         word_ids = np.array([1, 4])
         char_ids = np.array([[1], [2]])
-        e = E.embed_sentence(word_ids, char_ids, params, use_char=False)
+        e = embed(word_ids, char_ids, params, use_char=False)
         np.testing.assert_array_equal(e.data, params.word_table.data[word_ids])
         assert e.shape == (2, WORD_DIM)
 
     def test_no_word_ablation_is_char_rows_only(self, params):
         word_ids = np.array([1, 4])
         char_ids = np.array([[1, 2], [3, 1]])
-        e = E.embed_sentence(word_ids, char_ids, params, use_word=False)
+        e = embed(word_ids, char_ids, params, use_word=False)
         assert e.shape == (2, len(WIDTHS) * CHANNELS)
 
     def test_both_halves_disabled_errors(self, params):
         with pytest.raises(ValueError, match="both"):
-            E.embed_sentence(
+            embed(
                 np.array([1]), np.array([[1]]), params,
                 use_char=False, use_word=False,
             )
 
     def test_word_id_out_of_range_errors(self, params):
         with pytest.raises(T.ShapeError, match="take_rows"):
-            E.embed_sentence(np.array([N_WORDS]), np.array([[1]]), params)
+            embed(np.array([N_WORDS]), np.array([[1]]), params)
 
     def test_word_table_gets_no_gradient(self, params):
         word_ids, char_ids = sentence_ids([[2, 3], [4]])
         with Graph() as g:
-            e = E.embed_sentence(word_ids, char_ids, params)
+            e = embed(word_ids, char_ids, params)
             loss = P.sum_axis(P.sum_axis(e, axis=1), axis=0)
             g.backward(loss)
         assert params.word_table.grad is None
@@ -234,7 +241,7 @@ class TestEmbedSentence:
         word_ids, char_ids = sentence_ids([[2, 3, 1], [4], [5, 2]])
 
         def f(table):
-            e = E.embed_sentence(word_ids, char_ids, params)
+            e = embed(word_ids, char_ids, params)
             return P.sum_axis(P.sum_axis(e, axis=1), axis=0)
 
         assert grad_check(f, params.char_table) < 1e-5
@@ -247,6 +254,6 @@ class TestEmbedSentence:
             word_ids, char_ids = sentence_ids([words[i % distinct] for i in range(12)])
             assert len(np.unique(char_ids, axis=0)) == distinct
             with Graph() as g:
-                E.embed_sentence(word_ids, char_ids, params)
+                embed(word_ids, char_ids, params)
             records.append(len(g))
         assert len(set(records)) == 1, records

@@ -54,13 +54,16 @@ def toy_pair(rng, lp=3, lh=2):
 def pack(pairs):
     """A batch of (p_word, p_char, h_word, h_char) pairs, labeled 0: the
     premises' tokens, then the hypotheses', back to back, with char rows
-    widened to the widest word by pad-id tails."""
+    widened to the widest word by pad-id tails; the batch holds the
+    distinct rows and each token's row index."""
     sides = [p[:2] for p in pairs] + [p[2:] for p in pairs]
     width = max(c.shape[1] for _, c in sides)
     chars = [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for _, c in sides]
+    words, inverse = np.unique(np.concatenate(chars), axis=0, return_inverse=True)
     return Batch(
         np.concatenate([w for w, _ in sides]),
-        np.concatenate(chars),
+        words,
+        inverse.reshape(-1),
         np.array([len(w) for w, _ in sides]),
         np.zeros(len(pairs), dtype=np.int64),
     )
@@ -160,7 +163,7 @@ class TestModelForward:
         first = pack([pair, toy_pair(rng, 2, 3), toy_pair(rng, 6, 1)])
         second = pack([wide, toy_pair(rng, 2, 2), pair, toy_pair(rng, 3, 3)])
         assert first.word_ids.shape != second.word_ids.shape
-        assert first.char_ids.shape[1] < second.char_ids.shape[1]
+        assert first.words.shape[1] < second.words.shape[1]
         alone = probs_of(model, pack([pair]))[0]
         in_first = probs_of(model, first)[0]
         in_second = probs_of(model, second)[2]

@@ -676,3 +676,34 @@ class TestStructuralProperties:
         with Graph() as g:  # the failed enter left no graph recording
             P.mul(Tensor([1.0], requires_grad=True), Tensor([2.0]))
         assert len(g) == 1
+
+
+class TestNormalParam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (5, 7), (T.NORMAL_CHUNK,), (2, T.NORMAL_CHUNK // 2 + 3), (3 * T.NORMAL_CHUNK + 11,),
+    ], ids=["below", "at", "above", "several"])
+    def test_chunked_draws_are_the_full_size_draw(self, dtype, shape):
+        full, chunked = np.random.default_rng(7), np.random.default_rng(7)
+        want = full.normal(0.0, 0.3, shape).astype(dtype)
+        got = T.normal_param(chunked, 0.3, shape, dtype)
+        assert got.requires_grad and got.data.dtype == dtype and got.shape == shape
+        assert got.data.tobytes() == want.tobytes()
+        assert chunked.bit_generator.state == full.bit_generator.state
+
+    def test_no_generator_gives_a_zero_view(self):
+        t = T.normal_param(None, 0.3, (1000, 1000), np.float32)
+        assert t.shape == (1000, 1000) and t.data.dtype == np.float32
+        assert t.data.strides == (0, 0) and not t.data.any()
+        assert not t.data.flags.writeable
+
+
+class TestPack:
+    def test_packed_tensors_keep_their_buffer(self):
+        tensors = [Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.ones((3, 2)).T)]
+        flat = T.pack(tensors)
+        assert flat.tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1, 1, 1]
+        assert all(t.data.base is flat and t.data.flags.c_contiguous for t in tensors)
+        assert tensors[1].shape == (2, 3)
+        assert T.pack(tensors) is flat
+        assert T.pack(tensors[::-1]) is not flat  # out of order: copied anew

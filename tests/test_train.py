@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gatednli import classify as CL
+from gatednli import data as D
 from gatednli import synthetic as S
 from gatednli import train as TR
 from gatednli.data import (
@@ -217,10 +218,73 @@ class TestAdam:
                 adam.step()
         assert np.isinf(adam.v["p"]).all()
 
-    def test_non_contiguous_parameter_rejected(self):
-        p = Tensor(np.zeros((3, 4)).T, requires_grad=True)
-        with pytest.raises(ValueError, match="contiguous"):
-            TR.Adam({"p": p})
+    def test_transposed_parameter_trains_as_its_contiguous_copy(self):
+        # Adam copies a parameter in whatever its layout; the caller's
+        # array keeps its values.
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(4, 3))
+        before = base.copy()
+        grads = [rng.normal(size=(3, 4)) for _ in range(3)]
+        trained = []
+        for data in (base.T, np.ascontiguousarray(base.T)):
+            p = Tensor(data, requires_grad=True)
+            adam = TR.Adam({"p": p}, lr=0.1)
+            for g in grads:
+                p.grad = g.copy()
+                adam.step(1.0)
+                adam.zero_grad()
+            trained.append(p.data)
+        assert trained[0].tobytes() == trained[1].tobytes()
+        assert not np.array_equal(trained[0], before.T)
+        assert np.array_equal(base, before)
+
+    def test_mixed_dtypes_rejected(self):
+        named = {
+            "a": Tensor(np.zeros(2, np.float32), requires_grad=True),
+            "b": Tensor(np.zeros(2), requires_grad=True),
+        }
+        with pytest.raises(ValueError, match="mix dtypes"):
+            TR.Adam(named)
+
+    def test_parameters_and_gradients_share_flat_buffers(self):
+        # The model's weights are disjoint views of one buffer, which Adam
+        # updates where it is. From the first backward on, each weight
+        # written through take_spare gets its gradient in Adam's buffer,
+        # and no backward allocates as much as the parameters.
+        model, vocab, train_set, _ = tiny_setup(
+            dtype=np.float32, hidden_dim=64, mlp_hidden=256
+        )
+        named = model.params.trainable()
+        flat = next(iter(named.values())).data.base
+        views = [t.data for t in named.values()]
+        adam = TR.Adam(named, lr=1e-3)
+        assert adam._p is flat and flat.size == sum(v.size for v in views)
+        assert all(t.data is v and v.base is flat for t, v in zip(named.values(), views))
+        for i, a in enumerate(views):
+            assert not any(np.shares_memory(a, b) for b in views[i + 1 :])
+        assert all(
+            np.shares_memory(adam.m[k], adam._m) and np.shares_memory(adam.v[k], adam._v)
+            for k in named
+        )
+        spared = [
+            k for k in named
+            if k.startswith(("encoder.", "classify.w")) or k.endswith(".weight")
+        ]
+        trainable = sum(t.data.nbytes for t in named.values())
+        for batch in batchify(train_set, 8, vocab, seed=1)[:2]:
+            with Graph() as g:
+                loss = CL.cross_entropy(model.forward(batch), batch.labels)
+                tracemalloc.start()
+                try:
+                    g.backward(loss)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < trainable, peak / trainable
+            for name in spared:
+                assert named[name].grad.base is adam._g, name
+            adam.step()
+            adam.zero_grad()
 
 
 class TestClipGlobalNorm:
@@ -509,6 +573,19 @@ class TestTrainLoop:
             match="^epoch 1: class probabilities of example 1 are not finite$",
         ):
             TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+
+    def test_each_set_is_encoded_once(self, ckpt, monkeypatch):
+        # Three epochs, each scoring the dev set and, for the early stop,
+        # the training set: the two sets' words are spelled out once each.
+        model, vocab, train_set, dev_set = tiny_setup()
+        spelled = []
+        encode = D.encode_sentence_ids
+        monkeypatch.setattr(D, "encode_sentence_ids",
+                            lambda tokens, v: spelled.append(len(tokens)) or encode(tokens, v))
+        settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=3, stop_train_acc=1.0)
+        result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        assert len(result.history) == 3
+        assert len(spelled) == 2
 
     def test_empty_sets_rejected(self, ckpt):
         model, vocab, train_set, dev_set = tiny_setup()
