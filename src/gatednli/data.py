@@ -360,7 +360,6 @@ def batchify(
     batch_size: int,
     vocab: Vocab,
     seed: int,
-    shuffle: bool = True,
 ) -> list[Batch]:
     """Seeded shuffle, then fixed-size batches, each one ragged block of
     its premises' and hypotheses' tokens. Examples are encoded first;
@@ -368,9 +367,7 @@ def batchify(
     if batch_size < 1:
         raise DataError(f"batchify: batch_size must be >= 1, got {batch_size}")
     pairs = encode_pairs(examples, vocab)
-    order = np.arange(len(pairs))
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(pairs))
+    order = np.random.default_rng(seed).permutation(len(pairs))
     return [
         gather_batch(pairs, order[start : start + batch_size])
         for start in range(0, len(pairs), batch_size)

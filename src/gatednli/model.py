@@ -24,7 +24,6 @@ from . import classify as CL
 from . import compose as CP
 from . import embed as EM
 from . import encoder as EN
-from . import tensor as T
 from .data import Batch
 from .tensor import Tensor
 
@@ -168,10 +167,11 @@ class Model:
         """Fresh parameters in word_table's dtype (float32 or float64; any
         other becomes float64), drawn from rng in float64 and rounded to
         it, so both dtypes start from the same weights. word_table is
-        wrapped, not copied, and stays frozen; the trainable weights share
-        one flat buffer (``tensor.pack``). With rng None every drawn
-        weight is a read-only zero view: a skeleton of shapes that costs no
-        draws and no memory, for stored values to replace."""
+        wrapped, not copied, and stays frozen; each trainable weight is its
+        own array, until ``Adam`` lays them out in its flat buffer. With
+        rng None every drawn weight is a read-only zero view: a skeleton of
+        shapes that costs no draws and no memory, for stored values to
+        replace."""
         if word_table.shape[1] != config.word_dim:
             raise ValueError(
                 f"word table dim {word_table.shape[1]} != "
@@ -193,8 +193,6 @@ class Model:
             config.match_dim, config.mlp_hidden, rng, config.mlp_shortcut, dtype
         )
         params = ModelParams(embed=embed, encoder=encoder, classifier=classifier)
-        if rng is not None:  # so that Adam updates the weights where they are
-            T.pack(list(params.trainable().values()))
         return cls(config=config, params=params)
 
     def forward(self, batch: Batch) -> Tensor:

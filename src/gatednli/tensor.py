@@ -51,8 +51,9 @@ class Tensor:
 
     ``spare`` is where the next backward writes a parameter's first
     gradient, straight into it (``take_spare``): the parameter's view of
-    Adam's flat gradient buffer, which Adam hands out at construction and
-    again at each ``zero_grad``.
+    the flat gradient buffer that ``Adam`` cuts by the same bounds as the
+    weights' when it lays them out, and hands out again at each
+    ``zero_grad``. It is None until an ``Adam`` holds the parameter.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "spare")
@@ -198,39 +199,6 @@ def normal_param(rng, scale: float, shape, dtype) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def pack(tensors: Sequence[Tensor]) -> np.ndarray:
-    """One flat buffer of the tensors' values, in order, with each
-    ``.data`` rebound to its C-contiguous view of it. Tensors that already
-    are such views of one whole buffer keep it, with no copy. Otherwise the
-    values are copied in one tensor at a time, in any layout, so that each
-    tensor's own array is freed once copied if nothing else holds it. The
-    tensors must share one dtype."""
-    dtypes = {t.data.dtype for t in tensors}
-    if len(dtypes) > 1:
-        raise ValueError(f"pack: tensors mix dtypes {sorted(map(str, dtypes))}")
-    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
-    bounds = np.cumsum([0] + [t.data.size for t in tensors]).tolist()
-    base = tensors[0].data.base if tensors else None
-    if (
-        isinstance(base, np.ndarray)
-        and base.dtype == dtype
-        and base.shape == (bounds[-1],)
-        and all(
-            t.data.base is base
-            and t.data.flags.c_contiguous
-            and t.data.ctypes.data == base.ctypes.data + lo * dtype.itemsize
-            for t, lo in zip(tensors, bounds)
-        )
-    ):
-        return base
-    flat = np.empty(bounds[-1], dtype)
-    for t, lo, hi in zip(tensors, bounds, bounds[1:]):
-        view = flat[lo:hi].reshape(t.data.shape)
-        view[...] = t.data
-        t.data = view
-    return flat
-
-
 def _check_axis(name: str, t: Tensor, axis: int) -> None:
     if not -t.ndim <= axis < t.ndim:
         raise ShapeError(f"{name}: axis {axis} out of range for shape {t.shape}")
@@ -276,10 +244,13 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError(
             f"concat: shapes {[p.shape for p in parts]} along axis {axis}"
         ) from None
-    cuts = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts]).tolist()
+    lead = (slice(None),) * (axis % ndim)
 
     def backward(g):
-        return tuple(part.copy() for part in np.split(g, cuts, axis=axis))
+        return tuple(
+            g[lead + (slice(lo, hi),)].copy() for lo, hi in zip(bounds, bounds[1:])
+        )
 
     return _apply(out, tuple(parts), backward)
 

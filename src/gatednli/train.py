@@ -38,7 +38,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import classify as CL
-from . import tensor as T
 from .data import (
     DataError,
     EncodedPairs,
@@ -69,10 +68,11 @@ class NumericError(Exception):
 class Adam:
     """Adam over named tensors, reading .grad and updating .data in place.
 
-    Construction packs the parameters into one flat buffer, each ``.data``
-    a view of it (``tensor.pack``: a copy in any layout, none for a model's
-    own weights, which ``Model.initialize`` packs). ``m`` and ``v`` are
-    views of two more flat buffers, and each tensor's gradient has a view
+    Construction lays the parameters out in one flat buffer: each is
+    copied in, in any layout, one tensor at a time (so that its own array
+    is freed once copied if nothing else holds it), and each ``.data`` is
+    rebound to its C-contiguous view. ``m`` and ``v`` are two more flat
+    buffers, cut by the same bounds, and each tensor's gradient has a view
     in a fourth, its ``spare`` from the start, which backward writes the
     first contribution into. A gradient held elsewhere is copied into its
     view at the step; a missing one counts as zero (the parameter sat out
@@ -85,25 +85,24 @@ class Adam:
     the clipped gradients. The parameters must share one dtype.
     """
 
-    def __init__(self, named: dict[str, Tensor], lr: float = 4e-4):
+    def __init__(self, named: dict[str, Tensor], lr: float):
         self.named = dict(named)
         self.lr = lr
         self.t = 0
-        self._p = T.pack(list(self.named.values()))
-        shapes = [t.data.shape for t in self.named.values()]
+        dtypes = {t.data.dtype for t in self.named.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam: parameters mix dtypes {sorted(map(str, dtypes))}")
         bounds = np.cumsum([0] + [t.data.size for t in self.named.values()]).tolist()
-
-        def views(flat: np.ndarray) -> list[np.ndarray]:
-            return [flat[lo:hi].reshape(shape)
-                    for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-
+        self._p = np.empty(bounds[-1], dtypes.pop() if dtypes else np.float64)
         self._g = np.empty_like(self._p)
-        self._grads = views(self._g)
-        for tensor, view in zip(self.named.values(), self._grads):
-            tensor.spare = view
-        self._m, self._v = np.zeros_like(self._p), np.zeros_like(self._p)
-        self.m = dict(zip(self.named, views(self._m)))
-        self.v = dict(zip(self.named, views(self._v)))
+        self.m, self.v = np.zeros_like(self._p), np.zeros_like(self._p)
+        self._grads = []
+        for t, lo, hi in zip(self.named.values(), bounds, bounds[1:]):
+            view = self._p[lo:hi].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            t.spare = self._g[lo:hi].reshape(view.shape)
+            self._grads.append(t.spare)
         itemsize = self._p.dtype.itemsize
         self._scratch = np.empty((2, ADAM_SLICE_BYTES // itemsize), self._p.dtype)
 
@@ -135,7 +134,7 @@ class Adam:
         lr_c1 = self.lr / (1.0 - ADAM_BETA1**self.t)
         c2 = 1.0 - ADAM_BETA2**self.t
         size = self._scratch.shape[1]
-        flat = (self._m, self._v, self._g, self._p)
+        flat = (self.m, self.v, self._g, self._p)
         for lo in range(0, self._p.size, size):
             m, v, g, p = (a[lo : lo + size] for a in flat)
             s1, s2 = self._scratch[:, : m.size]
@@ -496,7 +495,6 @@ def train(
                 settings.batch_size,
                 vocab,
                 seed=_epoch_seed(model.config.seed, epoch),
-                shuffle=True,
             )
             loss_sum = 0.0
             correct = 0

@@ -21,7 +21,7 @@ import pytest
 from gatednli import classify as CL
 from gatednli import synthetic as S
 from gatednli import train as TR
-from gatednli.data import batchify, build_vocab
+from gatednli.data import build_vocab, encode_pairs, gather_batch
 from gatednli.model import Model, ModelConfig
 
 BOUND = {np.dtype(np.float32): 2.0**-20, np.dtype(np.float64): 2.0**-49}
@@ -57,7 +57,7 @@ def case(request, corpus):
 
 
 def logits(model, examples, vocab):
-    (batch,) = batchify(examples, len(examples), vocab, seed=0, shuffle=False)
+    batch = gather_batch(encode_pairs(examples, vocab), np.arange(len(examples)))
     return model.forward(batch).data
 
 

@@ -351,7 +351,7 @@ class TestBatchify:
             D.NLIExample(["a", "b", "c", "d", "e"], ["x", "y"], 1),
         ]
         vocab = self.vocab_for(exs)
-        (batch,) = D.batchify(exs, 2, vocab, seed=0, shuffle=False)
+        batch = D.gather_batch(D.encode_pairs(exs, vocab), np.arange(2))
         # premises first, then hypotheses, in example order, with each
         # sentence's tokens back to back and no padding between them
         assert batch.lengths.tolist() == [3, 5, 1, 2]

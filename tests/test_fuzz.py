@@ -4,7 +4,8 @@ Mutated toy input files and drawn settings go through ``cli.main`` in
 process. Every run must end in the documented contract's exit codes, 0
 for success, 1 for usage, 2 for data and 3 for numeric failure, with no
 traceback. A mutated data file is never a usage error, and a drawn
-setting read with intact files is never a data error.
+setting read with intact files is never a data error. An output path that
+cannot be written exits 2, naming it, before any input is read.
 
 Every size is drawn from small values or from values past int64, which
 the configuration refuses before anything is allocated, so no case asks
@@ -158,3 +159,29 @@ def test_drawn_settings_exit_as_usage_errors(toy, tmp_path, capsys):
         assert code != 2, settings
         codes.add(code)
     assert {0, 1, 3} <= codes
+
+
+def test_unwritable_output_paths_exit_before_any_input_is_read(toy, tmp_path, capsys):
+    # Every output flag, at an existing directory, under a missing
+    # directory and under a regular file. Every input is missing too, so
+    # only a check made before any input is read names the output.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    (tmp_path / "adir").mkdir()
+    missing = str(tmp_path / "missing.jsonl")
+    inputs = ["--train-path", missing, "--dev-path", missing, "--vectors-path", missing]
+    read = ["--checkpoint", missing, "--data", missing]
+    for target in (tmp_path / "adir", tmp_path / "nodir" / "out", afile / "out"):
+        out = str(target)
+        cases = {
+            "checkpoint": ["train", "--checkpoint-path", out, *inputs],
+            "history": ["train", "--checkpoint-path", str(tmp_path / "m.ckpt"),
+                        "--history-path", out, *inputs],
+            "predictions": ["predict", *read, "--out", out],
+            "table": ["ablate", *inputs, "--out", out],
+        }
+        for what, argv in cases.items():
+            assert C.main(argv) == 2, (what, out)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {what} {out}: "), (what, err)
+            assert "Traceback" not in err

@@ -19,7 +19,7 @@ from gatednli import encoder as EN
 from gatednli import synthetic as S
 from gatednli import tensor as T
 from gatednli import train as TR
-from gatednli.data import DataError, build_vocab
+from gatednli.data import DataError, build_vocab, encode_pairs, gather_batch
 from gatednli.model import Model, ModelConfig
 from gatednli.tensor import Graph
 
@@ -77,7 +77,7 @@ def test_no_path_upcasts(dtype, gate_kind, monkeypatch):
     for module in (T, EM, EN, CP, CL, TR):
         monkeypatch.setattr(module, "np", spy)
     model = model_in(dtype, vocab, gate_kind)
-    (batch,) = TR.batchify(train_set[:8], 8, vocab, seed=0, shuffle=False)
+    batch = gather_batch(encode_pairs(train_set[:8], vocab), np.arange(8))
     flowing = []
 
     def watch(backward):
@@ -95,12 +95,12 @@ def test_no_path_upcasts(dtype, gate_kind, monkeypatch):
     made = {o.data.dtype for outs, _, _ in g._records for o in outs}
     assert made == {np.dtype(dtype)}
     assert set(flowing) == {np.dtype(dtype)}
-    adam = TR.Adam(model.params.trainable())
+    adam = TR.Adam(model.params.trainable(), lr=4e-4)
     adam.step(1.0)
     named = model.params.named_tensors()
     assert {t.data.dtype for t in named.values()} == {np.dtype(dtype)}
     assert {t.grad.dtype for t in adam.named.values()} == {np.dtype(dtype)}
-    buffers = list(adam.m.values()) + list(adam.v.values()) + [adam._scratch]
+    buffers = [adam.m, adam.v, adam._scratch]
     assert {a.dtype for a in buffers} == {np.dtype(dtype)}
     assert spy.made == {np.dtype(dtype)}
 

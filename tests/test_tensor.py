@@ -375,7 +375,7 @@ class TestBackwardContract:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(N_WORDS, config.word_dim)).astype(dtype)
         model = Model.initialize(config, N_CHARS, table, rng)
-        adam = Adam(model.params.trainable())
+        adam = Adam(model.params.trainable(), lr=4e-4)
         batch = toy_batch(np.random.default_rng(1), [(3, 2), (5, 4), (2, 6)])
         parked = set()
         for step in range(2):
@@ -696,14 +696,3 @@ class TestNormalParam:
         assert t.shape == (1000, 1000) and t.data.dtype == np.float32
         assert t.data.strides == (0, 0) and not t.data.any()
         assert not t.data.flags.writeable
-
-
-class TestPack:
-    def test_packed_tensors_keep_their_buffer(self):
-        tensors = [Tensor(np.arange(6.0).reshape(2, 3)), Tensor(np.ones((3, 2)).T)]
-        flat = T.pack(tensors)
-        assert flat.tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1, 1, 1]
-        assert all(t.data.base is flat and t.data.flags.c_contiguous for t in tensors)
-        assert tensors[1].shape == (2, 3)
-        assert T.pack(tensors) is flat
-        assert T.pack(tensors[::-1]) is not flat  # out of order: copied anew

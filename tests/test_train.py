@@ -174,7 +174,7 @@ class TestAdam:
             data, grad = before[k]
             assert np.array_equal(t.data, data), k
             assert np.array_equal(t.grad, grad, equal_nan=True), k
-            assert not adam.m[k].any() and not adam.v[k].any(), k
+        assert not adam.m.any() and not adam.v.any()
 
     def test_overflowing_norm_scales_to_zero(self):
         # Every entry is finite, but the squares sum past the float64 range:
@@ -197,7 +197,7 @@ class TestAdam:
         for dtype in (np.float32, np.float64):
             p = Tensor(np.zeros(4, dtype), requires_grad=True)
             p.grad = np.full(4, 1e19, dtype)
-            adam = TR.Adam({"p": p})
+            adam = TR.Adam({"p": p}, lr=4e-4)
             norm = TR.clip_global_norm(adam.named)
             np.testing.assert_allclose(norm, 2e19, rtol=1e-7)
             adam.step(10.0)
@@ -216,7 +216,7 @@ class TestAdam:
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
                 adam.step()
-        assert np.isinf(adam.v["p"]).all()
+        assert np.isinf(adam.v).all()
 
     def test_transposed_parameter_trains_as_its_contiguous_copy(self):
         # Adam copies a parameter in whatever its layout; the caller's
@@ -244,28 +244,33 @@ class TestAdam:
             "b": Tensor(np.zeros(2), requires_grad=True),
         }
         with pytest.raises(ValueError, match="mix dtypes"):
-            TR.Adam(named)
+            TR.Adam(named, lr=4e-4)
 
     def test_parameters_and_gradients_share_flat_buffers(self):
-        # The model's weights are disjoint views of one buffer, which Adam
-        # updates where it is. From the first backward on, each weight
+        # Adam lays the weights out in one buffer, in order, and updates
+        # them where they are: each is a C-contiguous view of it, and a
+        # transposed parameter keeps its shape. A model's weights become
+        # disjoint views of it. From the first backward on, each weight
         # written through take_spare gets its gradient in Adam's buffer,
         # and no backward allocates as much as the parameters.
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        q = Tensor(np.ones((3, 2)).T, requires_grad=True)
+        adam = TR.Adam({"p": p, "q": q}, lr=0.1)
+        assert adam._p.tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1, 1, 1]
+        assert all(t.data.base is adam._p and t.data.flags.c_contiguous for t in (p, q))
+        assert q.shape == (2, 3)
         model, vocab, train_set, _ = tiny_setup(
             dtype=np.float32, hidden_dim=64, mlp_hidden=256
         )
         named = model.params.trainable()
-        flat = next(iter(named.values())).data.base
-        views = [t.data for t in named.values()]
         adam = TR.Adam(named, lr=1e-3)
-        assert adam._p is flat and flat.size == sum(v.size for v in views)
-        assert all(t.data is v and v.base is flat for t, v in zip(named.values(), views))
+        views = [t.data for t in named.values()]
+        flat = adam._p
+        assert flat.size == sum(v.size for v in views)
+        assert all(v.base is flat and v.flags.c_contiguous for v in views)
         for i, a in enumerate(views):
             assert not any(np.shares_memory(a, b) for b in views[i + 1 :])
-        assert all(
-            np.shares_memory(adam.m[k], adam._m) and np.shares_memory(adam.v[k], adam._v)
-            for k in named
-        )
+        assert adam.m.shape == adam.v.shape == adam._g.shape == flat.shape
         spared = [
             k for k in named
             if k.startswith(("encoder.", "classify.w")) or k.endswith(".weight")
@@ -297,7 +302,7 @@ class TestClipGlobalNorm:
         norm = TR.clip_global_norm({"p": p})
         assert norm == 3.0
         np.testing.assert_array_equal(p.grad, [3.0])
-        TR.Adam({"p": p}).step(10.0)
+        TR.Adam({"p": p}, lr=4e-4).step(10.0)
         np.testing.assert_array_equal(p.grad, [3.0])
 
     def test_large_gradients_scaled_to_max(self):
@@ -309,7 +314,7 @@ class TestClipGlobalNorm:
         assert norm == 50.0
         np.testing.assert_array_equal(a.grad, [30.0, 0.0])
         np.testing.assert_array_equal(b.grad, [0.0, 40.0])
-        TR.Adam({"a": a, "b": b}).step(10.0)
+        TR.Adam({"a": a, "b": b}, lr=4e-4).step(10.0)
         np.testing.assert_allclose(a.grad, [6.0, 0.0])
         np.testing.assert_allclose(b.grad, [0.0, 8.0])
 
@@ -330,7 +335,7 @@ class TestClipGlobalNorm:
         assert named["frozen"].grad is None
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g)
-        TR.Adam(named).step(1.0)
+        TR.Adam(named, lr=4e-4).step(1.0)
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g * (1.0 / norm))
 
@@ -597,9 +602,10 @@ class TestTrainLoop:
 
     def test_peak_memory_holds_one_copy_of_the_weights(self, ckpt):
         # Weights, Adam's m and v, and the gradients are four copies of the
-        # trainable values; each new best goes from the weights to the file,
-        # not through a fifth in-memory copy. Traced ratios on this run: 4.55
-        # with that copy, 3.55 without.
+        # trainable values, all made in the traced window, since Adam lays
+        # the weights out when train builds it. Each new best goes from the
+        # weights to the file, not through a fifth in-memory copy. Traced
+        # ratios on this run: 6.28 with that copy, 4.52 without.
         model, vocab, train_set, dev_set = tiny_setup(
             dtype=np.float32, hidden_dim=64, mlp_hidden=256
         )
@@ -613,7 +619,7 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert result.best["epoch"] >= 2  # epoch 1 and a later one are new bests
         assert 3e6 < weights < 4e6
-        assert peak <= 4.0 * weights, peak / weights
+        assert peak <= 5.0 * weights, peak / weights
 
     def test_file_holds_the_best_epochs_weights(self, tmp_path):
         # Dev accuracy peaks at epoch 3 of 4: the file must hold the weights
