@@ -25,7 +25,7 @@ from . import compose as CP
 from . import embed as EM
 from . import encoder as EN
 from .data import Batch
-from .tensor import Tensor
+from .tensor import Tensor, drawing
 
 GATE_KINDS = tuple(k.value for k in EN.GateKind)
 INT64_MAX = np.iinfo(np.int64).max
@@ -165,33 +165,40 @@ class Model:
         cls, config: ModelConfig, n_chars: int, word_table: np.ndarray, rng
     ) -> "Model":
         """Fresh parameters in word_table's dtype (float32 or float64; any
-        other becomes float64), drawn from rng in float64 and rounded to
-        it, so both dtypes start from the same weights. word_table is
-        wrapped, not copied, and stays frozen; each trainable weight is its
-        own array, until ``Adam`` lays them out in its flat buffer. With
-        rng None every drawn weight is a read-only zero view: a skeleton of
-        shapes that costs no draws and no memory, for stored values to
-        replace."""
+        other becomes float64). word_table is wrapped, not copied, and stays
+        frozen; each trainable weight is its own array, until ``Adam`` lays
+        them out in its flat buffer.
+
+        Each drawn weight comes from its own child of rng, spawned in this
+        order: the char table, the filter weights in ``filter_widths``'
+        order, each encoder layer's forward then backward ``w`` and ``u``,
+        and the MLP's ``w1``, ``w2`` and ``w_out`` (see ``T.normal_param``).
+        The weights are drawn in float64 and rounded, so both dtypes start
+        from the same weights, and filled on a pool of threads that is
+        joined before this returns. With rng None every drawn weight is a
+        read-only zero view: a skeleton of shapes that costs no draws and
+        no memory, for stored values to replace."""
         if word_table.shape[1] != config.word_dim:
             raise ValueError(
                 f"word table dim {word_table.shape[1]} != "
                 f"configured {config.word_dim}"
             )
-        embed = EM.init_embed_params(
-            n_chars,
-            config.char_dim,
-            config.filter_widths,
-            config.filter_channels,
-            word_table,
-            rng,
-        )
-        dtype = embed.word_table.data.dtype
-        encoder = EN.init_encoder_params(
-            config.embed_dim, config.hidden_dim, config.n_layers, rng, dtype
-        )
-        classifier = CL.init_classifier_params(
-            config.match_dim, config.mlp_hidden, rng, config.mlp_shortcut, dtype
-        )
+        with drawing():
+            embed = EM.init_embed_params(
+                n_chars,
+                config.char_dim,
+                config.filter_widths,
+                config.filter_channels,
+                word_table,
+                rng,
+            )
+            dtype = embed.word_table.data.dtype
+            encoder = EN.init_encoder_params(
+                config.embed_dim, config.hidden_dim, config.n_layers, rng, dtype
+            )
+            classifier = CL.init_classifier_params(
+                config.match_dim, config.mlp_hidden, rng, config.mlp_shortcut, dtype
+            )
         params = ModelParams(embed=embed, encoder=encoder, classifier=classifier)
         return cls(config=config, params=params)
 

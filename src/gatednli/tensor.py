@@ -24,7 +24,10 @@ gradient per output.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -181,22 +184,64 @@ def take_spare(t: Tensor) -> Optional[np.ndarray]:
     return spare
 
 
+class _Draws(threading.local):
+    pending: Optional[list] = None  # this thread's deferred normal_param fills
+
+
+_draws = _Draws()
+
+
+@contextlib.contextmanager
+def drawing():
+    """Defer the fills of this thread's ``normal_param`` calls to the exit
+    of the outermost ``drawing`` block, then make them all on a thread pool
+    of at most one worker per core and per tensor. Each fill reads only
+    its tensor's own child stream, so the values do not depend on the
+    workers or their schedule. Every worker is joined before the block
+    exits, and the first failed fill's error is raised there. An error
+    inside the block drops the pending fills."""
+    if _draws.pending is not None:
+        yield
+        return
+    _draws.pending = pending = []
+    try:
+        yield
+    finally:
+        _draws.pending = None
+    if not pending:
+        return
+    workers = min(os.cpu_count() or 1, len(pending))
+    with ThreadPoolExecutor(workers, thread_name_prefix="normal_param") as pool:
+        fills = [pool.submit(_fill, *fill) for fill in pending]
+    for fill in fills:
+        fill.result()
+
+
 def normal_param(rng, scale: float, shape, dtype) -> Tensor:
-    """A trainable tensor of N(0, scale^2) values: the generator's float64
-    draws rounded to dtype, so models of either dtype draw the same
-    stream and start from the same weights. The draws come in chunks of at
-    most ``NORMAL_CHUNK`` values, the same stream as one full-size draw,
-    with no full-size float64 temporary. With rng None the tensor is a
-    read-only zero view that costs no memory: a shape-only skeleton."""
+    """A trainable tensor of N(0, scale^2) values drawn from its own child
+    generator, spawned from rng at the call: successive calls take
+    successive children, and rng's own stream does not advance. The
+    child's float64 draws are rounded to dtype, so models of either dtype
+    start from the same weights. They come in chunks of at most
+    ``NORMAL_CHUNK`` values, the same values as one full-size draw, with no
+    full-size float64 temporary. The fill runs on ``drawing``'s pool: when
+    the enclosing block exits, or before return outside one. With rng None
+    the tensor is a read-only zero view that costs no memory: a shape-only
+    skeleton."""
     if rng is None:
         return Tensor(np.broadcast_to(np.zeros((), dtype), shape), requires_grad=True)
     values = np.empty(shape, dtype)
+    with drawing():
+        _draws.pending.append((rng.spawn(1)[0], scale, values))
+    return Tensor(values, requires_grad=True)
+
+
+def _fill(child: np.random.Generator, scale: float, values: np.ndarray) -> None:
     flat = values.reshape(-1)
     for lo in range(0, flat.size, NORMAL_CHUNK):
-        flat[lo : lo + NORMAL_CHUNK] = rng.normal(
+        flat[lo : lo + NORMAL_CHUNK] = child.normal(
             0.0, scale, min(NORMAL_CHUNK, flat.size - lo)
         )
-    return Tensor(values, requires_grad=True)
 
 
 def _check_axis(name: str, t: Tensor, axis: int) -> None:

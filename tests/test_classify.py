@@ -1,5 +1,7 @@
 """Tests for matching features, the MLP head, and cross-entropy."""
 
+import inspect
+
 import numpy as np
 import primitives as P
 import pytest
@@ -166,6 +168,13 @@ class TestMlpForward:
     def test_grad_check_full_classifier(self, rng):
         params = C.init_classifier_params(5, 4, rng)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        # Both ReLU layers' pre-activations sit more than ten of grad_check's
+        # central steps from the kink, so no difference straddles it.
+        pre1 = x.data @ params.w1.data + params.b1.data
+        in2 = np.hstack([x.data, np.maximum(pre1, 0.0)])
+        pre2 = in2 @ params.w2.data + params.b2.data
+        step = inspect.signature(grad_check).parameters["eps"].default
+        assert min(np.abs(pre1).min(), np.abs(pre2).min()) > 10 * step
 
         def f(_t):
             return C.cross_entropy(C.mlp_forward(x, params), [1, 0, 1])

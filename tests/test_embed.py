@@ -1,5 +1,7 @@
 """Tests for character composition and sentence embedding."""
 
+import inspect
+
 import numpy as np
 import primitives as P
 import pytest
@@ -8,6 +10,8 @@ from gatednli import embed as E
 from gatednli import tensor as T
 from gatednli.data import PAD_ID
 from gatednli.tensor import Graph, Tensor, grad_check
+
+STEP = inspect.signature(grad_check).parameters["eps"].default
 
 CHAR_DIM = 3
 WIDTHS = (1, 3)
@@ -28,8 +32,8 @@ def params(rng):
     return E.init_embed_params(N_CHARS, CHAR_DIM, WIDTHS, CHANNELS, word_table, rng)
 
 
-def conv_pool_oracle(char_vecs, weight, bias, width):
-    """Direct window enumeration: conv -> relu -> max over positions."""
+def conv_windows(char_vecs, weight, bias, width):
+    """Direct window enumeration: each window's pre-activations."""
     length = char_vecs.shape[0]
     if length < width:
         char_vecs = np.vstack(
@@ -40,7 +44,26 @@ def conv_pool_oracle(char_vecs, weight, bias, width):
     for p in range(n_windows):
         window = char_vecs[p : p + width].reshape(-1)
         outs[p] = window @ weight + bias
-    return np.maximum(outs, 0.0).max(axis=0)
+    return outs
+
+
+def conv_pool_oracle(char_vecs, weight, bias, width):
+    """conv -> relu -> max over positions."""
+    return np.maximum(conv_windows(char_vecs, weight, bias, width), 0.0).max(axis=0)
+
+
+def assert_off_the_kink(block, params):
+    """No central step of grad_check's on one char-table entry moves a
+    char-CNN pre-activation of the block's words across the ReLU kink. The
+    entry appears at most ``width`` times in a window, so the step moves a
+    pre-activation by at most step * width * max|weight|; each must sit
+    further than that from zero."""
+    for ids in block:
+        vecs = params.char_table.data[ids[ids != PAD_ID]]
+        for width, (w, b) in params.filters.items():
+            pre = conv_windows(vecs, w.data, b.data, width)
+            reach = STEP * width * np.abs(w.data).max()
+            assert np.abs(pre).min() > reach, (ids, width)
 
 
 def char_oracle(ids, params):
@@ -152,6 +175,7 @@ class TestCharCompose:
         def f(table):
             return weighted_sum(E.char_compose(block, params), weights)
 
+        assert_off_the_kink(block, params)
         assert grad_check(f, params.char_table) < 1e-5
 
     def test_grad_check_through_filters(self, params, rng):
@@ -244,13 +268,19 @@ class TestEmbedSentence:
             e = embed(word_ids, char_ids, params)
             return P.sum_axis(P.sum_axis(e, axis=1), axis=0)
 
+        assert_off_the_kink(char_ids, params)
         assert grad_check(f, params.char_table) < 1e-5
 
-    def test_tape_records_independent_of_distinct_words(self, params, rng):
+    def test_tape_records_independent_of_distinct_words(self, params):
         # 12-token blocks whose tokens cycle through 1, 2, 5 or 12 words.
+        # Word i has i % 4 + 1 chars, counting up from char 1 + i % 7; the
+        # words of one length start at distinct chars, so all are distinct.
         records = []
         for distinct in (1, 2, 5, 12):
-            words = [list(rng.integers(1, N_CHARS, size=i % 4 + 1)) for i in range(distinct)]
+            words = [
+                [1 + (i + k) % (N_CHARS - 1) for k in range(i % 4 + 1)]
+                for i in range(distinct)
+            ]
             word_ids, char_ids = sentence_ids([words[i % distinct] for i in range(12)])
             assert len(np.unique(char_ids, axis=0)) == distinct
             with Graph() as g:

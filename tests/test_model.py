@@ -1,5 +1,7 @@
 """Tests for configuration validation and the assembled forward pass."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,89 @@ class TestModelConfig:
         cfg = toy_config(gate_kind="forget", use_char=False)
         again = ModelConfig(**cfg.to_dict())
         assert again == cfg
+
+
+def initial_weights(config, seed, dtype):
+    """Every trainable tensor ``Model.initialize`` makes, rebuilt from
+    ``default_rng(seed)``'s children in the documented order: each drawn
+    weight is one full-size float64 draw from its own child, rounded to
+    dtype; the biases are zero but for the LSTM forget gates' +1."""
+    drawn = [("embed.char_table", 0.1, (N_CHARS, config.char_dim))]
+    want = {}
+    for width in config.filter_widths:
+        fan_in = width * config.char_dim
+        name = f"embed.cnn.w{width}"
+        drawn.append((f"{name}.weight", 1.0 / np.sqrt(fan_in), (fan_in, config.filter_channels)))
+        want[f"{name}.bias"] = np.zeros(config.filter_channels, dtype)
+    d, d4 = config.hidden_dim, 4 * config.hidden_dim
+    for k in range(1, config.n_layers + 1):
+        n_in = config.embed_dim if k == 1 else config.embed_dim + 2 * d
+        for tag in ("fwd", "bwd"):
+            name = f"encoder.l{k}.{tag}"
+            drawn.append((f"{name}.w", EN.LSTM_INIT_SIGMA, (n_in, d4)))
+            drawn.append((f"{name}.u", EN.LSTM_INIT_SIGMA, (d, d4)))
+            want[f"{name}.b"] = np.zeros(d4, dtype)
+            want[f"{name}.b"][d : 2 * d] = EN.FORGET_BIAS
+    h = config.mlp_hidden
+    dim2 = config.match_dim + h if config.mlp_shortcut else h
+    for layer, n_in, n_out in (("1", config.match_dim, h), ("2", dim2, h), ("_out", h, 3)):
+        drawn.append((f"classify.w{layer}", 1.0 / np.sqrt(n_in), (n_in, n_out)))
+        want[f"classify.b{layer}"] = np.zeros(n_out, dtype)
+    children = np.random.default_rng(seed).spawn(len(drawn))
+    for (name, scale, shape), child in zip(drawn, children):
+        want[name] = child.normal(0.0, scale, shape).astype(dtype)
+    return want
+
+
+class TestInitialize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_weight_is_its_own_childs_draw(self, dtype):
+        # Widths out of order: the draws follow the config, not the names.
+        config = toy_config(filter_widths=(3, 1), seed=11)
+        table = np.zeros((N_WORDS, config.word_dim), dtype)
+        model = Model.initialize(config, N_CHARS, table, np.random.default_rng(11))
+        got = model.params.trainable()
+        want = initial_weights(config, 11, dtype)
+        assert got.keys() == want.keys()
+        for name, t in got.items():
+            assert t.data.dtype == dtype and t.shape == want[name].shape, name
+            assert t.data.tobytes() == want[name].tobytes(), name
+
+    def test_direct_helper_calls_draw_the_same_weights(self):
+        # Called one by one, outside Model.initialize, the three helpers
+        # take the same children in the same order.
+        config = toy_config(filter_widths=(3, 1), seed=11)
+        table = np.zeros((N_WORDS, config.word_dim))
+        rng = np.random.default_rng(11)
+        direct = {
+            **EM.init_embed_params(N_CHARS, config.char_dim, config.filter_widths,
+                                   config.filter_channels, table, rng).named_tensors(),
+            **EN.init_encoder_params(config.embed_dim, config.hidden_dim,
+                                     config.n_layers, rng).named_tensors(),
+            **CL.init_classifier_params(config.match_dim, config.mlp_hidden,
+                                        rng, config.mlp_shortcut).named_tensors(),
+        }
+        want = initial_weights(config, 11, np.float64)
+        for name, t in want.items():
+            assert direct[name].data.tobytes() == t.tobytes(), name
+
+    def test_fills_run_on_pool_threads_that_end_before_return(self, monkeypatch):
+        ran, fill = [], T._fill
+
+        def recorded(child, scale, values):
+            ran.append(threading.current_thread())
+            fill(child, scale, values)
+
+        monkeypatch.setattr(T, "_fill", recorded)
+        config = toy_config()
+        table = np.zeros((N_WORDS, config.word_dim))
+        Model.initialize(config, N_CHARS, table, None)
+        assert ran == []  # a skeleton draws nothing
+        model = Model.initialize(config, N_CHARS, table, np.random.default_rng(0))
+        n_drawn = sum(t.data.ndim == 2 for t in model.params.trainable().values())
+        assert len(ran) == n_drawn
+        assert all(t.name.startswith("normal_param") for t in ran)
+        assert not any(t.is_alive() for t in ran)
 
 
 class TestModelForward:

@@ -684,12 +684,54 @@ class TestNormalParam:
         (5, 7), (T.NORMAL_CHUNK,), (2, T.NORMAL_CHUNK // 2 + 3), (3 * T.NORMAL_CHUNK + 11,),
     ], ids=["below", "at", "above", "several"])
     def test_chunked_draws_are_the_full_size_draw(self, dtype, shape):
-        full, chunked = np.random.default_rng(7), np.random.default_rng(7)
-        want = full.normal(0.0, 0.3, shape).astype(dtype)
-        got = T.normal_param(chunked, 0.3, shape, dtype)
+        # The tensor is one full-size draw from rng's first child, rounded.
+        rng = np.random.default_rng(7)
+        child = np.random.default_rng(7).spawn(1)[0]
+        want = child.normal(0.0, 0.3, shape).astype(dtype)
+        state = rng.bit_generator.state
+        got = T.normal_param(rng, 0.3, shape, dtype)
         assert got.requires_grad and got.data.dtype == dtype and got.shape == shape
         assert got.data.tobytes() == want.tobytes()
-        assert chunked.bit_generator.state == full.bit_generator.state
+        assert rng.bit_generator.state == state  # spawning draws nothing from rng
+
+    def test_successive_calls_take_successive_children(self):
+        rng = np.random.default_rng(7)
+        children = np.random.default_rng(7).spawn(4)
+        shapes = [(T.NORMAL_CHUNK + 5,), (3, 4), (2 * T.NORMAL_CHUNK,), (6,)]
+        with T.drawing():
+            with T.drawing():  # an inner block defers to the outer one
+                got = [T.normal_param(rng, 0.5, s, np.float64) for s in shapes[:2]]
+            got += [T.normal_param(rng, 0.5, s, np.float64) for s in shapes[2:]]
+        for t, child, shape in zip(got, children, shapes):
+            assert t.data.tobytes() == child.normal(0.0, 0.5, shape).tobytes()
+
+    def test_a_failed_fill_reaches_the_caller_after_every_worker_ends(self, monkeypatch):
+        ran, fill = [], T._fill
+
+        def recorded(child, scale, values):
+            ran.append(threading.current_thread())
+            fill(child, scale, values)
+
+        monkeypatch.setattr(T, "_fill", recorded)
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="scale < 0"):
+            with T.drawing():
+                for scale in (0.5, -1.0, 0.5):
+                    T.normal_param(rng, scale, (T.NORMAL_CHUNK,), np.float64)
+        assert len(ran) == 3 and threading.current_thread() not in ran
+        assert not any(t.is_alive() for t in ran)
+
+    def test_an_error_in_the_block_drops_its_fills(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(T, "_fill", lambda *fill: ran.append(fill))
+        rng = np.random.default_rng(7)
+        with pytest.raises(RuntimeError):
+            with T.drawing():
+                T.normal_param(rng, 0.5, (4,), np.float64)
+                raise RuntimeError
+        assert ran == []
+        T.normal_param(rng, 0.5, (4,), np.float64)  # outside a block: filled at once
+        assert len(ran) == 1
 
     def test_no_generator_gives_a_zero_view(self):
         t = T.normal_param(None, 0.3, (1000, 1000), np.float32)

@@ -622,11 +622,12 @@ class TestTrainLoop:
         assert peak <= 5.0 * weights, peak / weights
 
     def test_file_holds_the_best_epochs_weights(self, tmp_path):
-        # Dev accuracy peaks at epoch 3 of 4: the file must hold the weights
-        # that a same-seed run stopped at epoch 3 ends with.
+        # At seed 9 dev accuracy peaks at epoch 3 of 4 (1/3, 1/3, 1/2, 1/3):
+        # the file must hold the weights that a same-seed run stopped at
+        # epoch 3 ends with.
         results, finals = {}, {}
         for epochs in (4, 3):
-            model, vocab, train_set, dev_set = tiny_setup(seed=5)
+            model, vocab, train_set, dev_set = tiny_setup(seed=9)
             settings = TR.TrainSettings(lr=1e-2, batch_size=8, epochs=epochs)
             path = str(tmp_path / f"{epochs}.ckpt")
             results[epochs] = TR.train(model, vocab, train_set, dev_set, settings, path)
