@@ -41,6 +41,7 @@ from .data import (
     DataError,
     _utf8,
     build_vocab,
+    encode_pairs,
     load_corpus,
     load_word_vectors,
 )
@@ -224,8 +225,9 @@ def _check_output(path: str, what: str):
 
 
 def _load_pipeline(config: RunConfig):
-    """Corpora, vocabulary over both splits, and the frozen vector table,
-    in float32: the model takes its dtype, so training runs in float32. A
+    """Train and dev pairs, encoded once over the vocabulary of both
+    splits; that vocabulary; and the frozen vector table, in float32: the
+    model takes its dtype, so training runs in float32. A
     value beyond the float32 range is a usage error in a row drawn from
     oov_sigma, and a data error in a row read from the vector file."""
     train_set, train_report = load_corpus(config.train_path)
@@ -265,17 +267,17 @@ def _load_pipeline(config: RunConfig):
         f"{report.hits_lowercase} lowercase hits {report.misses} oov",
         file=sys.stderr,
     )
-    return train_set, dev_set, vocab, table
+    return encode_pairs(train_set, vocab), encode_pairs(dev_set, vocab), vocab, table
 
 
-def _train_once(config: RunConfig, train_set, dev_set, vocab, table):
+def _train_once(config: RunConfig, train_pairs, dev_pairs, vocab, table):
     rng = np.random.default_rng(config.model.seed)
     model = Model.initialize(config.model, vocab.n_chars, table, rng)
     return TR.train(
         model,
         vocab,
-        train_set,
-        dev_set,
+        train_pairs,
+        dev_pairs,
         config.optim,
         config.checkpoint_path,
         log=lambda msg: print(msg, file=sys.stderr),
@@ -289,8 +291,8 @@ def cmd_train(args) -> int:
     if config.history_path:
         _check_output(config.history_path, "history")
     banner(config)
-    train_set, dev_set, vocab, table = _load_pipeline(config)
-    result = _train_once(config, train_set, dev_set, vocab, table)
+    train_pairs, dev_pairs, vocab, table = _load_pipeline(config)
+    result = _train_once(config, train_pairs, dev_pairs, vocab, table)
     print(f"# checkpoint written to {config.checkpoint_path}", file=sys.stderr)
     if config.history_path:
         TR.write_history(config.history_path, result.history)
@@ -309,18 +311,19 @@ def _print_eval(result: TR.EvalResult):
         print(f"{name:>9s} {row}")
 
 
-def _examples(path, require_label: bool = True):
+def _pairs(path, vocab, require_label: bool = True):
+    """The corpus at path, encoded with a checkpoint's vocabulary."""
     examples, _ = load_corpus(path, require_label=require_label)
     if not examples:
         raise DataError(f"no usable examples in {path}")
-    return examples
+    return encode_pairs(examples, vocab)
 
 
 def cmd_eval(args) -> int:
     model, vocab = TR.load_model(args.checkpoint)
-    examples = _examples(args.data)
+    pairs = _pairs(args.data, vocab)
     banner(model.config)
-    _print_eval(TR.evaluate_model([model], examples, vocab))
+    _print_eval(TR.evaluate_model([model], pairs))
     return EXIT_OK
 
 
@@ -328,16 +331,16 @@ def cmd_predict(args) -> int:
     if args.out:
         _check_output(args.out, "predictions")
     model, vocab = TR.load_model(args.checkpoint)
-    examples = _examples(args.data, require_label=False)
-    probs = TR.predict([model], examples, vocab)
+    pairs = _pairs(args.data, vocab, require_label=False)
+    probs = TR.predict([model], pairs)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for ex, p in zip(examples, probs):
+        for (premise_len, hypothesis_len), p in zip(pairs.lengths.tolist(), probs):
             record = {
                 "label": LABELS[int(p.argmax())],
                 "probs": [float(v) for v in p],
-                "premise_len": len(ex.premise_tokens),
-                "hypothesis_len": len(ex.hypothesis_tokens),
+                "premise_len": premise_len,
+                "hypothesis_len": hypothesis_len,
             }
             out.write(json.dumps(record) + "\n")
     finally:
@@ -349,8 +352,7 @@ def cmd_predict(args) -> int:
 def cmd_ensemble_eval(args) -> int:
     members = [TR.load_model(path) for path in args.checkpoints]
     models, vocab = TR.build_ensemble(members)
-    examples = _examples(args.data)
-    result = TR.evaluate_model(models, examples, vocab)
+    result = TR.evaluate_model(models, _pairs(args.data, vocab))
     print(f"ensemble of {len(models)} checkpoints")
     _print_eval(result)
     return EXIT_OK
@@ -376,11 +378,11 @@ def run_ablations(config: RunConfig, log=None) -> list[tuple[str, float]]:
                            model=replace(config.model, **overrides)))
             for name, overrides in ABLATIONS
         ]
-        train_set, dev_set, vocab, table = _load_pipeline(config)
+        train_pairs, dev_pairs, vocab, table = _load_pipeline(config)
         rows = []
         for name, variant in variants:
             say(f"training {name}")
-            result = _train_once(variant, train_set, dev_set, vocab, table)
+            result = _train_once(variant, train_pairs, dev_pairs, vocab, table)
             acc = result.best["dev_accuracy"]
             say(f"{name}: dev_accuracy {acc:.4f}")
             rows.append((name, acc))

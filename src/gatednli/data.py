@@ -264,15 +264,16 @@ def encode_sentence_ids(
 
 @dataclass
 class EncodedPairs:
-    """Pairs as ids, encoded once: every pair's premise tokens, then its
-    hypothesis tokens, pair after pair. Each token has a word id and a form
-    id; a form is a distinct clipped char-id row, and form ids follow the
-    lexicographic order of those rows."""
+    """Pairs as ids, encoded once by ``encode_pairs``: every pair's premise
+    tokens, then its hypothesis tokens, pair after pair. Each token has a
+    word id and a form id; a form is a distinct clipped char-id row, padded
+    to the corpus's longest clipped word, and form ids follow the
+    lexicographic order of those rows. Training, scoring and batching take
+    pairs in this form only."""
 
     word_ids: np.ndarray  # (T,) int64
     form_ids: np.ndarray  # (T,) int64
     forms: np.ndarray  # (F, C) int64, pad-id tails, rows in lexicographic order
-    form_lengths: np.ndarray  # (F,) int64, chars before each form's tail
     starts: np.ndarray  # (P, 2) int64, first token of each premise / hypothesis
     lengths: np.ndarray  # (P, 2) int64
     labels: np.ndarray  # (P,) int64, -1 where unlabeled
@@ -281,13 +282,8 @@ class EncodedPairs:
         return len(self.labels)
 
 
-def encode_pairs(
-    examples: Sequence[NLIExample] | EncodedPairs, vocab: Vocab
-) -> EncodedPairs:
-    """The examples' ids, each distinct token spelled out once; pairs that
-    are already encoded are returned as they are."""
-    if isinstance(examples, EncodedPairs):
-        return examples
+def encode_pairs(examples: Sequence[NLIExample], vocab: Vocab) -> EncodedPairs:
+    """The examples' ids, each distinct token spelled out once."""
     sentences = [s for ex in examples for s in (ex.premise_tokens, ex.hypothesis_tokens)]
     distinct: dict[str, int] = {}
     token_ix = np.array(
@@ -295,19 +291,14 @@ def encode_pairs(
         dtype=np.int64,
     )
     word_ids, char_ids = encode_sentence_ids(list(distinct), vocab)
-    # As tuples, the padded rows sort in the order numpy sorts them as rows.
-    spelled = list(map(tuple, char_ids.tolist()))
-    rows = sorted(set(spelled))
-    form_of = {row: i for i, row in enumerate(rows)}
-    form_ids = np.array([form_of[row] for row in spelled], dtype=np.int64)
-    forms = np.array(rows, dtype=np.int64).reshape(len(rows), char_ids.shape[1])
+    forms, form_ids = np.unique(char_ids, axis=0, return_inverse=True)
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
     labels = [-1 if ex.label is None else ex.label for ex in examples]
     return EncodedPairs(
         word_ids=word_ids[token_ix],
-        form_ids=form_ids[token_ix],
+        # numpy 2.0.0 alone returns the inverse with the input's shape
+        form_ids=form_ids.reshape(-1)[token_ix],
         forms=forms,
-        form_lengths=(forms != PAD_ID).sum(axis=1),
         starts=(np.cumsum(lengths) - lengths).reshape(-1, 2),
         lengths=lengths.reshape(-1, 2),
         labels=np.array(labels, dtype=np.int64),
@@ -319,11 +310,11 @@ class Batch:
     """A batch's 2B sentences as one ragged block of tokens, the B premises
     first and then the B hypotheses; sentence s owns lengths[s] consecutive
     rows, and no row is padding. ``words`` holds the block's distinct
-    clipped char-id rows, in lexicographic order, and token i spells
-    ``words[inverse[i]]``."""
+    clipped char-id rows, in lexicographic order, at the corpus's width
+    (``EncodedPairs.forms``), and token i spells ``words[inverse[i]]``."""
 
     word_ids: np.ndarray  # (N,) int64
-    words: np.ndarray  # (F, C_max) int64, pad-id tails
+    words: np.ndarray  # (F, C) int64, pad-id tails
     inverse: np.ndarray  # (N,) int64
     lengths: np.ndarray  # (2B,) int64
     labels: np.ndarray  # (B,) int64
@@ -344,29 +335,20 @@ def gather_batch(pairs: EncodedPairs, rows: np.ndarray) -> Batch:
     form_ids = pairs.form_ids[tokens]
     present = np.zeros(len(pairs.forms), dtype=bool)
     present[form_ids] = True
-    forms = np.flatnonzero(present)
-    width = pairs.form_lengths[forms].max()
     return Batch(
         word_ids=pairs.word_ids[tokens],
-        words=pairs.forms[forms, :width],
+        words=pairs.forms[present],
         inverse=(np.cumsum(present) - 1)[form_ids],
         lengths=lengths,
         labels=pairs.labels[rows],
     )
 
 
-def batchify(
-    examples: Sequence[NLIExample] | EncodedPairs,
-    batch_size: int,
-    vocab: Vocab,
-    seed: int,
-) -> list[Batch]:
+def batchify(pairs: EncodedPairs, batch_size: int, seed: int) -> list[Batch]:
     """Seeded shuffle, then fixed-size batches, each one ragged block of
-    its premises' and hypotheses' tokens. Examples are encoded first;
-    pairs encoded once (``encode_pairs``) are batched by gathers alone."""
+    its premises' and hypotheses' tokens, made by gathers alone."""
     if batch_size < 1:
         raise DataError(f"batchify: batch_size must be >= 1, got {batch_size}")
-    pairs = encode_pairs(examples, vocab)
     order = np.random.default_rng(seed).permutation(len(pairs))
     return [
         gather_batch(pairs, order[start : start + batch_size])

@@ -110,6 +110,8 @@ def make_split(
     training examples themselves."""
     if min(n_train, n_dev) < 1:
         raise ValueError(f"n_train and n_dev must be >= 1, got {n_train}, {n_dev}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     categories = DEFAULT_WORLD.categories.items()
     train_nouns = {cat: nouns[:-DEV_ONLY_NOUNS] for cat, nouns in categories}

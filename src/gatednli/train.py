@@ -1,6 +1,7 @@
 """Optimization, the training loop, evaluation, checkpoints, ensembling.
 
-Training encodes its training and dev sets once, runs seeded shuffled
+Training takes its training and dev sets as pairs encoded once
+(``data.encode_pairs``, which only the CLI calls), runs seeded shuffled
 minibatches under Adam with global-norm gradient clipping, one
 ``Model.forward`` call per minibatch, evaluates on the dev set once per
 epoch, and keeps the checkpoint with the best dev
@@ -15,8 +16,8 @@ flat gradient buffer, which the backward writes into from the first step
 on (``Adam.zero_grad`` hands it out again) and which is released when
 training returns.
 ``predict`` is the one inference loop: evaluation, early stopping, the
-``eval``, ``ensemble-eval`` and ``predict`` commands all score examples
-through it. It averages class probabilities over a list of models
+``eval``, ``ensemble-eval`` and ``predict`` commands all score encoded
+pairs through it. It averages class probabilities over a list of models
 sharing one architecture, so a single model is an ensemble of one.
 Checkpoints are self-describing binary files that rebuild the exact
 model, bit for bit; a load reads one front to back, each tensor once,
@@ -38,19 +39,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import classify as CL
-from .data import (
-    DataError,
-    EncodedPairs,
-    NLIExample,
-    Vocab,
-    batchify,
-    encode_pairs,
-    gather_batch,
-)
+from .data import DataError, EncodedPairs, Vocab, batchify, gather_batch
 from .model import Model, ModelConfig
 from .tensor import Graph, Tensor
 
-INFER_BATCH = 64  # pairs per Model.forward call when scoring examples
+INFER_BATCH = 64  # pairs per Model.forward call when scoring pairs
 ADAM_SLICE_BYTES = 262144  # per array in an Adam slice: 65,536 float32 or 32,768 float64
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # b1, b2 and eps in Adam.step
 CHECKPOINT_MAGIC = b"GNLICKP1"
@@ -344,26 +337,20 @@ class EvalResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def predict(
-    models: Sequence[Model],
-    examples: Sequence[NLIExample] | EncodedPairs,
-    vocab: Vocab,
-) -> np.ndarray:
-    """(N, 3) class probabilities of the examples, in order, averaged over
+def predict(models: Sequence[Model], pairs: EncodedPairs) -> np.ndarray:
+    """(N, 3) class probabilities of the pairs, in order, averaged over
     the models; a single model is an ensemble of one.
 
-    The one inference loop: the examples are encoded up front, ids only,
-    O(tokens) (``encode_pairs``; pairs already encoded are used as they
-    are), and go through ``Model.forward`` in unshuffled batches of
-    ``INFER_BATCH`` pairs, each gathered only when its turn comes. The
-    models' rows are summed in float64 and each sum is renormalised, since
-    a float32 softmax sums to 1 only within about 1e-7. A probability that
-    is not finite raises NumericError, naming the first such example; that
-    check finds overflow, so numpy's warnings are off.
+    The one inference loop: the pairs go through ``Model.forward`` in
+    unshuffled batches of ``INFER_BATCH``, each gathered only when its
+    turn comes. The models' rows are summed in float64 and each sum is
+    renormalised, since a float32 softmax sums to 1 only within about
+    1e-7. A probability that is not finite raises NumericError, naming the
+    first such example; that check finds overflow, so numpy's warnings are
+    off.
     """
-    if not examples:
+    if not pairs:
         raise DataError("empty dataset")
-    pairs = encode_pairs(examples, vocab)
     out = []
     for start in range(0, len(pairs), INFER_BATCH):
         batch = gather_batch(pairs, np.arange(start, min(start + INFER_BATCH, len(pairs))))
@@ -379,16 +366,11 @@ def predict(
     return np.concatenate(out)
 
 
-def evaluate_model(
-    models: Sequence[Model],
-    examples: Sequence[NLIExample] | EncodedPairs,
-    vocab: Vocab,
-) -> EvalResult:
+def evaluate_model(models: Sequence[Model], pairs: EncodedPairs) -> EvalResult:
     """Accuracy and confusion matrix of the models' mean probabilities."""
-    pairs = encode_pairs(examples, vocab)
     if (pairs.labels < 0).any():
         raise DataError("evaluate: dataset contains unlabeled examples")
-    predicted = predict(models, pairs, vocab).argmax(axis=1)
+    predicted = predict(models, pairs).argmax(axis=1)
     confusion = np.zeros((CL.N_CLASSES, CL.N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (pairs.labels, predicted), 1)
     n = len(pairs)
@@ -461,8 +443,8 @@ def _writing(checkpoint_path: str):
 def train(
     model: Model,
     vocab: Vocab,
-    train_set: Sequence[NLIExample],
-    dev_set: Sequence[NLIExample],
+    train_pairs: EncodedPairs,
+    dev_pairs: EncodedPairs,
     settings: TrainSettings,
     checkpoint_path: str,
     log: Optional[Callable[[str], None]] = None,
@@ -478,12 +460,11 @@ def train(
     naming the epoch; the explicit checks find those, so numpy's overflow
     warnings are off.
     """
-    if not train_set:
+    if not train_pairs:
         raise DataError("train: empty training set")
-    if not dev_set:
+    if not dev_pairs:
         raise DataError("train: empty dev set")
     say = log or (lambda _msg: None)
-    train_pairs, dev_pairs = encode_pairs(train_set, vocab), encode_pairs(dev_set, vocab)
     adam = Adam(model.params.trainable(), lr=settings.lr)
     best: Optional[dict] = None
     history: list[HistoryRow] = []
@@ -493,7 +474,6 @@ def train(
             batches = batchify(
                 train_pairs,
                 settings.batch_size,
-                vocab,
                 seed=_epoch_seed(model.config.seed, epoch),
             )
             loss_sum = 0.0
@@ -510,9 +490,9 @@ def train(
                 adam.step(settings.clip_norm)
                 adam.zero_grad()
                 loss_sum += loss_value * batch.size
-            train_loss = loss_sum / len(train_set)
-            train_acc = correct / len(train_set)
-            dev = evaluate_model([model], dev_pairs, vocab)
+            train_loss = loss_sum / len(train_pairs)
+            train_acc = correct / len(train_pairs)
+            dev = evaluate_model([model], dev_pairs)
             history.append(
                 HistoryRow(epoch=epoch, train_loss=train_loss, dev_acc=dev.accuracy)
             )
@@ -527,7 +507,7 @@ def train(
             if settings.stop_train_acc is not None:
                 # Stop on the weights being returned, not on the running
                 # accuracy above, which mixes the epoch's successive updates.
-                fit = evaluate_model([model], train_pairs, vocab).accuracy
+                fit = evaluate_model([model], train_pairs).accuracy
                 if fit >= settings.stop_train_acc:
                     say(
                         f"early stop: end-of-epoch train accuracy {fit:.3f} "

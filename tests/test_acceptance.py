@@ -71,6 +71,8 @@ def corpus(tmp_path_factory):
     return SimpleNamespace(
         train_set=train_set,
         dev_set=dev_set,
+        train_pairs=encode_pairs(train_set, vocab),
+        dev_pairs=encode_pairs(dev_set, vocab),
         vocab=vocab,
         table=table,
         paths=paths,
@@ -89,7 +91,7 @@ def _run_training(corpus, seed: int, ckpt: str):
     settings = TR.TrainSettings(epochs=EPOCH_BUDGET, **TOY_OPTIM)
     start = time.monotonic()
     result = TR.train(
-        model, corpus.vocab, corpus.train_set, corpus.dev_set, settings, ckpt
+        model, corpus.vocab, corpus.train_pairs, corpus.dev_pairs, settings, ckpt
     )
     wall = time.monotonic() - start
     return SimpleNamespace(
@@ -230,11 +232,9 @@ class TestAcceptance:
         assert ok
 
     def test_5_overfit_sanity(self, corpus, trained):
-        train_acc = TR.evaluate_model(
-            [trained.model], corpus.train_set, corpus.vocab
-        ).accuracy
+        train_acc = TR.evaluate_model([trained.model], corpus.train_pairs).accuracy
         best, best_vocab = TR.load_model(trained.ckpt)
-        dev_acc = TR.evaluate_model([best], corpus.dev_set, best_vocab).accuracy
+        dev_acc = TR.evaluate_model([best], encode_pairs(corpus.dev_set, best_vocab)).accuracy
         epochs = len(trained.result.history)
         ok = (
             train_acc >= TRAIN_ACC_FLOOR
@@ -291,7 +291,7 @@ class TestAcceptance:
         other = _fresh_model(corpus, seed=31)
 
         def probs(models):
-            return TR.predict(models, corpus.dev_set, corpus.vocab)
+            return TR.predict(models, corpus.dev_pairs)
 
         p1 = probs([single])
         pair_exact = _same_bits(probs(twins), p1)

@@ -61,6 +61,10 @@ def logits(model, examples, vocab):
     return model.forward(batch).data
 
 
+def scores(models, examples, vocab):
+    return TR.predict(models, encode_pairs(examples, vocab))
+
+
 def assert_probs_within_bound(got, want, bound):
     """Probabilities within the bound, and the same label for every row
     whose top two probabilities are further apart than it."""
@@ -90,10 +94,10 @@ def test_pair_alone_in_a_batch_and_at_each_position(case):
 def test_file_whole_and_in_pieces(case):
     # The toy file of 100 pairs spans two of predict's batches of 64.
     model, vocab, _, file, dtype = case
-    whole = TR.predict([model], file, vocab)
+    whole = scores([model], file, vocab)
     cuts = [0, 1, len(file) // 3, len(file)]
     pieces = np.concatenate(
-        [TR.predict([model], file[a:b], vocab) for a, b in zip(cuts, cuts[1:])]
+        [scores([model], file[a:b], vocab) for a, b in zip(cuts, cuts[1:])]
     )
     assert_probs_within_bound(pieces, whole, BOUND[dtype])
 
@@ -101,5 +105,5 @@ def test_file_whole_and_in_pieces(case):
 @pytest.mark.parametrize("k", [3, 5])
 def test_ensemble_of_identical_copies(case, k):
     model, vocab, _, file, dtype = case
-    one = TR.predict([model], file, vocab)
-    assert_probs_within_bound(TR.predict([model] * k, file, vocab), one, BOUND[dtype])
+    one = scores([model], file, vocab)
+    assert_probs_within_bound(scores([model] * k, file, vocab), one, BOUND[dtype])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gatednli import cli as C
+from gatednli import data as D
 from gatednli import train as TR
 from gatednli.data import LABELS, DataError
 from gatednli.model import Model, ModelConfig
@@ -77,6 +78,17 @@ def _late_output_failure(monkeypatch, make_unwritable):
             make_unwritable()
 
     monkeypatch.setattr(C, "_check_output", check_then_break)
+
+
+def _spellings(monkeypatch) -> list[int]:
+    """A list that receives the token count of every later
+    ``encode_sentence_ids`` call; one call spells out the distinct words of
+    one encoded set."""
+    spelled = []
+    encode = D.encode_sentence_ids
+    monkeypatch.setattr(D, "encode_sentence_ids",
+                        lambda tokens, v: spelled.append(len(tokens)) or encode(tokens, v))
+    return spelled
 
 
 def _banner(capsys, argv) -> list[str]:
@@ -455,6 +467,13 @@ class TestExitCodes:
         assert C.main(argv) == 1
         assert not out_dir.exists()
 
+    def test_synth_data_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "synth"
+        argv = ["synth-data", "--out-dir", str(out_dir), "--seed", "-1"]
+        assert C.main(argv) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_synth_data_small_word_dim_is_usage_error(self, tmp_path, capsys):
         out_dir = tmp_path / "synth"
         argv = ["synth-data", "--out-dir", str(out_dir), "--word-dim", "6"]
@@ -666,6 +685,18 @@ class TestTrainedArtifacts:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == (workdir / "model.ckpt").read_bytes()
 
+    def test_each_set_is_encoded_once(self, workdir, tmp_path, monkeypatch):
+        # Three epochs, each scoring the dev set and, for the early stop,
+        # the training set: the two sets' words are spelled out once each.
+        spelled = _spellings(monkeypatch)
+        history = tmp_path / "history.csv"
+        rc = C.main(["train", "--config", str(workdir / "run.cfg"), "--epochs", "3",
+                     "--stop-train-acc", "1.0", "--checkpoint-path", str(tmp_path / "m.ckpt"),
+                     "--history-path", str(history)])
+        assert rc == 0
+        assert len(history.read_text().splitlines()) == 1 + 3
+        assert len(spelled) == 2
+
     def test_banner_reports_config_and_seed(self, workdir, capsys):
         rc = C.main(["train", "--config", str(workdir / "run.cfg")])
         assert rc == 0
@@ -829,6 +860,14 @@ class TestAblate:
             acc = float(line.split("\t")[1])
             assert 0.0 <= acc <= 1.0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_each_set_is_encoded_once_for_all_five_variants(
+        self, workdir, monkeypatch
+    ):
+        spelled = _spellings(monkeypatch)
+        argv = ["ablate", "--config", str(workdir / "run.cfg"), "--epochs", "1"]
+        assert C.main(argv) == 0
+        assert len(spelled) == 2
 
     def test_table_reaches_stdout_when_its_write_fails(
         self, workdir, tmp_path, capsys, monkeypatch

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gatednli import data as D
+from gatednli import embed as EM
 
 
 def write_jsonl(path, rows):
@@ -337,12 +338,11 @@ class TestBatchify:
             for i in range(n)
         ]
 
-    def vocab_for(self, examples):
-        return D.build_vocab(examples)
+    def pairs_for(self, examples):
+        return D.encode_pairs(examples, D.build_vocab(examples))
 
     def test_batch_sizes(self):
-        exs = self.examples(10)
-        batches = D.batchify(exs, 4, self.vocab_for(exs), seed=0)
+        batches = D.batchify(self.pairs_for(self.examples(10)), 4, seed=0)
         assert [b.size for b in batches] == [4, 4, 2]
 
     def test_mask_matches_lengths(self):
@@ -350,7 +350,7 @@ class TestBatchify:
             D.NLIExample(["a", "b", "c"], ["x"], 0),
             D.NLIExample(["a", "b", "c", "d", "e"], ["x", "y"], 1),
         ]
-        vocab = self.vocab_for(exs)
+        vocab = D.build_vocab(exs)
         batch = D.gather_batch(D.encode_pairs(exs, vocab), np.arange(2))
         # premises first, then hypotheses, in example order, with each
         # sentence's tokens back to back and no padding between them
@@ -361,37 +361,34 @@ class TestBatchify:
         assert batch.words[batch.inverse].tolist() == [[vocab.char_id(t)] for t in tokens]
 
     def test_same_seed_same_order(self):
-        exs = self.examples(17)
-        vocab = self.vocab_for(exs)
-        b1 = D.batchify(exs, 4, vocab, seed=9)
-        b2 = D.batchify(exs, 4, vocab, seed=9)
+        pairs = self.pairs_for(self.examples(17))
+        b1 = D.batchify(pairs, 4, seed=9)
+        b2 = D.batchify(pairs, 4, seed=9)
         for x, y in zip(b1, b2):
             assert np.array_equal(x.labels, y.labels)
             assert np.array_equal(x.lengths, y.lengths)
             assert np.array_equal(x.word_ids, y.word_ids)
 
     def test_different_seed_usually_differs(self):
-        exs = self.examples(17)
-        vocab = self.vocab_for(exs)
-        b1 = D.batchify(exs, 17, vocab, seed=1)
-        b2 = D.batchify(exs, 17, vocab, seed=2)
+        pairs = self.pairs_for(self.examples(17))
+        b1 = D.batchify(pairs, 17, seed=1)
+        b2 = D.batchify(pairs, 17, seed=2)
         assert not np.array_equal(b1[0].labels, b2[0].labels)
 
     def test_long_words_clipped(self):
-        exs = [D.NLIExample(["x" * 50], ["y"], 0)]
-        vocab = self.vocab_for(exs)
-        batches = D.batchify(exs, 1, vocab, seed=0)
+        pairs = self.pairs_for([D.NLIExample(["x" * 50], ["y"], 0)])
+        batches = D.batchify(pairs, 1, seed=0)
         assert batches[0].words.shape == (2, D.MAX_WORD_CHARS)
 
     def test_bad_batch_size(self):
-        exs = self.examples(3)
         with pytest.raises(D.DataError, match="batch_size"):
-            D.batchify(exs, 0, self.vocab_for(exs), seed=0)
+            D.batchify(self.pairs_for(self.examples(3)), 0, seed=0)
 
 
-def oracle_batches(examples, batch_size, vocab, seed):
+def oracle_batches(examples, batch_size, vocab, seed, width):
     """Each shuffled batch encoded on its own: its tokens' word ids and
-    char-id rows, and the rows' distinct values with each token's index."""
+    char-id rows, and the rows' distinct values, padded to the given width,
+    with each token's index."""
     order = np.random.default_rng(seed).permutation(len(examples))
     for start in range(0, len(examples), batch_size):
         chunk = [examples[i] for i in order[start : start + batch_size]]
@@ -399,16 +396,27 @@ def oracle_batches(examples, batch_size, vocab, seed):
         tokens += [t for ex in chunk for t in ex.hypothesis_tokens]
         word_ids, char_ids = D.encode_sentence_ids(tokens, vocab)
         words, inverse = np.unique(char_ids, axis=0, return_inverse=True)
+        words = np.pad(words, ((0, 0), (0, width - words.shape[1])), constant_values=D.PAD_ID)
         yield word_ids, words, inverse.reshape(-1)
+
+
+def oracle_forms(char_ids):
+    """The distinct rows of a (T, C) char-id block in lexicographic order,
+    found by sorting them as tuples, and each row's index among them."""
+    spelled = list(map(tuple, char_ids.tolist()))
+    rows = sorted(set(spelled))
+    form_of = {row: i for i, row in enumerate(rows)}
+    forms = np.array(rows, dtype=np.int64).reshape(len(rows), char_ids.shape[1])
+    return forms, np.array([form_of[row] for row in spelled], dtype=np.int64)
 
 
 class TestEncodedPairs:
     # Tokens that share a clipped char-id row: two spelled with unknown
     # characters, two long words that agree on their first 20 characters
     # (and a third that is exactly those 20), and words that are prefixes
-    # of others.
-    POOL = ["αβ", "ωψ", "a" * 20 + "bcd", "a" * 20 + "xyz", "a" * 20,
-            "cat", "cats", "c", "at", "dog", "dogs", "do"]
+    # of others, single characters among them.
+    POOL = ["αβ", "ωψ", "ω", "a" * 20 + "bcd", "a" * 20 + "xyz", "a" * 20,
+            "a", "cat", "cats", "c", "at", "dog", "dogs", "do"]
 
     def examples(self, n=23, seed=4):
         rng = np.random.default_rng(seed)
@@ -420,16 +428,26 @@ class TestEncodedPairs:
 
     def vocab(self):
         # Built without the Greek words, whose characters stay unknown.
-        return D.build_vocab([D.NLIExample(self.POOL[2:], ["x"], 0)])
+        return D.build_vocab([D.NLIExample(self.POOL[3:], ["x"], 0)])
+
+    def test_forms_match_the_tuple_sort(self):
+        exs, vocab = self.examples(), self.vocab()
+        tokens = [t for ex in exs for s in (ex.premise_tokens, ex.hypothesis_tokens) for t in s]
+        assert set(tokens) == set(self.POOL)
+        forms, form_ids = oracle_forms(D.encode_sentence_ids(tokens, vocab)[1])
+        pairs = D.encode_pairs(exs, vocab)
+        assert pairs.forms.dtype == pairs.form_ids.dtype == np.int64
+        assert np.array_equal(pairs.forms, forms)
+        assert np.array_equal(pairs.form_ids, form_ids)
 
     def test_batches_match_per_batch_encoding(self):
         exs, vocab = self.examples(), self.vocab()
         pairs = D.encode_pairs(exs, vocab)
-        assert pairs.forms.tolist() == sorted(pairs.forms.tolist())
+        assert pairs.forms.shape[1] == D.MAX_WORD_CHARS
         assert len(pairs.forms) < len({t[: D.MAX_WORD_CHARS] for t in self.POOL})
         for seed in (1, 2, 3):
-            got = D.batchify(pairs, 5, vocab, seed=seed)
-            want = list(oracle_batches(exs, 5, vocab, seed))
+            got = D.batchify(pairs, 5, seed=seed)
+            want = list(oracle_batches(exs, 5, vocab, seed, D.MAX_WORD_CHARS))
             assert len(got) == len(want) == 5
             for batch, (word_ids, words, inverse) in zip(got, want):
                 assert np.array_equal(batch.word_ids, word_ids)
@@ -437,14 +455,26 @@ class TestEncodedPairs:
                 assert np.array_equal(batch.words, words)
                 assert np.array_equal(batch.inverse, inverse)
 
-    def test_examples_and_their_encoding_batch_alike(self):
-        exs, vocab = self.examples(), self.vocab()
-        pairs = D.encode_pairs(exs, vocab)
-        assert D.encode_pairs(pairs, vocab) is pairs
-        assert len(pairs) == len(exs)
-        for a, b in zip(D.batchify(exs, 4, vocab, seed=7), D.batchify(pairs, 4, vocab, seed=7)):
-            for field in ("word_ids", "words", "inverse", "lengths", "labels"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_char_compose_reads_no_further_than_the_batchs_longest_word(self, dtype):
+        # The batch's words come at the corpus's width, set by the third
+        # pair's long word; cut to its own longest word, 4 characters, as
+        # batches once were, they compose to the same bits, also under a
+        # filter wider than that.
+        exs = [D.NLIExample(["cat", "c"], ["dogs", "do"], 0),
+               D.NLIExample(["at"], ["a"], 1),
+               D.NLIExample(["a" * 20 + "bcd"], ["cat"], 2)]
+        vocab = D.build_vocab(exs)
+        batch = D.gather_batch(D.encode_pairs(exs, vocab), np.arange(2))
+        width = (batch.words != D.PAD_ID).sum(axis=1).max()
+        assert (width, batch.words.shape[1]) == (4, D.MAX_WORD_CHARS)
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(vocab.n_words, 2)).astype(dtype)
+        params = EM.init_embed_params(vocab.n_chars, 3, (1, 3, 5), 4, table, rng)
+        whole = EM.char_compose(batch.words, params).data
+        cut = EM.char_compose(batch.words[:, :width], params).data
+        assert whole.dtype == cut.dtype == dtype
+        assert whole.tobytes() == cut.tobytes()
 
     def test_unlabeled_pairs_carry_minus_one(self):
         exs = [D.NLIExample(["a"], ["b"], None), D.NLIExample(["b"], ["a"], 2)]

@@ -29,8 +29,10 @@ LOSS_TOL = 1e-5  # the benchmark's epoch-1 loss tolerance
 
 
 def corpus():
+    """The vocabulary, and the training and dev sets encoded with it."""
     train_set, dev_set = S.make_split(30, 12, seed=0)
-    return build_vocab(train_set + dev_set), train_set, dev_set
+    vocab = build_vocab(train_set + dev_set)
+    return vocab, encode_pairs(train_set, vocab), encode_pairs(dev_set, vocab)
 
 
 def model_in(dtype, vocab, gate_kind="input", seed=3):
@@ -72,12 +74,12 @@ class AllocationSpy:
 @pytest.mark.parametrize("gate_kind", ["input", "forget"])
 @pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
 def test_no_path_upcasts(dtype, gate_kind, monkeypatch):
-    vocab, train_set, _ = corpus()
+    vocab, train_pairs, _ = corpus()
     spy = AllocationSpy()
     for module in (T, EM, EN, CP, CL, TR):
         monkeypatch.setattr(module, "np", spy)
     model = model_in(dtype, vocab, gate_kind)
-    batch = gather_batch(encode_pairs(train_set[:8], vocab), np.arange(8))
+    batch = gather_batch(train_pairs, np.arange(8))
     flowing = []
 
     def watch(backward):
@@ -114,15 +116,15 @@ def test_float32_weights_round_the_float64_draws():
 
 
 def test_float32_scores_and_trains_within_tolerance_of_float64(tmp_path):
-    vocab, train_set, dev_set = corpus()
+    vocab, train_pairs, dev_pairs = corpus()
     wide, narrow = model_in(np.float64, vocab), model_in(np.float32, vocab)
-    gap = np.abs(TR.predict([wide], dev_set, vocab) - TR.predict([narrow], dev_set, vocab))
+    gap = np.abs(TR.predict([wide], dev_pairs) - TR.predict([narrow], dev_pairs))
     assert gap.max() <= PROB_TOL
     # One batch per epoch: the epoch-1 loss scores the initial weights.
-    settings = TR.TrainSettings(lr=1e-3, batch_size=len(train_set), epochs=2)
+    settings = TR.TrainSettings(lr=1e-3, batch_size=len(train_pairs), epochs=2)
     ckpt = str(tmp_path / "model.ckpt")
     losses = [
-        [row.train_loss for row in TR.train(m, vocab, train_set, dev_set, settings, ckpt).history]
+        [row.train_loss for row in TR.train(m, vocab, train_pairs, dev_pairs, settings, ckpt).history]
         for m in (wide, narrow)
     ]
     assert abs(losses[0][0] - losses[1][0]) <= LOSS_TOL
@@ -131,7 +133,7 @@ def test_float32_scores_and_trains_within_tolerance_of_float64(tmp_path):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["float32", "float64"])
 def test_checkpoint_round_trip_keeps_dtype_bit_exact(tmp_path, dtype):
-    vocab, _, dev_set = corpus()
+    vocab, _, dev_pairs = corpus()
     model = model_in(dtype, vocab)
     path = str(tmp_path / "model.ckpt")
     TR.Checkpoint.from_model(model, vocab).save(path)
@@ -144,7 +146,7 @@ def test_checkpoint_round_trip_keeps_dtype_bit_exact(tmp_path, dtype):
         np.dtype(dtype)
     }
     np.testing.assert_array_equal(
-        TR.predict([rebuilt], dev_set, vocab), TR.predict([model], dev_set, vocab)
+        TR.predict([rebuilt], dev_pairs), TR.predict([model], dev_pairs)
     )
 
 
@@ -169,7 +171,7 @@ def write_float64_checkpoint(path, checkpoint):
 
 
 def test_float64_checkpoint_of_the_earlier_format_loads(tmp_path):
-    vocab, _, dev_set = corpus()
+    vocab, _, dev_pairs = corpus()
     model = model_in(np.float64, vocab)
     path = str(tmp_path / "old.ckpt")
     write_float64_checkpoint(path, TR.Checkpoint.from_model(model, vocab, {"epoch": 1}))
@@ -177,7 +179,7 @@ def test_float64_checkpoint_of_the_earlier_format_loads(tmp_path):
     for name, t in rebuilt.params.named_tensors().items():
         assert t.data.dtype == np.float64, name
     np.testing.assert_array_equal(
-        TR.predict([rebuilt], dev_set, vocab), TR.predict([model], dev_set, vocab)
+        TR.predict([rebuilt], dev_pairs), TR.predict([model], dev_pairs)
     )
 
 

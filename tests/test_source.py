@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import mutate
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "gatednli"
 
 
@@ -130,3 +132,50 @@ def test_only_the_cli_reaches_the_user():
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert checked > 5
     assert found == []
+
+
+def test_only_the_cli_encodes_and_nothing_takes_examples_or_pairs():
+    """Pairs are encoded at the edge: no module of src/ but cli.py calls
+    ``encode_pairs``, and no function takes NLIExamples and EncodedPairs
+    interchangeably, by a parameter annotated with both or by an
+    ``isinstance`` test on either."""
+    both = {"NLIExample", "EncodedPairs"}
+    encodes, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    named = {
+                        n.id for n in ast.walk(arg.annotation or ast.Pass())
+                        if isinstance(n, ast.Name)
+                    }
+                    if both <= named:
+                        found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "encode_pairs":
+                    encodes.append(path.name)
+                    if path.name != "cli.py":
+                        found.append(f"{path.name}:{node.lineno} encode_pairs")
+                elif name == "isinstance" and both & {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                }:
+                    found.append(f"{path.name}:{node.lineno} isinstance")
+    assert found == []
+    assert "cli.py" in encodes
+
+
+def test_every_mutation_still_applies():
+    """Each entry of ``tests/mutate.py`` still breaks what it names: its
+    old text occurs exactly once in its file, its new text differs, and it
+    names the tests that must fail."""
+    names = [m.name for m in mutate.MUTATIONS]
+    assert len(names) >= 20 and len(set(names)) == len(names)
+    stale = [
+        f"{m.name}: {mutate.missing(m) or 'no change or no test named'}"
+        for m in mutate.MUTATIONS
+        if mutate.missing(m) or m.old == m.new or not m.must_fail
+    ]
+    assert stale == []

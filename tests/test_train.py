@@ -52,6 +52,8 @@ def tiny_corpus(n=30, seed=0):
 
 
 def tiny_setup(seed=3, dtype=np.float64, **config_overrides):
+    """A tiny model, its vocabulary, and the tiny corpus's training and dev
+    sets encoded with that vocabulary."""
     config = tiny_config(seed=seed, **config_overrides)
     train_set, dev_set = tiny_corpus()
     vocab = build_vocab(train_set + dev_set)
@@ -59,7 +61,7 @@ def tiny_setup(seed=3, dtype=np.float64, **config_overrides):
     word_table = rng.normal(0, 0.3, size=(vocab.n_words, config.word_dim))
     word_table = word_table.astype(dtype, copy=False)
     model = Model.initialize(config, vocab.n_chars, word_table, rng)
-    return model, vocab, train_set, dev_set
+    return model, vocab, D.encode_pairs(train_set, vocab), D.encode_pairs(dev_set, vocab)
 
 
 class TestAdam:
@@ -259,7 +261,7 @@ class TestAdam:
         assert adam._p.tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1, 1, 1]
         assert all(t.data.base is adam._p and t.data.flags.c_contiguous for t in (p, q))
         assert q.shape == (2, 3)
-        model, vocab, train_set, _ = tiny_setup(
+        model, vocab, train_pairs, _ = tiny_setup(
             dtype=np.float32, hidden_dim=64, mlp_hidden=256
         )
         named = model.params.trainable()
@@ -276,7 +278,7 @@ class TestAdam:
             if k.startswith(("encoder.", "classify.w")) or k.endswith(".weight")
         ]
         trainable = sum(t.data.nbytes for t in named.values())
-        for batch in batchify(train_set, 8, vocab, seed=1)[:2]:
+        for batch in batchify(train_pairs, 8, seed=1)[:2]:
             with Graph() as g:
                 loss = CL.cross_entropy(model.forward(batch), batch.labels)
                 tracemalloc.start()
@@ -359,14 +361,14 @@ class TestCheckpoint:
             assert arr.tobytes() == got.tobytes(), name
 
     def test_rebuilt_model_predicts_identically(self, tmp_path):
-        model, vocab, train_set, _ = tiny_setup()
+        model, vocab, train_pairs, _ = tiny_setup()
         ckpt = TR.Checkpoint.from_model(model, vocab)
         path = str(tmp_path / "model.ckpt")
         ckpt.save(path)
         rebuilt = TR.Checkpoint.load(path).build_model()
         np.testing.assert_array_equal(
-            TR.predict([model], train_set[:5], vocab),
-            TR.predict([rebuilt], train_set[:5], vocab),
+            TR.predict([model], train_pairs),
+            TR.predict([rebuilt], train_pairs),
         )
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -526,9 +528,9 @@ class TestCheckpoint:
 
 class TestTrainLoop:
     def test_runs_and_records_history(self, tmp_path, ckpt):
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
-        result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        result = TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
         assert [row.epoch for row in result.history] == [1, 2]
         assert result.best is not None
         assert result.best["dev_accuracy"] == max(
@@ -543,9 +545,9 @@ class TestTrainLoop:
     def test_same_seed_is_bit_identical(self, ckpt):
         runs = []
         for _ in range(2):
-            model, vocab, train_set, dev_set = tiny_setup(seed=11)
+            model, vocab, train_pairs, dev_pairs = tiny_setup(seed=11)
             settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
-            result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+            result = TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
             runs.append(result)
         a, b = runs
         assert [(r.train_loss, r.dev_acc) for r in a.history] == [
@@ -556,49 +558,36 @@ class TestTrainLoop:
             assert t.data.tobytes() == other.data.tobytes(), name
 
     def test_word_table_frozen_through_training(self, ckpt):
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         before = model.params.embed.word_table.data.tobytes()
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
-        TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
         assert model.params.embed.word_table.data.tobytes() == before
 
     def test_divergence_names_the_epoch(self, ckpt):
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         model.params.classifier.w1.data[0, 0] = np.nan
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
         with pytest.raises(TR.NumericError, match="^epoch 1: loss became nan$"):
-            TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+            TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
 
         # One batch per epoch: epoch 1 takes a 1e300 step, after which
         # every dev probability is NaN.
-        model, vocab, train_set, dev_set = tiny_setup()
-        settings = TR.TrainSettings(lr=1e300, batch_size=len(train_set), epochs=3)
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
+        settings = TR.TrainSettings(lr=1e300, batch_size=len(train_pairs), epochs=3)
         with pytest.raises(
             TR.NumericError,
             match="^epoch 1: class probabilities of example 1 are not finite$",
         ):
-            TR.train(model, vocab, train_set, dev_set, settings, ckpt)
-
-    def test_each_set_is_encoded_once(self, ckpt, monkeypatch):
-        # Three epochs, each scoring the dev set and, for the early stop,
-        # the training set: the two sets' words are spelled out once each.
-        model, vocab, train_set, dev_set = tiny_setup()
-        spelled = []
-        encode = D.encode_sentence_ids
-        monkeypatch.setattr(D, "encode_sentence_ids",
-                            lambda tokens, v: spelled.append(len(tokens)) or encode(tokens, v))
-        settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=3, stop_train_acc=1.0)
-        result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
-        assert len(result.history) == 3
-        assert len(spelled) == 2
+            TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
 
     def test_empty_sets_rejected(self, ckpt):
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         settings = TR.TrainSettings(epochs=1)
         with pytest.raises(DataError, match="empty"):
-            TR.train(model, vocab, [], dev_set, settings, ckpt)
+            TR.train(model, vocab, D.encode_pairs([], vocab), dev_pairs, settings, ckpt)
         with pytest.raises(DataError, match="empty"):
-            TR.train(model, vocab, train_set, [], settings, ckpt)
+            TR.train(model, vocab, train_pairs, D.encode_pairs([], vocab), settings, ckpt)
 
     def test_peak_memory_holds_one_copy_of_the_weights(self, ckpt):
         # Weights, Adam's m and v, and the gradients are four copies of the
@@ -606,14 +595,14 @@ class TestTrainLoop:
         # the weights out when train builds it. Each new best goes from the
         # weights to the file, not through a fifth in-memory copy. Traced
         # ratios on this run: 6.28 with that copy, 4.52 without.
-        model, vocab, train_set, dev_set = tiny_setup(
+        model, vocab, train_pairs, dev_pairs = tiny_setup(
             dtype=np.float32, hidden_dim=64, mlp_hidden=256
         )
         weights = sum(t.data.nbytes for t in model.params.named_tensors().values())
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=4)
         tracemalloc.start()
         try:
-            result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+            result = TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -627,10 +616,10 @@ class TestTrainLoop:
         # epoch 3 ends with.
         results, finals = {}, {}
         for epochs in (4, 3):
-            model, vocab, train_set, dev_set = tiny_setup(seed=9)
+            model, vocab, train_pairs, dev_pairs = tiny_setup(seed=9)
             settings = TR.TrainSettings(lr=1e-2, batch_size=8, epochs=epochs)
             path = str(tmp_path / f"{epochs}.ckpt")
-            results[epochs] = TR.train(model, vocab, train_set, dev_set, settings, path)
+            results[epochs] = TR.train(model, vocab, train_pairs, dev_pairs, settings, path)
             finals[epochs] = {k: t.data for k, t in model.params.named_tensors().items()}
         saved = TR.Checkpoint.load(str(tmp_path / "4.ckpt"))
         assert results[4].best["epoch"] == 3 and saved.metadata == results[4].best
@@ -644,7 +633,7 @@ class TestTrainLoop:
         # Epoch 1's best is on disk when epoch 2 ends; the run then fails,
         # by a NaN weight (epoch 3's loss) or an interrupt, and must leave
         # the earlier file and no temporary one.
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"an earlier checkpoint")
         listed = []
@@ -659,29 +648,31 @@ class TestTrainLoop:
         settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=3)
         expected = {"divergence": TR.NumericError, "interrupt": KeyboardInterrupt}
         with pytest.raises(expected[failure]):
-            TR.train(model, vocab, train_set, dev_set, settings, str(path), log=log)
+            TR.train(model, vocab, train_pairs, dev_pairs, settings, str(path), log=log)
         assert len(listed) == 2
         assert path.read_bytes() == b"an earlier checkpoint"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_early_stop_on_train_accuracy(self, ckpt):
         # a target of zero triggers the stop after the first epoch
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         settings = TR.TrainSettings(
             lr=1e-3, batch_size=8, epochs=50, stop_train_acc=0.0
         )
-        result = TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+        result = TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
         assert len(result.history) == 1
 
     def test_early_stop_returns_weights_at_target(self, tmp_path, ckpt):
         # With this seed, stopping on the accuracy counted during the
         # epoch's updates once returned weights scoring 0.935 after epoch 4.
         seed, target = 1276265019, 0.995
-        train_set, dev_set = S.make_split(200, 60, seed)
+        train_examples, dev_examples = S.make_split(200, 60, seed)
         vectors = str(tmp_path / "vectors.txt")
         S.write_vector_file(vectors, S.DEFAULT_WORLD, 12, seed)
-        vocab = build_vocab(train_set + dev_set)
+        vocab = build_vocab(train_examples + dev_examples)
         table, _ = load_word_vectors(vectors, vocab, dim=12, seed=seed)
+        train_pairs = D.encode_pairs(train_examples, vocab)
+        dev_pairs = D.encode_pairs(dev_examples, vocab)
         config = ModelConfig(
             word_dim=12,
             char_dim=6,
@@ -699,10 +690,10 @@ class TestTrainLoop:
         )
         log = []
         result = TR.train(
-            model, vocab, train_set, dev_set, settings, ckpt, log=log.append
+            model, vocab, train_pairs, dev_pairs, settings, ckpt, log=log.append
         )
         assert len(result.history) < settings.epochs
-        fit = TR.evaluate_model([result.model], train_set, vocab).accuracy
+        fit = TR.evaluate_model([result.model], train_pairs).accuracy
         assert fit >= target
         assert log[-1] == (
             f"early stop: end-of-epoch train accuracy {fit:.3f} reached target"
@@ -723,10 +714,10 @@ class TestGradientReuse:
         # them after every step. Gradients and weights agree bit for bit.
         runs = []
         for reuse in (True, False):
-            model, vocab, train_set, _ = tiny_setup(dtype=np.float32, n_layers=2)
+            model, vocab, train_pairs, _ = tiny_setup(dtype=np.float32, n_layers=2)
             adam = TR.Adam(model.params.trainable(), lr=1e-2)
             steps = []
-            for batch in batchify(train_set, 8, vocab, seed=1)[:3]:
+            for batch in batchify(train_pairs, 8, seed=1)[:3]:
                 backward_step(model, batch)
                 steps.append({k: (t.grad, t.grad.tobytes()) for k, t in adam.named.items()})
                 adam.step()
@@ -755,12 +746,12 @@ class TestGradientReuse:
     def test_second_backward_allocates_less_than_the_parameters(self):
         # The parameters outweigh this batch's activations, so a backward
         # that allocated every gradient anew would exceed their bytes.
-        model, vocab, train_set, _ = tiny_setup(
+        model, vocab, train_pairs, _ = tiny_setup(
             dtype=np.float32, hidden_dim=64, mlp_hidden=256
         )
         adam = TR.Adam(model.params.trainable(), lr=1e-3)
         trainable = sum(t.data.nbytes for t in adam.named.values())
-        first, second = batchify(train_set, 8, vocab, seed=1)[:2]
+        first, second = batchify(train_pairs, 8, seed=1)[:2]
         backward_step(model, first)
         adam.step()
         adam.zero_grad()
@@ -779,46 +770,47 @@ class TestGradientReuse:
     def test_parameters_hold_no_gradient_arrays_after_training(self, ckpt, outcome):
         # diverged: epoch 1's 1e300 step makes every dev probability NaN,
         # after that step's gradients were parked.
-        model, vocab, train_set, dev_set = tiny_setup()
+        model, vocab, train_pairs, dev_pairs = tiny_setup()
         if outcome == "returned":
             settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
-            TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+            TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
         else:
-            settings = TR.TrainSettings(lr=1e300, batch_size=len(train_set), epochs=2)
+            settings = TR.TrainSettings(lr=1e300, batch_size=len(train_pairs), epochs=2)
             with pytest.raises(TR.NumericError):
-                TR.train(model, vocab, train_set, dev_set, settings, ckpt)
+                TR.train(model, vocab, train_pairs, dev_pairs, settings, ckpt)
         for name, t in model.params.named_tensors().items():
             assert t.grad is None and t.spare is None, name
 
 
 class TestEvaluate:
     def test_accuracy_one_when_labels_match_predictions(self):
-        model, vocab, train_set, _ = tiny_setup()
-        probs = TR.predict([model], train_set[:10], vocab)
+        model, vocab, _, _ = tiny_setup()
+        examples = tiny_corpus()[0][:10]
+        probs = TR.predict([model], D.encode_pairs(examples, vocab))
         relabeled = [
             NLIExample(ex.premise_tokens, ex.hypothesis_tokens, int(p.argmax()))
-            for ex, p in zip(train_set[:10], probs)
+            for ex, p in zip(examples, probs)
         ]
-        result = TR.evaluate_model([model], relabeled, vocab)
+        result = TR.evaluate_model([model], D.encode_pairs(relabeled, vocab))
         assert result.accuracy == 1.0
         assert np.trace(result.confusion) == 10
 
     def test_confusion_rows_sum_to_class_counts(self):
-        model, vocab, train_set, _ = tiny_setup()
-        result = TR.evaluate_model([model], train_set, vocab)
+        model, vocab, train_pairs, _ = tiny_setup()
+        result = TR.evaluate_model([model], train_pairs)
         counts = np.zeros(3, dtype=np.int64)
-        for ex in train_set:
+        for ex in tiny_corpus()[0]:
             counts[ex.label] += 1
         np.testing.assert_array_equal(result.confusion.sum(axis=1), counts)
-        assert result.n == len(train_set)
+        assert result.n == len(train_pairs)
 
     def test_empty_and_unlabeled_rejected(self):
-        model, vocab, train_set, _ = tiny_setup()
+        model, vocab, train_pairs, _ = tiny_setup()
         with pytest.raises(DataError, match="empty"):
-            TR.evaluate_model([model], [], vocab)
+            TR.evaluate_model([model], D.encode_pairs([], vocab))
         bad = [NLIExample(["a"], ["b"], None)]
         with pytest.raises(DataError, match="unlabeled"):
-            TR.evaluate_model([model], bad, vocab)
+            TR.evaluate_model([model], D.encode_pairs(bad, vocab))
 
 
 class _StubModel:
@@ -833,39 +825,40 @@ class _StubModel:
 
 class TestEnsemble:
     def test_probability_averaging(self):
-        _, vocab, train_set, _ = tiny_setup()
+        _, vocab, _, _ = tiny_setup()
+        train_set = tiny_corpus()[0]
         models = [_StubModel([0.6, 0.3, 0.1]), _StubModel([0.2, 0.7, 0.1])]
         # enough pairs for two forward batches
         examples = [train_set[i % len(train_set)] for i in range(TR.INFER_BATCH + 3)]
-        probs = TR.predict(models, examples, vocab)
+        probs = TR.predict(models, D.encode_pairs(examples, vocab))
         np.testing.assert_allclose(
             probs, np.tile([0.4, 0.5, 0.1], (len(examples), 1))
         )
         assert (probs.argmax(axis=1) == 1).all()
 
     def test_identical_members_match_single_model(self):
-        model, vocab, _, dev_set = tiny_setup()
+        model, vocab, _, dev_pairs = tiny_setup()
         ckpt = TR.Checkpoint.from_model(model, vocab)
-        single = TR.evaluate_model([model], dev_set, vocab)
+        single = TR.evaluate_model([model], dev_pairs)
         models, _ = TR.build_ensemble(
             [(ckpt.build_model(), ckpt.vocab) for _ in range(3)]
         )
-        triple = TR.evaluate_model(models, dev_set, vocab)
+        triple = TR.evaluate_model(models, dev_pairs)
         assert triple.accuracy == single.accuracy
         np.testing.assert_array_equal(triple.confusion, single.confusion)
 
     def test_order_invariance(self):
         members = []
         for seed in (1, 2, 3):
-            model, vocab, _, dev_set = tiny_setup(seed=seed)
+            model, vocab, _, dev_pairs = tiny_setup(seed=seed)
             members.append((model, vocab))
         models, _ = TR.build_ensemble(members)
-        a = TR.evaluate_model(models, dev_set, vocab)
-        b = TR.evaluate_model(models[::-1], dev_set, vocab)
+        a = TR.evaluate_model(models, dev_pairs)
+        b = TR.evaluate_model(models[::-1], dev_pairs)
         np.testing.assert_array_equal(a.confusion, b.confusion)
 
     def test_config_mismatch_rejected(self):
-        model_a, vocab, _, dev_set = tiny_setup()
+        model_a, vocab, _, dev_pairs = tiny_setup()
         model_b, _, _, _ = tiny_setup(hidden_dim=4)
         with pytest.raises(ValueError, match="configs differ"):
             TR.build_ensemble([(model_a, vocab), (model_b, vocab)])
@@ -879,7 +872,7 @@ class TestEnsemble:
 
 class TestLoadModel:
     def test_checkpoint_freed_once_model_built(self, tmp_path, monkeypatch):
-        model, vocab, _, dev_set = tiny_setup()
+        model, vocab, _, dev_pairs = tiny_setup()
         path = str(tmp_path / "m.ckpt")
         TR.Checkpoint.from_model(model, vocab).save(path)
         loaded = []
@@ -895,6 +888,6 @@ class TestLoadModel:
         assert loaded and loaded[0]() is None
         assert rebuilt_vocab.to_json() == vocab.to_json()
         np.testing.assert_array_equal(
-            TR.predict([rebuilt], dev_set, vocab), TR.predict([model], dev_set, vocab)
+            TR.predict([rebuilt], dev_pairs), TR.predict([model], dev_pairs)
         )
 
