@@ -56,7 +56,7 @@ class Tensor:
     gradient, straight into it (``take_spare``): the parameter's view of
     the flat gradient buffer that ``Adam`` cuts by the same bounds as the
     weights' when it lays them out, and hands out again at each
-    ``zero_grad``. It is None until an ``Adam`` holds the parameter.
+    ``Adam.step``. It is None until an ``Adam`` holds the parameter.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "spare")

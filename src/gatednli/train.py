@@ -13,8 +13,8 @@ gradients, and ``Adam.step`` applies the clip factor in its one update
 pass over flat buffers of the weights, gradients, ``m`` and ``v``, slice by
 slice on the calling thread. Each parameter's gradient is its view of the
 flat gradient buffer, which the backward writes into from the first step
-on (``Adam.zero_grad`` hands it out again) and which is released when
-training returns.
+on (each ``Adam.step``, the one optimizer call per minibatch, hands it out
+again) and which is released when training returns.
 ``predict`` is the one inference loop: evaluation, early stopping, the
 ``eval``, ``ensemble-eval`` and ``predict`` commands all score encoded
 pairs through it. It averages class probabilities over a list of models
@@ -66,11 +66,11 @@ class Adam:
     is freed once copied if nothing else holds it), and each ``.data`` is
     rebound to its C-contiguous view. ``m`` and ``v`` are two more flat
     buffers, cut by the same bounds, and each tensor's gradient has a view
-    in a fourth, its ``spare`` from the start, which backward writes the
-    first contribution into. A gradient held elsewhere is copied into its
-    view at the step; a missing one counts as zero (the parameter sat out
-    the forward pass); a non-finite one aborts the step before anything
-    changes. The update walks the four flat buffers together in slices of
+    in a fourth, its ``spare`` from the start and again after every step,
+    which backward writes the first contribution into. A gradient held
+    elsewhere is copied into its view at the step; a missing one counts as
+    zero (the parameter sat out the forward pass); a non-finite one aborts
+    the step before the weights or moments change. The update walks the four flat buffers together in slices of
     ``ADAM_SLICE_BYTES`` per array, on the calling thread. Each slice is
     clipped in place (``g *= scale``), then updated through two scratch
     buffers of one slice in the textbook formula's operation order: one
@@ -104,25 +104,29 @@ class Adam:
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         p -= (lr / c1) m / (sqrt(v / c2) + eps).
 
-        norm is ``clip_global_norm``'s pre-clip norm; only a non-finite one
-        scans the gradients, and the first holding a NaN or inf raises
-        NumericError. Finite entries whose squares overflow even float64 (a
-        norm past about 1.3e154) are scaled by max_norm / inf = 0. Each
-        ``.grad`` is then the view in the flat buffer that the update
-        scaled.
+        The whole update: each gradient first goes into its view of the
+        flat buffer (a missing one as zeros, one held elsewhere by copy),
+        and each parameter is re-armed, its ``.grad`` None and its
+        ``spare`` the view, so the next backward writes its first
+        contribution there. norm is ``clip_global_norm``'s pre-clip norm
+        over the views; only a non-finite one scans them, and the first
+        holding a NaN or inf raises NumericError with the weights, ``m``,
+        ``v`` and ``t`` unchanged. Finite entries whose squares overflow
+        even float64 (a norm past about 1.3e154) are scaled by
+        max_norm / inf = 0.
         """
-        norm = clip_global_norm(self.named)
-        if not math.isfinite(norm):
-            for name, t in self.named.items():
-                if t.grad is not None and not np.isfinite(t.grad).all():
-                    raise NumericError(f"non-finite gradient in {name}")
-        scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
         for t, view in zip(self.named.values(), self._grads):
             if t.grad is None:
                 view.fill(0)
             elif t.grad is not view:
                 view[...] = t.grad
-                t.grad = view
+            t.grad, t.spare = None, view
+        norm = clip_global_norm(self._grads)
+        if not math.isfinite(norm):
+            for name, view in zip(self.named, self._grads):
+                if not np.isfinite(view).all():
+                    raise NumericError(f"non-finite gradient in {name}")
+        scale = max_norm / norm if norm > max_norm and norm > 0.0 else 1.0
         self.t += 1
         lr_c1 = self.lr / (1.0 - ADAM_BETA1**self.t)
         c2 = 1.0 - ADAM_BETA2**self.t
@@ -147,30 +151,21 @@ class Adam:
             s2 /= s1
             p -= s2
 
-    def zero_grad(self):
-        """Mark every gradient to be overwritten: each tensor's view in the
-        flat gradient buffer is its ``spare`` again, which the next backward
-        writes the first contribution into, so no step allocates a
-        parameter-sized gradient; ``.grad`` is None until it does."""
-        for tensor, view in zip(self.named.values(), self._grads):
-            tensor.spare, tensor.grad = view, None
 
-
-def clip_global_norm(named: dict[str, Tensor]) -> float:
+def clip_global_norm(grads: Sequence[np.ndarray]) -> float:
     """The joint L2 norm of the gradients before clipping; writes nothing.
 
-    Tensors without gradients are skipped. ``Adam.step`` computes this
-    norm and applies the clip factor inside its update pass. A float32
-    gradient whose squares overflow float32 is summed again in float64.
+    ``Adam.step`` computes this norm and applies the clip factor inside
+    its update pass. A float32 gradient whose squares overflow float32 is
+    summed again in float64.
     """
     total = 0.0
-    for t in named.values():
-        if t.grad is not None:
-            sq = float(np.vdot(t.grad, t.grad))
-            if sq == math.inf and t.grad.dtype != np.float64:
-                wide = t.grad.astype(np.float64)
-                sq = float(np.vdot(wide, wide))
-            total += sq
+    for g in grads:
+        sq = float(np.vdot(g, g))
+        if sq == math.inf and g.dtype != np.float64:
+            wide = g.astype(np.float64)
+            sq = float(np.vdot(wide, wide))
+        total += sq
     return float(np.sqrt(total))
 
 
@@ -488,7 +483,6 @@ def train(
                     g.backward(loss)
                 correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
                 adam.step(settings.clip_norm)
-                adam.zero_grad()
                 loss_sum += loss_value * batch.size
             train_loss = loss_sum / len(train_pairs)
             train_acc = correct / len(train_pairs)

@@ -151,7 +151,7 @@ MUTATIONS = (
         "dx[rows[1]] = flat[1] @ ws[1].T",
         (ACCEPTANCE_1, "tests/test_encoder.py::TestFusedAgainstComposite"),
     ),
-    # Adam's flat layout.
+    # Adam's flat layout and its re-armed gradient views.
     Mutation(
         "adam-does-not-rebind-data", "src/gatednli/train.py",
         "            t.data = view\n",
@@ -163,6 +163,13 @@ MUTATIONS = (
         "            view[...] = t.data\n",
         "",
         ("tests/test_train.py::TestAdam",),
+    ),
+    Mutation(
+        "adam-step-leaves-grad-as-its-view", "src/gatednli/train.py",
+        "            t.grad, t.spare = None, view\n",
+        "            t.grad = view\n",
+        ("tests/test_train.py::TestOneCallPerStep::test_each_step_sees_only_its_own_batch",
+         "tests/test_train.py::TestGradientReuse"),
     ),
     # Batching and determinism.
     Mutation(

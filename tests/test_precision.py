@@ -101,7 +101,7 @@ def test_no_path_upcasts(dtype, gate_kind, monkeypatch):
     adam.step(1.0)
     named = model.params.named_tensors()
     assert {t.data.dtype for t in named.values()} == {np.dtype(dtype)}
-    assert {t.grad.dtype for t in adam.named.values()} == {np.dtype(dtype)}
+    assert {t.spare.dtype for t in adam.named.values()} == {np.dtype(dtype)}
     buffers = [adam.m, adam.v, adam._scratch]
     assert {a.dtype for a in buffers} == {np.dtype(dtype)}
     assert spy.made == {np.dtype(dtype)}

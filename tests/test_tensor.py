@@ -358,7 +358,7 @@ class TestBackwardContract:
     """Every backward function of the model returns writeable arrays that
     it owns: no two distinct arrays of a sweep share memory (a record may
     hand on its incoming gradient itself), nor do two leaves' gradients.
-    The second step writes the spare arrays ``Adam.zero_grad`` parked."""
+    The second backward writes the spare arrays ``Adam.step`` re-armed."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     @pytest.mark.parametrize(
@@ -390,7 +390,7 @@ class TestBackwardContract:
                     assert not any(np.shares_memory(a, b) for b in group[i + 1 :])
             assert bool(parked & {id(a) for a in grads}) == (step == 1)
             parked = {id(a) for a in grads}
-            adam.zero_grad()
+            adam.step()
 
 
 class TestSpareGradients:

@@ -16,6 +16,10 @@ gradients, products summed over the batch's token rows, differed from
 the 1-thread run's, while the logits did not. That 1 and 2 threads differ
 is not asserted, since another BLAS may not split the product.
 
+The rest of the suite runs at one thread too, unless the environment
+sets another count: ``tests/conftest.py`` sets both variables to 1 where
+unset, before numpy loads.
+
 Run as a script, the module writes the logits and the gradients to the
 ``.npz`` path it is given.
 """
@@ -70,6 +74,15 @@ def test_one_thread_count_is_bit_exact(tmp_path):
     for name, array in one.items():
         assert array.tobytes() == again[name].tobytes(), name
     assert np.abs(two["logits"] - one["logits"]).max() <= BOUND[np.dtype(np.float32)]
+
+
+def test_tests_run_at_a_pinned_thread_count():
+    # tests/conftest.py sets both variables before numpy loads.
+    import conftest
+
+    assert not conftest.NUMPY_BEFORE_PIN
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert os.environ.get(var), var
 
 
 if __name__ == "__main__":

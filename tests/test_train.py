@@ -135,7 +135,7 @@ class TestAdam:
                     grads["c"] = np.zeros(shapes["c"], dtype)
                 for k, t in named.items():
                     t.grad = None if (step == 2 and k == "c") else grads[k].copy()
-                norm = TR.clip_global_norm(named)
+                norm = TR.clip_global_norm(list(grads.values()))
                 max_norm = math.inf if step == 1 else norm / 7.0
                 scale = max_norm / norm if step > 1 else 1.0
                 assert scale < 1.0 or step == 1
@@ -175,7 +175,8 @@ class TestAdam:
         for k, t in named.items():
             data, grad = before[k]
             assert np.array_equal(t.data, data), k
-            assert np.array_equal(t.grad, grad, equal_nan=True), k
+            assert t.grad is None and t.spare.base is adam._g, k
+            assert np.array_equal(t.spare, grad, equal_nan=True), k
         assert not adam.m.any() and not adam.v.any()
 
     def test_overflowing_norm_scales_to_zero(self):
@@ -185,10 +186,10 @@ class TestAdam:
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         p.grad = np.array([1e200, -1e200, 0.5])
         adam = TR.Adam({"p": p}, lr=0.1)
-        assert TR.clip_global_norm(adam.named) == math.inf
+        assert TR.clip_global_norm([p.grad]) == math.inf
         adam.step(10.0)
         assert adam.t == 1
-        np.testing.assert_array_equal(p.grad, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(p.spare, [0.0, 0.0, 0.0])
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_float32_norm_past_float32_range_clips_as_float64(self):
@@ -200,7 +201,7 @@ class TestAdam:
             p = Tensor(np.zeros(4, dtype), requires_grad=True)
             p.grad = np.full(4, 1e19, dtype)
             adam = TR.Adam({"p": p}, lr=4e-4)
-            norm = TR.clip_global_norm(adam.named)
+            norm = TR.clip_global_norm([p.grad])
             np.testing.assert_allclose(norm, 2e19, rtol=1e-7)
             adam.step(10.0)
             moved[dtype] = p.data
@@ -234,7 +235,6 @@ class TestAdam:
             for g in grads:
                 p.grad = g.copy()
                 adam.step(1.0)
-                adam.zero_grad()
             trained.append(p.data)
         assert trained[0].tobytes() == trained[1].tobytes()
         assert not np.array_equal(trained[0], before.T)
@@ -291,34 +291,34 @@ class TestAdam:
             for name in spared:
                 assert named[name].grad.base is adam._g, name
             adam.step()
-            adam.zero_grad()
 
 
 class TestClipGlobalNorm:
     """clip_global_norm returns the pre-clip norm and writes nothing;
-    Adam.step applies the clip factor to the gradients it updates with."""
+    Adam.step applies the clip factor to the gradients it updates with,
+    in the views it re-arms."""
 
     def test_small_gradients_untouched(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([3.0])
-        norm = TR.clip_global_norm({"p": p})
+        norm = TR.clip_global_norm([p.grad])
         assert norm == 3.0
         np.testing.assert_array_equal(p.grad, [3.0])
         TR.Adam({"p": p}, lr=4e-4).step(10.0)
-        np.testing.assert_array_equal(p.grad, [3.0])
+        np.testing.assert_array_equal(p.spare, [3.0])
 
     def test_large_gradients_scaled_to_max(self):
         a = Tensor(np.zeros(2), requires_grad=True)
         b = Tensor(np.zeros(2), requires_grad=True)
         a.grad = np.array([30.0, 0.0])
         b.grad = np.array([0.0, 40.0])
-        norm = TR.clip_global_norm({"a": a, "b": b})
+        norm = TR.clip_global_norm([a.grad, b.grad])
         assert norm == 50.0
         np.testing.assert_array_equal(a.grad, [30.0, 0.0])
         np.testing.assert_array_equal(b.grad, [0.0, 40.0])
         TR.Adam({"a": a, "b": b}, lr=4e-4).step(10.0)
-        np.testing.assert_allclose(a.grad, [6.0, 0.0])
-        np.testing.assert_allclose(b.grad, [0.0, 8.0])
+        np.testing.assert_allclose(a.spare, [6.0, 0.0])
+        np.testing.assert_allclose(b.spare, [0.0, 8.0])
 
     def test_norm_and_scale_on_matrices(self):
         rng = np.random.default_rng(5)
@@ -332,14 +332,14 @@ class TestClipGlobalNorm:
         before = {k: t.grad.copy() for k, t in named.items() if t.grad is not None}
         squares = np.concatenate([g.ravel() ** 2 for g in before.values()])
         expected = np.sqrt(math.fsum(squares))
-        norm = TR.clip_global_norm(named)
+        norm = TR.clip_global_norm([named["w"].grad, named["b"].grad])
         assert abs(norm - expected) <= 1e-12 * expected
-        assert named["frozen"].grad is None
         for key, g in before.items():
             np.testing.assert_array_equal(named[key].grad, g)
         TR.Adam(named, lr=4e-4).step(1.0)
         for key, g in before.items():
-            np.testing.assert_array_equal(named[key].grad, g * (1.0 / norm))
+            np.testing.assert_array_equal(named[key].spare, g * (1.0 / norm))
+        assert not named["frozen"].spare.any()
 
 
 class TestCheckpoint:
@@ -705,13 +705,68 @@ def backward_step(model, batch):
         g.backward(CL.cross_entropy(model.forward(batch), batch.labels))
 
 
+class TestOneCallPerStep:
+    """Adam.step is the whole update: after it, with no other call, the
+    next backward and step see that batch's gradient alone."""
+
+    def test_each_step_sees_only_its_own_batch(self):
+        # Three backward-then-step cycles against the same cycles with
+        # every gradient and spare dropped before each backward, so that
+        # each backward allocates afresh. The clip fires at every step.
+        runs = []
+        for drop in (False, True):
+            model, vocab, train_pairs, _ = tiny_setup(dtype=np.float32, n_layers=2)
+            adam = TR.Adam(model.params.trainable(), lr=1e-2)
+            for batch in batchify(train_pairs, 8, seed=1)[:3]:
+                if drop:
+                    for t in adam.named.values():
+                        t.grad = t.spare = None
+                backward_step(model, batch)
+                grads = [t.grad for t in adam.named.values() if t.grad is not None]
+                assert TR.clip_global_norm(grads) > 0.05
+                adam.step(0.05)
+            runs.append(model.params.named_tensors())
+        stepped, fresh = runs
+        for name, t in stepped.items():
+            assert t.data.tobytes() == fresh[name].data.tobytes(), name
+
+    def test_failed_step_rearms_and_changes_nothing(self):
+        # A NaN in one gradient aborts the step with the weights, m, v and
+        # t as they were and every gradient view re-armed; the next clean
+        # backward and step then match a fresh optimizer's first step on
+        # the same weights.
+        model, vocab, train_pairs, _ = tiny_setup(dtype=np.float32)
+        named = model.params.trainable()
+        adam = TR.Adam(named, lr=1e-2)
+        first, second = batchify(train_pairs, 8, seed=1)[:2]
+        backward_step(model, first)
+        named["classify.w1"].grad[0, 0] = np.nan
+        before = {k: t.data.copy() for k, t in named.items()}
+        with pytest.raises(TR.NumericError, match="non-finite gradient in classify.w1"):
+            adam.step(1.0)
+        assert adam.t == 0 and not adam.m.any() and not adam.v.any()
+        for k, t in named.items():
+            assert np.array_equal(t.data, before[k]), k
+            assert t.grad is None and t.spare.base is adam._g, k
+        backward_step(model, second)
+        adam.step(1.0)
+        ref, _, _, _ = tiny_setup(dtype=np.float32)
+        ref_adam = TR.Adam(ref.params.trainable(), lr=1e-2)
+        backward_step(ref, second)
+        ref_adam.step(1.0)
+        assert adam.t == ref_adam.t == 1
+        for k, t in ref_adam.named.items():
+            assert named[k].data.tobytes() == t.data.tobytes(), k
+
+
 class TestGradientReuse:
-    """Adam.zero_grad parks each gradient array, and the next backward
-    writes the parameter's first contribution into it."""
+    """Adam.step re-arms each gradient view as the parameter's spare, and
+    the next backward writes the parameter's first contribution into it."""
 
     def test_gradients_are_last_steps_arrays_with_fresh_values(self):
-        # Two same-seed models: one reuses its arrays, the other drops
-        # them after every step. Gradients and weights agree bit for bit.
+        # Two same-seed models: one reuses its arrays, the other drops its
+        # gradient and spare after every step. Gradients and weights agree
+        # bit for bit.
         runs = []
         for reuse in (True, False):
             model, vocab, train_pairs, _ = tiny_setup(dtype=np.float32, n_layers=2)
@@ -721,10 +776,9 @@ class TestGradientReuse:
                 backward_step(model, batch)
                 steps.append({k: (t.grad, t.grad.tobytes()) for k, t in adam.named.items()})
                 adam.step()
-                adam.zero_grad()
                 if not reuse:
                     for t in adam.named.values():
-                        t.spare = None
+                        t.grad = t.spare = None
             runs.append((steps, model))
         (steps, model), (fresh_steps, fresh_model) = runs
         # every LSTM weight and bias, and each matmul's right-hand weight
@@ -754,7 +808,6 @@ class TestGradientReuse:
         first, second = batchify(train_pairs, 8, seed=1)[:2]
         backward_step(model, first)
         adam.step()
-        adam.zero_grad()
         with Graph() as g:
             loss = CL.cross_entropy(model.forward(second), second.labels)
             tracemalloc.start()
@@ -769,7 +822,7 @@ class TestGradientReuse:
     @pytest.mark.parametrize("outcome", ["returned", "diverged"])
     def test_parameters_hold_no_gradient_arrays_after_training(self, ckpt, outcome):
         # diverged: epoch 1's 1e300 step makes every dev probability NaN,
-        # after that step's gradients were parked.
+        # after that step re-armed every gradient view.
         model, vocab, train_pairs, dev_pairs = tiny_setup()
         if outcome == "returned":
             settings = TR.TrainSettings(lr=1e-3, batch_size=8, epochs=2)
